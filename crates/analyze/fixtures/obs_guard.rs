@@ -3,24 +3,26 @@
 
 impl Cluster {
     fn good(&mut self) {
-        if self.recorder.is_some() {
-            self.emit(ObsEvent::Arrival { req: 1 }); // guarded: fine
-        }
+        self.emit_with(|_| ObsEvent::Arrival { req: 1 }); // built in the closure: fine
+        self.emit_with(|c| ObsEvent::UnitIdle {
+            gpu: c.units[0].id(), // a multi-line closure is covered too
+        });
         if let Some(r) = self.recorder.as_deref_mut() {
             r.record(self.now, &ObsEvent::QueueDepth { len: 3 }); // guarded: fine
         }
     }
 
     fn bad(&mut self) {
-        self.emit(ObsEvent::Arrival { req: 2 }); // line 15: finding
+        let ev = ObsEvent::Arrival { req: 2 }; // line 16: finding (built outside the closure)
+        self.emit_with(move |_| ev);
         let armed = self.recorder.is_some(); // the `;` disarms the guard
         if armed {
-            self.emit(ObsEvent::Completion { req: 2 }); // line 18: finding
+            self.emit(ObsEvent::Completion { req: 2 }); // line 20: finding
         }
     }
 
     // Type positions are not constructors: no finding.
-    fn emit(&mut self, ev: ObsEvent<'_>) {
-        let _ = ev;
+    fn emit_with<'e>(&mut self, build: impl FnOnce(&Cluster) -> ObsEvent<'e>) {
+        let _ = build;
     }
 }

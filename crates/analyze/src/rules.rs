@@ -113,7 +113,8 @@ pub static RULES: &[Rule] = &[
     Rule {
         id: "obs-guard",
         severity: Severity::Error,
-        summary: "every ObsEvent emit site in gfaas-core must sit inside a recorder guard",
+        summary:
+            "every ObsEvent in gfaas-core must be built inside emit_with(…) or a recorder guard",
         check: check_obs_guard,
     },
     Rule {
@@ -176,14 +177,18 @@ fn check_wall_clock(f: &FileCtx<'_>) -> Vec<Finding> {
     })
 }
 
-/// D3 — the PR 7 zero-cost invariant: in `gfaas-core`, an
-/// `ObsEvent::…` constructor may only appear lexically inside a block
-/// opened under a recorder guard (`… recorder.is_some() {`,
+/// D3 — the zero-cost recorder invariant: in `gfaas-core`, an
+/// `ObsEvent::…` constructor may only appear lexically inside the
+/// argument of an `emit_with(…)` call (the builder closure, which runs
+/// only when a recorder is attached) or inside a block opened under a
+/// recorder guard (`… recorder.is_some() {`,
 /// `if let Some(r) = … recorder.as_deref_mut() {`, …), so an unrecorded
-/// run never even builds the event. Tracks brace depth; a guard arms
-/// when `recorder` is followed by `.is_some`/`.as_ref`/`.as_mut`/
-/// `.as_deref`/`.as_deref_mut`, covers the next `{…}` block, and
-/// disarms at `;` (a mere boolean binding is not a guard).
+/// run never even builds the event. Tracks brace and paren depth; an
+/// `emit_with(` covers its parenthesised argument; a guard arms when
+/// `recorder` is followed by `.is_some`/`.as_ref`/`.as_mut`/`.as_deref`/
+/// `.as_deref_mut`, covers the next `{…}` block, and disarms at `;` (a
+/// mere boolean binding is not a guard). An event built outside the
+/// closure and moved into it is still flagged.
 fn check_obs_guard(f: &FileCtx<'_>) -> Vec<Finding> {
     if f.krate != "core" {
         return Vec::new();
@@ -193,9 +198,23 @@ fn check_obs_guard(f: &FileCtx<'_>) -> Vec<Finding> {
     let mut depth: u32 = 0;
     let mut guards: Vec<u32> = Vec::new();
     let mut armed = false;
+    let mut parens: u32 = 0;
+    let mut emit_args: Vec<u32> = Vec::new();
     let toks = f.toks;
     for (i, t) in toks.iter().enumerate() {
         match (t.kind, t.text) {
+            (TokKind::Punct, "(") => {
+                if i > 0 && toks[i - 1].kind == TokKind::Ident && toks[i - 1].text == "emit_with" {
+                    emit_args.push(parens);
+                }
+                parens += 1;
+            }
+            (TokKind::Punct, ")") => {
+                parens = parens.saturating_sub(1);
+                while emit_args.last() == Some(&parens) {
+                    emit_args.pop();
+                }
+            }
             (TokKind::Punct, "{") => {
                 if armed {
                     guards.push(depth);
@@ -221,12 +240,12 @@ fn check_obs_guard(f: &FileCtx<'_>) -> Vec<Finding> {
             (TokKind::Ident, "ObsEvent") => {
                 let pathy = toks.get(i + 1).is_some_and(|t| t.text == ":")
                     && toks.get(i + 2).is_some_and(|t| t.text == ":");
-                if pathy && guards.is_empty() {
+                if pathy && guards.is_empty() && emit_args.is_empty() {
                     findings.push(Finding {
                         line: t.line,
-                        message: "ObsEvent constructed outside a recorder.is_some() guard: \
-                                  unrecorded runs must not even build the event (the PR 7 \
-                                  zero-cost invariant)"
+                        message: "ObsEvent constructed outside an emit_with(…) closure or a \
+                                  recorder guard: unrecorded runs must not even build the \
+                                  event (the zero-cost recorder invariant)"
                             .to_string(),
                     });
                 }
@@ -512,6 +531,33 @@ fn f(&mut self) {
         assert!(run("obs-guard", "crates/core/src/cluster.rs", "core", sig).is_empty());
         // Outside gfaas-core the rule is silent (recorders match on events).
         assert!(run("obs-guard", "crates/obs/src/ledger.rs", "obs", bare).is_empty());
+    }
+
+    #[test]
+    fn obs_guard_accepts_emit_with_closures_only() {
+        let closure = r#"
+fn f(&mut self) {
+    self.emit_with(|_| ObsEvent::Arrival { req: 1 });
+    self.cluster.emit_with(|c| {
+        let g = c.gpu(0);
+        ObsEvent::UnitIdle { gpu: g }
+    });
+}
+"#;
+        assert!(run("obs-guard", "crates/core/src/cluster.rs", "core", closure).is_empty());
+        // Built before the call and moved in: the event exists even
+        // without a recorder.
+        let eager = "fn f(&mut self) {\n    let ev = ObsEvent::Arrival { req: 1 };\n    self.emit_with(move |_| ev);\n}";
+        assert_eq!(
+            run("obs-guard", "crates/core/src/cluster.rs", "core", eager),
+            [2]
+        );
+        // The guarded region closes with the call's parenthesis.
+        let after = "fn f(&mut self) {\n    self.emit_with(|_| ObsEvent::Arrival { req: 1 });\n    self.emit(ObsEvent::Completion { req: 1 });\n}";
+        assert_eq!(
+            run("obs-guard", "crates/core/src/cluster.rs", "core", after),
+            [3]
+        );
     }
 
     #[test]

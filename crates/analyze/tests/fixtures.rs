@@ -55,7 +55,7 @@ fn wall_clock_fixture() {
 fn obs_guard_fixture() {
     assert_eq!(
         lint_fixture("obs_guard.rs", "crates/core/src/bad.rs"),
-        [(15, "obs-guard"), (18, "obs-guard")]
+        [(16, "obs-guard"), (20, "obs-guard")]
     );
     // Outside gfaas-core the rule is silent (recorders match on events).
     assert!(lint_fixture("obs_guard.rs", "crates/obs/src/ok.rs").is_empty());

@@ -5,21 +5,18 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gfaas_bench::{paper_trace, run_on_trace};
-use gfaas_core::Policy;
+use gfaas_core::PolicySpec;
 use std::hint::black_box;
 
 fn bench_fig4(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig4");
     group.sample_size(10);
-    for (name, policy) in [
-        ("LB", Policy::lb()),
-        ("LALB", Policy::lalb()),
-        ("LALBO3", Policy::lalbo3()),
-    ] {
+    for (name, key) in [("LB", "lb"), ("LALB", "lalb"), ("LALBO3", "lalbo3")] {
+        let policy = PolicySpec::bare(key);
         for ws in [15usize, 35] {
             let trace = paper_trace(ws, 11);
             group.bench_with_input(BenchmarkId::new(name, ws), &trace, |b, trace| {
-                b.iter(|| black_box(run_on_trace(policy, black_box(trace))))
+                b.iter(|| black_box(run_on_trace(&policy, black_box(trace))))
             });
         }
     }

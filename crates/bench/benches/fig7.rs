@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gfaas_bench::{paper_trace, run_on_trace};
-use gfaas_core::Policy;
+use gfaas_core::PolicySpec;
 use std::hint::black_box;
 
 fn bench_fig7(c: &mut Criterion) {
@@ -13,8 +13,9 @@ fn bench_fig7(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig7");
     group.sample_size(10);
     for limit in [0u32, 25, 45] {
-        group.bench_with_input(BenchmarkId::new("o3_limit", limit), &limit, |b, &l| {
-            b.iter(|| black_box(run_on_trace(Policy::lalb_with_limit(l), black_box(&trace))))
+        let policy = PolicySpec::parse(&format!("lalbo3:{limit}")).expect("valid limit");
+        group.bench_with_input(BenchmarkId::new("o3_limit", limit), &policy, |b, p| {
+            b.iter(|| black_box(run_on_trace(p, black_box(&trace))))
         });
     }
     group.finish();

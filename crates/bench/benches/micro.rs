@@ -3,7 +3,7 @@
 //! datastore, and the tensor kernels (the live-inference path).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gfaas_core::{CacheManager, ReplacementPolicy};
+use gfaas_core::{CacheManager, Evictor, PolicyRegistry, PolicySpec};
 use gfaas_faas::Datastore;
 use gfaas_gpu::{GpuId, ModelId};
 use gfaas_sim::event::EventQueue;
@@ -14,10 +14,17 @@ use gfaas_tensor::Tensor;
 use gfaas_trace::AzureTraceConfig;
 use std::hint::black_box;
 
+/// The paper's LRU evictor, named by its spec.
+fn lru() -> Box<dyn Evictor> {
+    PolicyRegistry::builtin()
+        .evictor(&PolicySpec::bare("lru"), 1)
+        .expect("builtin evictor")
+}
+
 fn bench_cache(c: &mut Criterion) {
     c.bench_function("micro/cache_touch_lru", |b| {
         let gpus: Vec<GpuId> = (0..12).map(GpuId).collect();
-        let mut mgr = CacheManager::new(gpus.clone(), ReplacementPolicy::Lru, 1);
+        let mut mgr = CacheManager::with_evictor(gpus.clone(), lru());
         for g in &gpus {
             for m in 0..4 {
                 mgr.insert(*g, ModelId(g.0 as u32 * 4 + m));
@@ -33,7 +40,7 @@ fn bench_cache(c: &mut Criterion) {
     });
 
     c.bench_function("micro/cache_miss_with_eviction", |b| {
-        let mut mgr = CacheManager::new([GpuId(0)], ReplacementPolicy::Lru, 1);
+        let mut mgr = CacheManager::with_evictor([GpuId(0)], lru());
         let mut next = 0u32;
         for _ in 0..4 {
             mgr.insert(GpuId(0), ModelId(next));

@@ -16,7 +16,7 @@
 
 use gfaas_bench::{paper_trace, TablePrinter, REPORT_SEEDS, WORKING_SETS};
 use gfaas_core::config::BusyWaitPolicy;
-use gfaas_core::{Cluster, ClusterConfig, Policy};
+use gfaas_core::{Cluster, ClusterConfig, PolicySpec};
 use gfaas_models::ModelRegistry;
 
 fn run(busy_wait: BusyWaitPolicy, ws: usize) -> (f64, f64, f64) {
@@ -24,7 +24,7 @@ fn run(busy_wait: BusyWaitPolicy, ws: usize) -> (f64, f64, f64) {
     let mut miss = 0.0;
     let mut dup = 0.0;
     for &s in &REPORT_SEEDS {
-        let mut cfg = ClusterConfig::paper_testbed(Policy::lalbo3());
+        let mut cfg = ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"));
         cfg.busy_wait = busy_wait;
         let m = Cluster::new(cfg, ModelRegistry::table1()).run(&paper_trace(ws, s));
         lat += m.avg_latency_secs;

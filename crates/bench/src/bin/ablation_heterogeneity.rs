@@ -9,8 +9,8 @@
 //! cargo run --release -p gfaas-bench --bin ablation_heterogeneity
 //! ```
 
-use gfaas_bench::{paper_trace, TablePrinter, REPORT_SEEDS};
-use gfaas_core::{Cluster, ClusterConfig, Policy};
+use gfaas_bench::{paper_trace, policy_name, TablePrinter, REPORT_SEEDS};
+use gfaas_core::{Cluster, ClusterConfig, PolicySpec};
 use gfaas_gpu::GpuSpec;
 use gfaas_models::ModelRegistry;
 
@@ -36,12 +36,12 @@ fn main() {
         t.header(&["fleet", "sched", "avg_lat(s)", "miss_ratio", "sm_util"])
     );
     for (name, specs) in &fleets {
-        for policy in [Policy::lb(), Policy::lalbo3()] {
+        for policy in ["lb", "lalbo3"].map(PolicySpec::bare) {
             let mut lat = 0.0;
             let mut miss = 0.0;
             let mut util = 0.0;
             for &s in &REPORT_SEEDS {
-                let mut cfg = ClusterConfig::paper_testbed(policy);
+                let mut cfg = ClusterConfig::paper_testbed(policy.clone());
                 cfg.hetero_specs = Some(specs.clone());
                 let m = Cluster::new(cfg, ModelRegistry::table1()).run(&paper_trace(25, s));
                 lat += m.avg_latency_secs;
@@ -53,7 +53,7 @@ fn main() {
                 "{}",
                 t.row(&[
                     name.to_string(),
-                    policy.name(),
+                    policy_name(&policy),
                     format!("{:.2}", lat / n),
                     format!("{:.3}", miss / n),
                     format!("{:.3}", util / n),

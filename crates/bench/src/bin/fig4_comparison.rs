@@ -6,10 +6,9 @@
 //! ```
 
 use gfaas_bench::{
-    paper_policies, reduction_pct, run_replicated, AveragedMetrics, TablePrinter, REPORT_SEEDS,
-    WORKING_SETS,
+    paper_policies, policy_name, reduction_pct, run_replicated, AveragedMetrics, TablePrinter,
+    REPORT_SEEDS, WORKING_SETS,
 };
-use gfaas_core::Policy;
 
 fn main() {
     println!("Fig 4 — scheduler comparison on the paper testbed (12x RTX 2080,");
@@ -35,7 +34,7 @@ fn main() {
     for ws in WORKING_SETS {
         let mut baseline: Option<AveragedMetrics> = None;
         for policy in paper_policies() {
-            let m = run_replicated(policy, ws, &REPORT_SEEDS);
+            let m = run_replicated(&policy, ws, &REPORT_SEEDS);
             let (lat_red, miss_red) = match &baseline {
                 Some(b) => (
                     reduction_pct(b.avg_latency_secs, m.avg_latency_secs),
@@ -47,7 +46,7 @@ fn main() {
                 "{}",
                 t.row(&[
                     ws.to_string(),
-                    policy.name(),
+                    policy_name(&policy),
                     format!("{:.2}", m.avg_latency_secs),
                     format!("{:.3}", m.miss_ratio),
                     format!("{:.3}", m.sm_utilization),
@@ -55,7 +54,7 @@ fn main() {
                     format!("{:.1}", miss_red),
                 ])
             );
-            if policy == Policy::lb() {
+            if policy.key() == "lb" {
                 baseline = Some(m);
             }
         }

@@ -11,9 +11,9 @@
 //! ```
 
 use gfaas_bench::{
-    paper_policies, reduction_pct, run_replicated, TablePrinter, REPORT_SEEDS, WORKING_SETS,
+    paper_policies, policy_name, reduction_pct, run_replicated, TablePrinter, REPORT_SEEDS,
+    WORKING_SETS,
 };
-use gfaas_core::Policy;
 
 fn main() {
     println!(
@@ -28,15 +28,15 @@ fn main() {
     for ws in WORKING_SETS {
         let mut lb = 0.0;
         for policy in paper_policies() {
-            let m = run_replicated(policy, ws, &REPORT_SEEDS);
-            if policy == Policy::lb() {
+            let m = run_replicated(&policy, ws, &REPORT_SEEDS);
+            if policy.key() == "lb" {
                 lb = m.false_miss_ratio;
             }
             println!(
                 "{}",
                 t.row(&[
                     ws.to_string(),
-                    policy.name(),
+                    policy_name(&policy),
                     format!("{:.3}", m.false_miss_ratio),
                     format!("{:.1}", reduction_pct(lb, m.false_miss_ratio)),
                 ])

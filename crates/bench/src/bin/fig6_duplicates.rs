@@ -10,9 +10,9 @@
 //! ```
 
 use gfaas_bench::{
-    paper_policies, reduction_pct, run_replicated, TablePrinter, REPORT_SEEDS, WORKING_SETS,
+    paper_policies, policy_name, reduction_pct, run_replicated, TablePrinter, REPORT_SEEDS,
+    WORKING_SETS,
 };
-use gfaas_core::Policy;
 
 fn main() {
     println!(
@@ -27,15 +27,15 @@ fn main() {
     for ws in WORKING_SETS {
         let mut lb = 0.0;
         for policy in paper_policies() {
-            let m = run_replicated(policy, ws, &REPORT_SEEDS);
-            if policy == Policy::lb() {
+            let m = run_replicated(&policy, ws, &REPORT_SEEDS);
+            if policy.key() == "lb" {
                 lb = m.avg_duplicates;
             }
             println!(
                 "{}",
                 t.row(&[
                     ws.to_string(),
-                    policy.name(),
+                    policy_name(&policy),
                     format!("{:.2}", m.avg_duplicates),
                     format!("{:.1}", reduction_pct(lb, m.avg_duplicates)),
                 ])

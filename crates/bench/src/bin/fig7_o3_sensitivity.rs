@@ -10,7 +10,7 @@
 //! ```
 
 use gfaas_bench::{reduction_pct, run_replicated, TablePrinter, REPORT_SEEDS};
-use gfaas_core::Policy;
+use gfaas_core::PolicySpec;
 
 /// The paper's x-axis.
 const LIMITS: [u32; 10] = [0, 5, 10, 15, 20, 25, 30, 35, 40, 45];
@@ -30,7 +30,8 @@ fn main() {
     let mut base: Option<(f64, f64, f64)> = None;
     let mut last: Option<(f64, f64, f64)> = None;
     for limit in LIMITS {
-        let m = run_replicated(Policy::lalb_with_limit(limit), WORKING_SET, &REPORT_SEEDS);
+        let policy = PolicySpec::parse(&format!("lalbo3:{limit}")).expect("valid limit");
+        let m = run_replicated(&policy, WORKING_SET, &REPORT_SEEDS);
         println!(
             "{}",
             t.row(&[

@@ -15,7 +15,7 @@
 //! that elastic capacity cuts GPU-seconds at equal-or-better latency.
 
 use gfaas_bench::{run_configured_on_trace, AveragedMetrics, TablePrinter, REPORT_SEEDS};
-use gfaas_core::{AutoscaleSpec, Policy, PolicySpec, RunMetrics};
+use gfaas_core::{AutoscaleSpec, PolicySpec, RunMetrics};
 use gfaas_workload::scenario::find;
 use gfaas_workload::Scale;
 
@@ -62,7 +62,7 @@ fn main() {
         vec![Scale::paper(), Scale::production()]
     };
 
-    let policy: PolicySpec = Policy::lalbo3().into();
+    let policy = PolicySpec::bare("lalbo3");
     let replacement = PolicySpec::bare("lru");
     let scenario = find("diurnal").expect("diurnal scenario registered");
 

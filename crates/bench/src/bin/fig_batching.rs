@@ -19,7 +19,7 @@
 use gfaas_bench::{
     parse_cli_spec, run_batched_on_trace, AveragedMetrics, SpecKind, TablePrinter, REPORT_SEEDS,
 };
-use gfaas_core::{Policy, PolicySpec, RunMetrics};
+use gfaas_core::{PolicySpec, RunMetrics};
 use gfaas_workload::scenario::find;
 use gfaas_workload::Scale;
 
@@ -86,7 +86,7 @@ fn main() {
         vec![Scale::paper(), Scale::production()]
     };
 
-    let policy: PolicySpec = Policy::lalbo3().into();
+    let policy = PolicySpec::bare("lalbo3");
     let replacement = PolicySpec::bare("lru");
 
     println!(

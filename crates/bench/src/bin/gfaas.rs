@@ -57,7 +57,35 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_flags(args: &[String]) -> BTreeMap<String, String> {
+/// The flags `gfaas run` reads.
+const RUN_FLAGS: &[&str] = &[
+    "policy",
+    "o3-limit",
+    "replacement",
+    "store",
+    "ws",
+    "seed",
+    "seeds",
+    "burstiness",
+    "gpus",
+    "headroom",
+    "tenants",
+    "tenant-cap",
+    "record",
+    "trace-out",
+    "ledger-out",
+    "series-out",
+    "checkpoint-at",
+    "checkpoint-out",
+    "warm-start",
+];
+
+/// The flags `gfaas trace` reads.
+const TRACE_FLAGS: &[&str] = &["ws", "seed", "out"];
+
+/// Parses `--key value` pairs, rejecting any key not in `known` (the
+/// flags the subcommand actually reads) with the usage text.
+fn parse_flags(args: &[String], known: &[&str]) -> BTreeMap<String, String> {
     let mut flags = BTreeMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -65,6 +93,10 @@ fn parse_flags(args: &[String]) -> BTreeMap<String, String> {
             eprintln!("unexpected argument {a:?}");
             usage();
         };
+        if !known.contains(&key) {
+            eprintln!("unknown flag --{key}");
+            usage();
+        }
         let Some(value) = it.next() else {
             eprintln!("flag --{key} needs a value");
             usage();
@@ -388,12 +420,12 @@ fn cmd_sweep() {
     );
     for ws in WORKING_SETS {
         for policy in paper_policies() {
-            let m = gfaas_bench::run_replicated(policy, ws, &gfaas_bench::REPORT_SEEDS);
+            let m = gfaas_bench::run_replicated(&policy, ws, &gfaas_bench::REPORT_SEEDS);
             println!(
                 "{}",
                 t.row(&[
                     ws.to_string(),
-                    policy.name(),
+                    gfaas_bench::policy_name(&policy),
                     format!("{:.2}", m.avg_latency_secs),
                     format!("{:.3}", m.miss_ratio),
                     format!("{:.3}", m.sm_utilization),
@@ -406,9 +438,9 @@ fn cmd_sweep() {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("run") => cmd_run(parse_flags(&args[1..])),
+        Some("run") => cmd_run(parse_flags(&args[1..], RUN_FLAGS)),
         Some("profile") => cmd_profile(),
-        Some("trace") => cmd_trace(parse_flags(&args[1..])),
+        Some("trace") => cmd_trace(parse_flags(&args[1..], TRACE_FLAGS)),
         Some("sweep") => cmd_sweep(),
         _ => usage(),
     }

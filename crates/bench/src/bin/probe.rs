@@ -1,7 +1,7 @@
 //! Scratch probe: sensitivity of the Fig 4 shapes to trace burstiness.
 //! Not part of the documented experiment set; used for calibration.
 
-use gfaas_bench::{paper_policies, WORKING_SETS};
+use gfaas_bench::{paper_policies, policy_name, WORKING_SETS};
 use gfaas_core::{Cluster, ClusterConfig};
 use gfaas_models::ModelRegistry;
 use gfaas_trace::AzureTraceConfig;
@@ -18,7 +18,7 @@ fn main() {
                 let seeds = [11u64, 23, 47];
                 for &s in &seeds {
                     let cfg = AzureTraceConfig::paper(ws, s);
-                    let mut cc = ClusterConfig::paper_testbed(policy);
+                    let mut cc = ClusterConfig::paper_testbed(policy.clone());
                     cc.mem_headroom_mib = headroom;
                     let m = Cluster::new(cc, ModelRegistry::table1()).run(&cfg.generate());
                     lat += m.avg_latency_secs;
@@ -29,7 +29,7 @@ fn main() {
                 let n = seeds.len() as f64;
                 println!(
                     "ws{ws:2} {:8} lat {:8.2}  miss {:.3}  false {:.3}  dup {:.2}",
-                    policy.name(),
+                    policy_name(&policy),
                     lat / n,
                     miss / n,
                     fm / n,

@@ -20,14 +20,14 @@
 //! This library holds the shared experiment-running and table-formatting
 //! code those binaries use. Policies are named by `gfaas-core` policy
 //! specs (`"lalbo3:25"`, `"tinylfu:0.9"`), so anything in the
-//! [`PolicyRegistry`](gfaas_core::PolicyRegistry) — including evictors
-//! beyond the paper's LRU — can be swept without touching this crate.
+//! [`PolicyRegistry`] — including evictors beyond the paper's LRU — can
+//! be swept without touching this crate.
 
 use gfaas_core::obs::ledger::Ledger;
 use gfaas_core::obs::sampler::TimeSeries;
 use gfaas_core::{
-    AutoscaleSpec, Cluster, ClusterConfig, Policy, PolicySpec, RecordSpec, RunMetrics, SelfProfile,
-    StoreSpec,
+    AutoscaleSpec, Cluster, ClusterConfig, PolicyRegistry, PolicySpec, RecordSpec, RunMetrics,
+    SelfProfile, StoreSpec,
 };
 use gfaas_models::ModelRegistry;
 use gfaas_trace::{AzureFunctionsDataset, AzureTraceConfig, Trace, TraceStats};
@@ -37,14 +37,22 @@ use gfaas_workload::{registry, Scale, Scenario};
 /// The working-set sizes the paper sweeps in Figs 4–6.
 pub const WORKING_SETS: [usize; 3] = [15, 25, 35];
 
-/// The three schedulers Figs 4–6 compare.
-pub fn paper_policies() -> [Policy; 3] {
-    [Policy::lb(), Policy::lalb(), Policy::lalbo3()]
+/// The three schedulers Figs 4–6 compare, as policy specs (also the
+/// suite's default policy axis).
+pub fn paper_policies() -> Vec<PolicySpec> {
+    ["lb", "lalb", "lalbo3"].map(PolicySpec::bare).to_vec()
 }
 
-/// The paper schedulers as policy specs (the suite's default policy axis).
-pub fn paper_policy_specs() -> Vec<PolicySpec> {
-    paper_policies().map(PolicySpec::from).to_vec()
+/// The report name of the scheduler `policy` names (`LB`, `LALB`,
+/// `LALBO3`, `LALBO3(limit=N)`, …), from its builtin
+/// [`SchedulerPolicy::name`](gfaas_core::SchedulerPolicy::name).
+///
+/// # Panics
+/// If no builtin scheduler resolves `policy`.
+pub fn policy_name(policy: &PolicySpec) -> String {
+    PolicyRegistry::builtin()
+        .scheduler_name(policy)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Generates the paper's workload for a working-set size and seed.
@@ -54,19 +62,19 @@ pub fn paper_trace(working_set: usize, seed: u64) -> Trace {
 
 /// Runs one experiment: the paper testbed (12 GPUs) under `policy` on a
 /// working set of `working_set`, with the trace generated from `seed`.
-pub fn run_experiment(policy: Policy, working_set: usize, seed: u64) -> RunMetrics {
+pub fn run_experiment(policy: &PolicySpec, working_set: usize, seed: u64) -> RunMetrics {
     let trace = paper_trace(working_set, seed);
     run_on_trace(policy, &trace)
 }
 
-/// Runs one experiment on a pre-generated trace.
-pub fn run_on_trace(policy: Policy, trace: &Trace) -> RunMetrics {
-    run_spec_on_trace(&policy.into(), &PolicySpec::bare("lru"), trace)
+/// Runs one experiment on a pre-generated trace under the paper's LRU
+/// replacement.
+pub fn run_on_trace(policy: &PolicySpec, trace: &Trace) -> RunMetrics {
+    run_spec_on_trace(policy, &PolicySpec::bare("lru"), trace)
 }
 
 /// Runs one experiment on a pre-generated trace with explicit scheduler
-/// and replacement specs (the registry-keyed path; `run_on_trace` is the
-/// enum shorthand for it).
+/// and replacement specs.
 pub fn run_spec_on_trace(
     policy: &PolicySpec,
     replacement: &PolicySpec,
@@ -221,7 +229,7 @@ pub fn run_recorded_stored_on_trace(
 /// Averages metrics across `seeds` trace realisations (reduces the
 /// shuffle-noise in reported numbers; the paper runs real minutes, we can
 /// afford replication).
-pub fn run_replicated(policy: Policy, working_set: usize, seeds: &[u64]) -> AveragedMetrics {
+pub fn run_replicated(policy: &PolicySpec, working_set: usize, seeds: &[u64]) -> AveragedMetrics {
     let runs: Vec<RunMetrics> = seeds
         .iter()
         .map(|&s| run_experiment(policy, working_set, s))
@@ -400,7 +408,7 @@ impl ScenarioSuite {
         ScenarioSuite {
             scale,
             scenarios: registry(),
-            policies: paper_policy_specs(),
+            policies: paper_policies(),
             replacement: PolicySpec::bare("lru"),
             batching: PolicySpec::bare("none"),
             autoscale: None,
@@ -428,7 +436,7 @@ impl ScenarioSuite {
     pub fn is_paper_default(&self) -> bool {
         self.scale == Scale::paper()
             && self.seeds == REPORT_SEEDS
-            && self.policies == paper_policy_specs()
+            && self.policies == paper_policies()
             && self.replacement == PolicySpec::bare("lru")
             && self.batching == PolicySpec::bare("none")
             && self.autoscale.is_none()
@@ -677,7 +685,7 @@ mod tests {
 
     #[test]
     fn averaged_metrics_mean_runs() {
-        let a = run_experiment(Policy::lalbo3(), 15, 1);
+        let a = run_experiment(&PolicySpec::bare("lalbo3"), 15, 1);
         let b = a.clone();
         let avg = AveragedMetrics::from_runs(&[a.clone(), b]);
         assert_eq!(avg.runs, 2);
@@ -691,11 +699,11 @@ mod tests {
         // for WS 25 — same traces, same cluster, bit-equal metrics.
         let mut suite = ScenarioSuite::paper_default();
         suite.scenarios.retain(|s| s.name == "paper");
-        suite.policies = vec![Policy::lalb().into()];
+        suite.policies = vec![PolicySpec::bare("lalb")];
         let report = suite.run();
         assert_eq!(report.cells.len(), 1);
         assert_eq!(report.cells[0].policy_name, "LALB");
-        let via_fig4 = run_replicated(Policy::lalb(), 25, &REPORT_SEEDS);
+        let via_fig4 = run_replicated(&PolicySpec::bare("lalb"), 25, &REPORT_SEEDS);
         assert_eq!(report.cells[0].metrics, via_fig4);
     }
 
@@ -753,7 +761,7 @@ mod tests {
         s.autoscale = Some(AutoscaleSpec::default());
         assert!(!s.is_paper_default());
         let mut s = ScenarioSuite::paper_default();
-        s.policies = vec![Policy::lalbo3().into()];
+        s.policies = vec![PolicySpec::bare("lalbo3")];
         assert!(!s.is_paper_default());
         let mut s = ScenarioSuite::paper_default();
         s.store = "tiered:host=8G".parse().unwrap();
@@ -779,7 +787,7 @@ mod tests {
     fn autoscaled_suite_is_deterministic_and_reports_scale_activity() {
         let mut suite = ScenarioSuite::smoke();
         suite.scenarios.retain(|s| s.name == "diurnal");
-        suite.policies = vec![Policy::lalbo3().into()];
+        suite.policies = vec![PolicySpec::bare("lalbo3")];
         suite.autoscale = Some("queue:min=2,max=8,up=6,down=1,cadence=2".parse().unwrap());
         let a = suite.run();
         let b = suite.run();
@@ -794,15 +802,18 @@ mod tests {
     }
 
     #[test]
-    fn spec_and_enum_paths_agree_on_a_trace() {
+    fn run_on_trace_is_the_explicit_lru_spec_path() {
+        // `run_on_trace` defaults replacement to LRU, and `lalbo3` is
+        // `lalbo3:25`: both spellings name one policy pair.
         let trace = paper_trace(15, 7);
-        let via_enum = run_on_trace(Policy::lalbo3(), &trace);
-        let via_spec = run_spec_on_trace(
+        let shorthand = run_on_trace(&PolicySpec::bare("lalbo3"), &trace);
+        let explicit = run_spec_on_trace(
             &"lalbo3:25".parse().unwrap(),
             &"lru".parse().unwrap(),
             &trace,
         );
-        assert_eq!(via_enum, via_spec);
+        assert_eq!(shorthand, explicit);
+        assert_eq!(policy_name(&PolicySpec::bare("lalbo3")), "LALBO3");
     }
 
     #[test]

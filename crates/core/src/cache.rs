@@ -16,10 +16,8 @@
 //! Eviction behaviour is pluggable: anything implementing [`Evictor`] can
 //! drive replacement. The paper's three policies ship as
 //! [`LruEvictor`] (default), [`FifoEvictor`], and [`RandomEvictor`]; the
-//! frequency-decay policy lives in [`crate::tinylfu::TinyLfuEvictor`]. The
-//! [`ReplacementPolicy`] enum survives as a thin constructor over those
-//! impls so existing configs and figures are untouched, and string specs
-//! (`"lru"`, `"tinylfu:0.9"`) resolve through
+//! frequency-decay policy lives in [`crate::tinylfu::TinyLfuEvictor`].
+//! String specs (`"lru"`, `"tinylfu:0.9"`) resolve to evictors through
 //! [`crate::policy::PolicyRegistry`].
 
 use std::collections::VecDeque;
@@ -27,30 +25,6 @@ use std::collections::VecDeque;
 use gfaas_gpu::{GpuId, ModelId};
 use gfaas_sim::rng::DetRng;
 use gfaas_snap::{Dec, Enc, SnapError};
-
-/// Which item a GPU's list evicts first — the paper's closed policy set,
-/// kept as a thin constructor facade over the [`Evictor`] impls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplacementPolicy {
-    /// Least recently *used* (the paper's default).
-    Lru,
-    /// Oldest *inserted* first, ignoring use.
-    Fifo,
-    /// Uniformly random resident model (ablation baseline).
-    Random,
-}
-
-impl ReplacementPolicy {
-    /// Builds the trait-object evictor this enum variant names. The seed
-    /// only matters for [`ReplacementPolicy::Random`].
-    pub fn build(self, seed: u64) -> Box<dyn Evictor> {
-        match self {
-            ReplacementPolicy::Lru => Box::new(LruEvictor::default()),
-            ReplacementPolicy::Fifo => Box::new(FifoEvictor::default()),
-            ReplacementPolicy::Random => Box::new(RandomEvictor::new(seed)),
-        }
-    }
-}
 
 /// A cache replacement policy: per-GPU victim selection with full view of
 /// insert/hit/remove events.
@@ -372,20 +346,8 @@ pub struct CacheManager {
 }
 
 impl CacheManager {
-    /// A manager over `gpus` with one of the paper's closed policies (the
-    /// compat path). The RNG seed only matters for
-    /// [`ReplacementPolicy::Random`].
-    pub fn new(
-        gpus: impl IntoIterator<Item = GpuId>,
-        policy: ReplacementPolicy,
-        seed: u64,
-    ) -> Self {
-        CacheManager::with_evictor(gpus, policy.build(seed))
-    }
-
-    /// A manager over `gpus` driven by an arbitrary [`Evictor`] — the open
-    /// path; string specs resolve here via
-    /// [`crate::policy::PolicyRegistry::evictor`].
+    /// A manager over `gpus` driven by `evictor`; string specs resolve
+    /// to evictors via [`crate::policy::PolicyRegistry::evictor`].
     pub fn with_evictor(
         gpus: impl IntoIterator<Item = GpuId>,
         mut evictor: Box<dyn Evictor>,
@@ -579,13 +541,22 @@ mod tests {
     const B: ModelId = ModelId(1);
     const C: ModelId = ModelId(2);
 
-    fn mgr(policy: ReplacementPolicy) -> CacheManager {
-        CacheManager::new([G0, G1], policy, 42)
+    /// A manager over `gpus` with the builtin evictor `key` names.
+    fn with_spec(gpus: &[GpuId], key: &str, seed: u64) -> CacheManager {
+        let reg = crate::policy::PolicyRegistry::builtin();
+        let ev = reg
+            .evictor(&crate::policy::PolicySpec::bare(key), seed)
+            .expect("builtin evictor");
+        CacheManager::with_evictor(gpus.iter().copied(), ev)
+    }
+
+    fn mgr(key: &str) -> CacheManager {
+        with_spec(&[G0, G1], key, 42)
     }
 
     #[test]
     fn insert_and_residency_index() {
-        let mut m = mgr(ReplacementPolicy::Lru);
+        let mut m = mgr("lru");
         m.insert(G0, A);
         m.insert(G1, A);
         m.insert(G0, B);
@@ -601,7 +572,7 @@ mod tests {
 
     #[test]
     fn lru_touch_reorders() {
-        let mut m = mgr(ReplacementPolicy::Lru);
+        let mut m = mgr("lru");
         m.insert(G0, A);
         m.insert(G0, B);
         m.insert(G0, C);
@@ -612,7 +583,7 @@ mod tests {
 
     #[test]
     fn fifo_touch_is_noop() {
-        let mut m = mgr(ReplacementPolicy::Fifo);
+        let mut m = mgr("fifo");
         m.insert(G0, A);
         m.insert(G0, B);
         m.touch(G0, A);
@@ -621,7 +592,7 @@ mod tests {
 
     #[test]
     fn lru_victim_is_coldest() {
-        let mut m = mgr(ReplacementPolicy::Lru);
+        let mut m = mgr("lru");
         m.insert(G0, A);
         m.insert(G0, B);
         m.touch(G0, A); // order: B, A
@@ -636,7 +607,7 @@ mod tests {
 
     #[test]
     fn multiple_victims_until_fit() {
-        let mut m = mgr(ReplacementPolicy::Lru);
+        let mut m = mgr("lru");
         m.insert(G0, A);
         m.insert(G0, B);
         m.insert(G0, C);
@@ -650,7 +621,7 @@ mod tests {
 
     #[test]
     fn no_eviction_needed_when_space_free() {
-        let mut m = mgr(ReplacementPolicy::Lru);
+        let mut m = mgr("lru");
         m.insert(G0, A);
         let victims = m.select_victims(G0, 100, 150, |_| 100, &[]).unwrap();
         assert!(victims.is_empty());
@@ -659,7 +630,7 @@ mod tests {
 
     #[test]
     fn pinned_models_survive() {
-        let mut m = mgr(ReplacementPolicy::Lru);
+        let mut m = mgr("lru");
         m.insert(G0, A);
         m.insert(G0, B);
         let victims = m.select_victims(G0, 100, 0, |_| 100, &[A]).unwrap();
@@ -669,7 +640,7 @@ mod tests {
 
     #[test]
     fn impossible_request_returns_none_and_keeps_state() {
-        let mut m = mgr(ReplacementPolicy::Lru);
+        let mut m = mgr("lru");
         m.insert(G0, A);
         let got = m.select_victims(G0, 1000, 0, |_| 100, &[]);
         assert!(got.is_none());
@@ -679,7 +650,7 @@ mod tests {
 
     #[test]
     fn remove_clears_residency() {
-        let mut m = mgr(ReplacementPolicy::Lru);
+        let mut m = mgr("lru");
         m.insert(G0, A);
         m.insert(G1, A);
         m.remove(G0, A);
@@ -693,7 +664,7 @@ mod tests {
     #[test]
     fn random_policy_is_deterministic_per_seed() {
         let pick = |seed: u64| {
-            let mut m = CacheManager::new([G0], ReplacementPolicy::Random, seed);
+            let mut m = with_spec(&[G0], "random", seed);
             for i in 0..12 {
                 m.insert(G0, ModelId(i));
             }
@@ -707,7 +678,7 @@ mod tests {
 
     #[test]
     fn per_gpu_lists_are_independent() {
-        let mut m = mgr(ReplacementPolicy::Lru);
+        let mut m = mgr("lru");
         m.insert(G0, A);
         m.insert(G1, B);
         let v = m.select_victims(G0, 100, 0, |_| 100, &[]).unwrap();
@@ -716,10 +687,10 @@ mod tests {
     }
 
     #[test]
-    fn enum_constructor_matches_direct_evictor_injection() {
-        // The compat path (`ReplacementPolicy::Lru`) and the open path
-        // (`with_evictor`) must drive identical state.
-        let mut a = CacheManager::new([G0], ReplacementPolicy::Lru, 9);
+    fn spec_evictor_matches_direct_evictor_injection() {
+        // The spec path (`"lru"` through the registry) and a directly
+        // injected evictor must drive identical state.
+        let mut a = with_spec(&[G0], "lru", 9);
         let mut b = CacheManager::with_evictor([G0], Box::new(LruEvictor::default()));
         for m in [&mut a, &mut b] {
             m.insert(G0, A);
@@ -736,12 +707,8 @@ mod tests {
 
     #[test]
     fn save_load_round_trips_every_builtin_policy() {
-        for policy in [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::Fifo,
-            ReplacementPolicy::Random,
-        ] {
-            let mut m = CacheManager::new([G0, G1], policy, 42);
+        for policy in ["lru", "fifo", "random"] {
+            let mut m = mgr(policy);
             m.insert(G0, A);
             m.insert(G0, B);
             m.insert(G1, A);
@@ -751,21 +718,21 @@ mod tests {
             let mut enc = Enc::new();
             m.save_state(&mut enc);
             let bytes = enc.into_bytes();
-            let mut fresh = CacheManager::new([G0, G1], policy, 42);
+            let mut fresh = mgr(policy);
             let mut dec = Dec::new(&bytes);
             fresh.load_state(&mut dec).expect("load");
             dec.finish().expect("no trailing bytes");
 
-            assert_eq!(fresh.resident(G0), m.resident(G0), "{policy:?}");
-            assert_eq!(fresh.resident(G1), m.resident(G1), "{policy:?}");
-            assert_eq!(fresh.gpus_with(A), m.gpus_with(A), "{policy:?}");
-            assert_eq!(fresh.evictions(), m.evictions(), "{policy:?}");
+            assert_eq!(fresh.resident(G0), m.resident(G0), "{policy}");
+            assert_eq!(fresh.resident(G1), m.resident(G1), "{policy}");
+            assert_eq!(fresh.gpus_with(A), m.gpus_with(A), "{policy}");
+            assert_eq!(fresh.evictions(), m.evictions(), "{policy}");
             // Continued operation is identical — for Random this proves
             // the RNG stream resumed mid-sequence.
             assert_eq!(
                 fresh.select_victims(G1, 100, 0, |_| 100, &[]),
                 m.select_victims(G1, 100, 0, |_| 100, &[]),
-                "{policy:?}"
+                "{policy}"
             );
         }
     }
@@ -779,7 +746,7 @@ mod tests {
         enc.put_u16(0);
         enc.put_u64(0);
         let bytes = enc.into_bytes();
-        let mut m = mgr(ReplacementPolicy::Lru);
+        let mut m = mgr("lru");
         assert!(matches!(
             m.load_state(&mut Dec::new(&bytes)),
             Err(SnapError::Corrupt(_))

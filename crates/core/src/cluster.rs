@@ -153,8 +153,9 @@ pub struct Cluster {
     /// Recycled buffer for the per-pass idle-GPU candidate list.
     idle_scratch: Vec<GpuId>,
     /// Attached event recorder (see [`gfaas_obs`]). `None` — the default —
-    /// is verifiably zero-cost: hot paths gate on `is_some()` before even
-    /// constructing an [`ObsEvent`], and no [`Event::ObsTick`] is ever
+    /// is verifiably zero-cost: every hook goes through
+    /// [`Cluster::emit_with`], which never builds the [`ObsEvent`] without
+    /// a recorder, and no [`Event::ObsTick`] is ever
     /// scheduled, so the event stream and metrics are byte-identical to a
     /// build without the hooks.
     recorder: Option<Box<dyn Recorder>>,
@@ -432,13 +433,15 @@ impl Cluster {
         p
     }
 
-    /// Forwards `ev` to the attached recorder, if any. Hot paths
-    /// additionally gate on `self.recorder.is_some()` before constructing
-    /// the event so the disabled path costs one predictable branch.
+    /// The one emit path: builds an event with `build` and hands it to
+    /// the attached recorder. Without a recorder this is one branch and
+    /// the event is never built. The recorder is taken out while the
+    /// event is built from `&self` and put back afterwards.
     #[inline]
-    fn emit(&mut self, ev: ObsEvent<'_>) {
-        if let Some(r) = self.recorder.as_deref_mut() {
-            r.record(self.now, &ev);
+    fn emit_with<'e>(&mut self, build: impl FnOnce(&Cluster) -> ObsEvent<'e>) {
+        if let Some(mut r) = self.recorder.take() {
+            r.record(self.now, &build(self));
+            self.recorder = Some(r);
         }
     }
 
@@ -765,23 +768,20 @@ impl Cluster {
             self.events
                 .schedule(SimTime::ZERO + autoscaler.cadence(), Event::ScaleTick);
         }
-        if self.recorder.is_some() {
-            let online = self.online_gpus();
-            let total = self.units.len();
-            self.emit(ObsEvent::RunStart {
-                online_gpus: online,
-                total_gpus: total,
-            });
-            for gi in 0..self.units.len() {
-                if matches!(self.units[gi].state, UnitState::Online) {
-                    let g = self.units[gi].id();
-                    self.emit(ObsEvent::UnitIdle { gpu: g });
-                }
+        self.emit_with(|c| ObsEvent::RunStart {
+            online_gpus: c.online_gpus(),
+            total_gpus: c.units.len(),
+        });
+        for gi in 0..self.units.len() {
+            if matches!(self.units[gi].state, UnitState::Online) {
+                self.emit_with(|c| ObsEvent::UnitIdle {
+                    gpu: c.units[gi].id(),
+                });
             }
-            if let Some(cadence) = self.obs_cadence {
-                self.events
-                    .schedule(SimTime::ZERO + cadence, Event::ObsTick);
-            }
+        }
+        if let Some(cadence) = self.obs_cadence {
+            self.events
+                .schedule(SimTime::ZERO + cadence, Event::ObsTick);
         }
     }
 
@@ -835,13 +835,11 @@ impl Cluster {
                 self.global_queue.push_back(request);
                 let qlen = self.global_queue.len();
                 self.note_queue_depth(self.now, qlen);
-                if self.recorder.is_some() {
-                    self.emit(ObsEvent::Arrival {
-                        req: req_id,
-                        model: req_model,
-                        queue_len: qlen,
-                    });
-                }
+                self.emit_with(|_| ObsEvent::Arrival {
+                    req: req_id,
+                    model: req_model,
+                    queue_len: qlen,
+                });
                 // Feed the store's arrival-rate tracker; a tiered backend
                 // may start an async prefetch on its origin link here.
                 if !self.store_flat {
@@ -893,15 +891,13 @@ impl Cluster {
             "GPUs left busy after the event queue drained"
         );
 
-        if self.recorder.is_some() {
-            // Flush the final partial sampling window, then let sinks
-            // close any open trace slices at the loop's last timestamp
-            // (`self.now`, which is >= every emitted event's time).
-            self.emit_sample();
-            let now = self.now;
-            if let Some(r) = self.recorder.as_deref_mut() {
-                r.finish(now);
-            }
+        // Flush the final partial sampling window, then let sinks close
+        // any open trace slices at the loop's last timestamp (`self.now`,
+        // which is >= every emitted event's time).
+        self.emit_sample();
+        let now = self.now;
+        if let Some(r) = self.recorder.as_deref_mut() {
+            r.finish(now);
         }
 
         let end = self.last_completion;
@@ -976,8 +972,11 @@ impl Cluster {
     }
 
     /// Emits one [`ObsEvent::Sample`] snapshot of the whole fleet to the
-    /// recorder. Only called while recording.
+    /// recorder; a no-op without one.
     fn emit_sample(&mut self) {
+        if self.recorder.is_none() {
+            return;
+        }
         let mut gpus = std::mem::take(&mut self.obs_scratch);
         gpus.clear();
         let mut busy = 0usize;
@@ -1012,9 +1011,7 @@ impl Cluster {
             holding: self.holding_units,
             gpus: &gpus,
         };
-        if let Some(r) = self.recorder.as_deref_mut() {
-            r.record(self.now, &ObsEvent::Sample { view });
-        }
+        self.emit_with(|_| ObsEvent::Sample { view });
         gpus.clear();
         self.obs_scratch = gpus;
     }
@@ -1043,13 +1040,11 @@ impl Cluster {
                 if !self.batcher.is_passthrough() {
                     self.topup_loaded_batch(gi);
                 }
-                if self.recorder.is_some() {
-                    self.emit(ObsEvent::LoadComplete {
-                        gpu: g,
-                        model,
-                        tier,
-                    });
-                }
+                self.emit_with(|_| ObsEvent::LoadComplete {
+                    gpu: g,
+                    model,
+                    tier,
+                });
                 // A coalesced invocation runs the whole batch's inputs in
                 // one pass of the affine latency model.
                 let items = self.units[gi]
@@ -1069,17 +1064,16 @@ impl Cluster {
                     f.started = self.now;
                     f.phase = Phase::Running;
                 }
-                if self.recorder.is_some() {
-                    let f = self.units[gi].in_flight.as_ref().expect("work in flight");
-                    let (batch, requests, items) = (f.seq, f.requests.len(), f.items());
-                    self.emit(ObsEvent::InferStart {
+                self.emit_with(|c| {
+                    let f = c.units[gi].in_flight.as_ref().expect("work in flight");
+                    ObsEvent::InferStart {
                         gpu: g,
                         model,
-                        batch,
-                        requests,
-                        items,
-                    });
-                }
+                        batch: f.seq,
+                        requests: f.requests.len(),
+                        items: f.items(),
+                    }
+                });
                 self.schedule_inference_outcome(gi, done, dur, events);
             }
             Phase::Running => {
@@ -1096,34 +1090,27 @@ impl Cluster {
                     let latency = self.now.duration_since(r.arrival);
                     self.metrics.record_completion(latency);
                     self.report_latency(r, latency);
-                    if self.recorder.is_some() {
-                        self.emit(ObsEvent::Completion {
+                    self.emit_with(|_| ObsEvent::Completion {
+                        req: r.id,
+                        gpu: g,
+                        batch: b_seq,
+                        model: b_model,
+                        latency,
+                    });
+                    if let Some(slo) = self.obs_slo.filter(|&slo| latency > slo) {
+                        self.emit_with(|_| ObsEvent::SloMiss {
                             req: r.id,
-                            gpu: g,
-                            batch: b_seq,
-                            model: b_model,
                             latency,
+                            slo,
                         });
-                        if let Some(slo) = self.obs_slo {
-                            if latency > slo {
-                                self.emit(ObsEvent::SloMiss {
-                                    req: r.id,
-                                    latency,
-                                    slo,
-                                });
-                            }
-                        }
                     }
                 }
                 self.metrics.record_invocation(inflight.requests.len());
-                if self.recorder.is_some() {
-                    let requests = inflight.requests.len();
-                    self.emit(ObsEvent::InvocationDone {
-                        gpu: g,
-                        batch: b_seq,
-                        requests,
-                    });
-                }
+                self.emit_with(|_| ObsEvent::InvocationDone {
+                    gpu: g,
+                    batch: b_seq,
+                    requests: inflight.requests.len(),
+                });
                 self.last_completion = self.last_completion.max(self.now);
                 // Riding requests always served via residency (the lead's
                 // load or cache hit), so they count toward Algorithm 1's
@@ -1136,9 +1123,7 @@ impl Cluster {
                 self.units[gi].idle_since = self.now;
                 if self.units[gi].state == UnitState::Online {
                     self.idle_online += 1;
-                    if self.recorder.is_some() {
-                        self.emit(ObsEvent::UnitIdle { gpu: g });
-                    }
+                    self.emit_with(|_| ObsEvent::UnitIdle { gpu: g });
                 }
                 self.report_status(g, "idle");
                 self.maybe_finish_drain(gi);
@@ -1193,20 +1178,15 @@ impl Cluster {
         self.busy_secs += self.now.duration_since(inflight.started).as_secs_f64();
         self.cache.remove(g, model);
         self.on_residency_change(model);
-        if self.recorder.is_some() {
-            let requeued = inflight.requests.len();
-            self.emit(ObsEvent::Crash {
-                gpu: g,
-                model,
-                requeued,
-            });
-        }
+        self.emit_with(|_| ObsEvent::Crash {
+            gpu: g,
+            model,
+            requeued: inflight.requests.len(),
+        });
         self.units[gi].idle_since = self.now;
         if self.units[gi].state == UnitState::Online {
             self.idle_online += 1;
-            if self.recorder.is_some() {
-                self.emit(ObsEvent::UnitIdle { gpu: g });
-            }
+            self.emit_with(|_| ObsEvent::UnitIdle { gpu: g });
         }
         self.crashes += 1;
         self.report_status(g, "idle");
@@ -1228,15 +1208,11 @@ impl Cluster {
         for r in requeue.into_iter().rev() {
             let id = r.id;
             self.global_queue.push_front(r);
-            if self.recorder.is_some() {
-                self.emit(ObsEvent::Requeued { req: id });
-            }
+            self.emit_with(|_| ObsEvent::Requeued { req: id });
         }
         let qlen = self.global_queue.len();
         self.note_queue_depth(self.now, qlen);
-        if self.recorder.is_some() {
-            self.emit(ObsEvent::QueueDepth { len: qlen });
-        }
+        self.emit_with(|_| ObsEvent::QueueDepth { len: qlen });
         self.maybe_finish_drain(gi);
         self.schedule_pass(events);
     }
@@ -1301,10 +1277,8 @@ impl Cluster {
         }
         for g in provisioned {
             self.report_status(g, "idle");
-            if self.recorder.is_some() {
-                self.emit(ObsEvent::ScaleUp { gpu: g });
-                self.emit(ObsEvent::UnitIdle { gpu: g });
-            }
+            self.emit_with(|_| ObsEvent::ScaleUp { gpu: g });
+            self.emit_with(|_| ObsEvent::UnitIdle { gpu: g });
         }
         self.schedule_pass(events);
     }
@@ -1342,10 +1316,9 @@ impl Cluster {
             self.units[gi].state = UnitState::Draining;
             self.draining_units += 1;
             self.scale_downs += 1;
-            if self.recorder.is_some() {
-                let g = self.units[gi].id();
-                self.emit(ObsEvent::DrainStart { gpu: g });
-            }
+            self.emit_with(|c| ObsEvent::DrainStart {
+                gpu: c.units[gi].id(),
+            });
             self.maybe_finish_drain(gi);
         }
         self.online_low = self.online_low.min(self.online_gpus());
@@ -1381,17 +1354,13 @@ impl Cluster {
                 let bytes = self.registry.occupancy_bytes(model);
                 self.store.demote(self.now, model, bytes);
             }
-            if self.recorder.is_some() {
-                self.emit(ObsEvent::Eviction { gpu: g, model });
-            }
+            self.emit_with(|_| ObsEvent::Eviction { gpu: g, model });
         }
         let unit = &mut self.units[gi];
         unit.provisioned += self.now.duration_since(unit.online_since);
         unit.state = UnitState::Offline;
         self.draining_units -= 1;
-        if self.recorder.is_some() {
-            self.emit(ObsEvent::Offline { gpu: g });
-        }
+        self.emit_with(|_| ObsEvent::Offline { gpu: g });
         self.report_status(g, "offline");
         self.report_lru(g);
     }
@@ -1455,10 +1424,7 @@ impl Cluster {
                     .remove(i)
                     .expect("index in bounds");
                 self.agg_remove(gi, &r);
-                if self.recorder.is_some() {
-                    let id = r.id;
-                    self.emit(ObsEvent::Join { req: id, gpu: g });
-                }
+                self.emit_with(|_| ObsEvent::Join { req: r.id, gpu: g });
                 out.push(r);
             } else {
                 i += 1;
@@ -1481,10 +1447,7 @@ impl Cluster {
                 });
             if matches && !blocked {
                 let r = self.global_queue.remove(i).expect("index in bounds");
-                if self.recorder.is_some() {
-                    let id = r.id;
-                    self.emit(ObsEvent::Join { req: id, gpu: g });
-                }
+                self.emit_with(|_| ObsEvent::Join { req: r.id, gpu: g });
                 out.push(r);
             } else {
                 i += 1;
@@ -1493,9 +1456,7 @@ impl Cluster {
         let qlen = self.global_queue.len();
         if qlen != global_before {
             self.note_queue_depth(self.now, qlen);
-            if self.recorder.is_some() {
-                self.emit(ObsEvent::QueueDepth { len: qlen });
-            }
+            self.emit_with(|_| ObsEvent::QueueDepth { len: qlen });
         }
     }
 
@@ -1542,10 +1503,10 @@ impl Cluster {
         if self.units[gi].state == UnitState::Online {
             self.idle_online -= 1;
         }
-        if self.recorder.is_some() {
-            let (id, g) = (lead.id, self.units[gi].id());
-            self.emit(ObsEvent::Join { req: id, gpu: g });
-        }
+        self.emit_with(|c| ObsEvent::Join {
+            req: lead.id,
+            gpu: c.units[gi].id(),
+        });
         let mut requests = self.batch_pool.pop().unwrap_or_default();
         requests.push(lead);
         if self.batcher.is_passthrough() {
@@ -1568,15 +1529,12 @@ impl Cluster {
                 self.dispatch_seq += 1;
                 let release_at = self.now + hold;
                 self.profile.holds_parked += 1;
-                if self.recorder.is_some() {
-                    let gathered = requests.len();
-                    self.emit(ObsEvent::HoldStart {
-                        gpu: g,
-                        model,
-                        gathered,
-                        release_at,
-                    });
-                }
+                self.emit_with(|_| ObsEvent::HoldStart {
+                    gpu: g,
+                    model,
+                    gathered: requests.len(),
+                    release_at,
+                });
                 self.units[gi].holding = Some(HoldSlot {
                     requests,
                     max_requests: cap,
@@ -1661,11 +1619,9 @@ impl Cluster {
             self.metrics.record_dispatch(true, false);
             self.cache.touch(g, model);
         }
-        if self.recorder.is_some() {
-            let joined = requests.len() - len;
-            if joined > 0 {
-                self.emit(ObsEvent::LoadRiders { gpu: g, joined });
-            }
+        let joined = requests.len() - len;
+        if joined > 0 {
+            self.emit_with(|_| ObsEvent::LoadRiders { gpu: g, joined });
         }
         self.units[gi]
             .in_flight
@@ -1844,24 +1800,21 @@ impl Cluster {
             .expect("hit dispatch on idle GPU");
         let seq = self.dispatch_seq;
         self.dispatch_seq += 1;
-        if self.recorder.is_some() {
-            let (lead, coalesced) = (requests[0].id, requests.len());
-            self.emit(ObsEvent::Dispatch {
-                gpu: g,
-                lead,
-                model,
-                hit: true,
-                false_miss: false,
-                coalesced,
-            });
-            self.emit(ObsEvent::InferStart {
-                gpu: g,
-                model,
-                batch: seq,
-                requests: coalesced,
-                items,
-            });
-        }
+        self.emit_with(|_| ObsEvent::Dispatch {
+            gpu: g,
+            lead: requests[0].id,
+            model,
+            hit: true,
+            false_miss: false,
+            coalesced: requests.len(),
+        });
+        self.emit_with(|_| ObsEvent::InferStart {
+            gpu: g,
+            model,
+            batch: seq,
+            requests: requests.len(),
+            items,
+        });
         self.units[gi].in_flight = Some(InFlight {
             requests,
             phase: Phase::Running,
@@ -1887,17 +1840,14 @@ impl Cluster {
         for _ in 1..requests.len() {
             self.metrics.record_dispatch(true, false);
         }
-        if self.recorder.is_some() {
-            let (lead, coalesced) = (requests[0].id, requests.len());
-            self.emit(ObsEvent::Dispatch {
-                gpu: g,
-                lead,
-                model,
-                hit: false,
-                false_miss,
-                coalesced,
-            });
-        }
+        self.emit_with(|_| ObsEvent::Dispatch {
+            gpu: g,
+            lead: requests[0].id,
+            model,
+            hit: false,
+            false_miss,
+            coalesced: requests.len(),
+        });
 
         let occupancy = self.registry.occupancy_bytes(model);
         // The Cache Manager provisions against capacity minus its OOM
@@ -1931,9 +1881,7 @@ impl Cluster {
                 let bytes = self.registry.occupancy_bytes(v);
                 self.store.demote(self.now, v, bytes);
             }
-            if self.recorder.is_some() {
-                self.emit(ObsEvent::Eviction { gpu: g, model: v });
-            }
+            self.emit_with(|_| ObsEvent::Eviction { gpu: g, model: v });
         }
         // The store prices (and accounts) the upload: the flat backend
         // echoes the per-device profile time; a tiered backend settles
@@ -1962,14 +1910,12 @@ impl Cluster {
         self.report_lru(g);
         let seq = self.dispatch_seq;
         self.dispatch_seq += 1;
-        if self.recorder.is_some() {
-            self.emit(ObsEvent::LoadStart {
-                gpu: g,
-                model,
-                batch: seq,
-                tier,
-            });
-        }
+        self.emit_with(|_| ObsEvent::LoadStart {
+            gpu: g,
+            model,
+            batch: seq,
+            tier,
+        });
         self.units[gi].in_flight = Some(InFlight {
             requests,
             phase: Phase::Loading,
@@ -1986,9 +1932,7 @@ impl Cluster {
         if self.hot_model == Some(model) {
             let replicas = self.cache.replica_count(model);
             self.metrics.record_hot_replicas(self.now, replicas);
-            if self.recorder.is_some() {
-                self.emit(ObsEvent::HotReplicas { replicas });
-            }
+            self.emit_with(|_| ObsEvent::HotReplicas { replicas });
         }
     }
 
@@ -2285,8 +2229,26 @@ impl Cluster {
     /// must have been built from the same config and be resuming the
     /// same trace (both enforced by the envelope digests). On success
     /// the cluster is exactly the paused instant; drive it with
-    /// [`Cluster::resume`] or [`Cluster::run_until`].
+    /// [`Cluster::resume`] or [`Cluster::run_until`]. On error the
+    /// cluster is left exactly as it was before the call.
     pub fn restore(&mut self, bytes: &[u8], trace: &Trace) -> Result<(), SnapError> {
+        // Decoding overwrites units and policy state in place, so keep an
+        // image of the current state to put back if the bytes are bad.
+        let backup = self.capture_image(&self.events);
+        let restored = self.decode_checkpoint(bytes, trace);
+        if restored.is_err() {
+            let mut events = std::mem::take(&mut self.events);
+            self.apply_image(backup, &mut events);
+            self.events = events;
+        }
+        restored
+    }
+
+    /// The decoding half of [`Cluster::restore`]. The queue, metrics,
+    /// RNG, event heap and arrival cursor are assigned only once the
+    /// whole image has decoded: the metrics collector in particular
+    /// cannot be rewound by [`Cluster::apply_image`] once replaced.
+    fn decode_checkpoint(&mut self, bytes: &[u8], trace: &Trace) -> Result<(), SnapError> {
         let mut dec = Dec::new(bytes);
         read_header(
             &mut dec,
@@ -2315,8 +2277,7 @@ impl Cluster {
         for _ in 0..qlen {
             queue.push_back(load_request(&mut dec)?);
         }
-        self.global_queue = queue;
-        self.metrics = MetricsCollector::load_state(&mut dec)?;
+        let metrics = MetricsCollector::load_state(&mut dec)?;
         self.now = dec.time()?;
         self.last_completion = dec.time()?;
         self.hot_model = if dec.bool()? {
@@ -2334,7 +2295,6 @@ impl Cluster {
         if rng_state == [0u64; 4] {
             return Err(SnapError::Corrupt("all-zero rng state"));
         }
-        self.rng = DetRng::from_state(rng_state);
         self.scale_ups = dec.u64()?;
         self.scale_downs = dec.u64()?;
         self.online_low = dec.usize()?;
@@ -2344,9 +2304,9 @@ impl Cluster {
         self.holding_units = dec.usize()?;
         self.draining_units = dec.usize()?;
         self.busy_secs = dec.f64()?;
-        self.events = load_events(&mut dec)?;
-        self.next_arrival = dec.usize()?;
-        if self.next_arrival > trace.len() {
+        let events = load_events(&mut dec)?;
+        let next_arrival = dec.usize()?;
+        if next_arrival > trace.len() {
             return Err(SnapError::Corrupt("arrival cursor past trace end"));
         }
         self.run_started = dec.bool()?;
@@ -2363,6 +2323,11 @@ impl Cluster {
             let _ = dec.u128()?;
         }
         dec.finish()?;
+        self.global_queue = queue;
+        self.metrics = metrics;
+        self.rng = DetRng::from_state(rng_state);
+        self.events = events;
+        self.next_arrival = next_arrival;
         // Derived state follows the restored queues.
         for gi in 0..self.units.len() {
             self.agg_rebuild(gi);
@@ -2888,9 +2853,8 @@ impl SchedCtx<'_> {
         let qlen = self.cluster.global_queue.len();
         let now = self.cluster.now;
         self.cluster.note_queue_depth(now, qlen);
-        if self.cluster.recorder.is_some() {
-            self.cluster.emit(ObsEvent::QueueDepth { len: qlen });
-        }
+        self.cluster
+            .emit_with(|_| ObsEvent::QueueDepth { len: qlen });
         r
     }
 
@@ -3004,13 +2968,10 @@ impl SchedCtx<'_> {
             self.cluster.units[gi].local_queue.is_empty(),
             "idle GPUs have drained local queues"
         );
-        if self.cluster.recorder.is_some() {
-            let id = r.id;
-            self.cluster.emit(ObsEvent::SchedArm {
-                req: id,
-                arm: Arm::HitRemote,
-            });
-        }
+        self.cluster.emit_with(|_| ObsEvent::SchedArm {
+            req: r.id,
+            arm: Arm::HitRemote,
+        });
         self.cluster.dispatch_batched(gi, r, true, self.events);
         self.progress = true;
     }
@@ -3020,18 +2981,15 @@ impl SchedCtx<'_> {
     /// estimates in the same pass include `r`.
     pub fn enqueue_local(&mut self, gpu: GpuId, r: Request) {
         let gi = gpu.0 as usize;
-        if self.cluster.recorder.is_some() {
-            let (id, model) = (r.id, r.model);
-            self.cluster.emit(ObsEvent::SchedArm {
-                req: id,
-                arm: Arm::WaitBusy,
-            });
-            self.cluster.emit(ObsEvent::LocalEnqueue {
-                req: id,
-                gpu,
-                model,
-            });
-        }
+        self.cluster.emit_with(|_| ObsEvent::SchedArm {
+            req: r.id,
+            arm: Arm::WaitBusy,
+        });
+        self.cluster.emit_with(|_| ObsEvent::LocalEnqueue {
+            req: r.id,
+            gpu,
+            model: r.model,
+        });
         self.cluster.agg_push(gi, &r);
         self.cluster.units[gi].local_queue.push_back(r);
         self.cluster.local_moves += 1;
@@ -3044,13 +3002,10 @@ impl SchedCtx<'_> {
     /// addressed at the GPU currently being served.
     pub fn dispatch_miss(&mut self, gpu: GpuId, r: Request) {
         let gi = gpu.0 as usize;
-        if self.cluster.recorder.is_some() {
-            let id = r.id;
-            self.cluster.emit(ObsEvent::SchedArm {
-                req: id,
-                arm: Arm::Miss,
-            });
-        }
+        self.cluster.emit_with(|_| ObsEvent::SchedArm {
+            req: r.id,
+            arm: Arm::Miss,
+        });
         self.cluster.dispatch_batched(gi, r, false, self.events);
         self.progress = true;
     }
@@ -3075,24 +3030,18 @@ impl SchedCtx<'_> {
         match dispatch {
             Dispatch::None => {}
             Dispatch::Hit(r) => {
-                if self.cluster.recorder.is_some() {
-                    let id = r.id;
-                    self.cluster.emit(ObsEvent::SchedArm {
-                        req: id,
-                        arm: Arm::HitLocal,
-                    });
-                }
+                self.cluster.emit_with(|_| ObsEvent::SchedArm {
+                    req: r.id,
+                    arm: Arm::HitLocal,
+                });
                 self.cluster.dispatch_batched(gi, r, true, self.events);
                 self.progress = true;
             }
             Dispatch::Miss(r) => {
-                if self.cluster.recorder.is_some() {
-                    let id = r.id;
-                    self.cluster.emit(ObsEvent::SchedArm {
-                        req: id,
-                        arm: Arm::Miss,
-                    });
-                }
+                self.cluster.emit_with(|_| ObsEvent::SchedArm {
+                    req: r.id,
+                    arm: Arm::Miss,
+                });
                 self.cluster.dispatch_batched(gi, r, false, self.events);
                 self.progress = true;
             }
@@ -3182,7 +3131,6 @@ impl ScaleView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::Policy;
     use gfaas_models::zoo::{Family, ModelSpec};
     use gfaas_trace::TraceRequest;
 
@@ -3213,16 +3161,20 @@ mod tests {
         )
     }
 
-    fn cluster(gpus: usize, mem_mib: u64, policy: Policy, nmodels: usize) -> Cluster {
+    fn spec(s: &str) -> PolicySpec {
+        PolicySpec::parse(s).expect("valid policy spec")
+    }
+
+    fn cluster(gpus: usize, mem_mib: u64, policy: &str, nmodels: usize) -> Cluster {
         Cluster::new(
-            ClusterConfig::test(gpus, mem_mib, policy),
+            ClusterConfig::test(gpus, mem_mib, spec(policy)),
             toy_registry(nmodels),
         )
     }
 
     #[test]
     fn single_request_is_a_cold_miss() {
-        let mut c = cluster(1, 1000, Policy::lalb(), 1);
+        let mut c = cluster(1, 1000, "lalb", 1);
         let m = c.run(&trace_of(&[(0.0, 0)]));
         assert_eq!(m.completed, 1);
         assert_eq!(m.miss_ratio, 1.0);
@@ -3233,7 +3185,7 @@ mod tests {
 
     #[test]
     fn repeat_requests_hit_the_cache() {
-        let mut c = cluster(1, 1000, Policy::lalb(), 1);
+        let mut c = cluster(1, 1000, "lalb", 1);
         let m = c.run(&trace_of(&[(0.0, 0), (10.0, 0), (20.0, 0)]));
         assert_eq!(m.completed, 3);
         assert!((m.miss_ratio - 1.0 / 3.0).abs() < 1e-9);
@@ -3246,7 +3198,7 @@ mod tests {
         // Two GPUs; model 0 lands on one of them; a later request for
         // model 0 must hit even though the other GPU is idle (and longest
         // idle, which would attract an LB dispatch).
-        let mut c = cluster(2, 1000, Policy::lalb(), 2);
+        let mut c = cluster(2, 1000, "lalb", 2);
         let m = c.run(&trace_of(&[(0.0, 0), (10.0, 1), (20.0, 0)]));
         assert_eq!(m.completed, 3);
         assert_eq!(m.misses, 2, "only the two cold loads miss");
@@ -3259,7 +3211,7 @@ mod tests {
         // both idle; LB picks the longest-idle GPU = gpu0 — which *does*
         // hold m0... so use 3 GPUs to force the false miss deterministically:
         // gpu2 has been idle longest (never used) and lacks m0.
-        let mut c = cluster(3, 1000, Policy::lb(), 2);
+        let mut c = cluster(3, 1000, "lb", 2);
         let m = c.run(&trace_of(&[(0.0, 0), (10.0, 1), (20.0, 0)]));
         assert_eq!(m.completed, 3);
         assert_eq!(m.misses, 3, "LB sends the repeat to the cold GPU");
@@ -3271,12 +3223,12 @@ mod tests {
         // One GPU holds model 0 and is busy with a 1 s inference; load
         // time is 1 s. A second request for model 0 arrives mid-inference:
         // remaining wait (~0.5 s) < load (1 s) → join the local queue, hit.
-        let mut c = cluster(2, 1000, Policy::lalb(), 1);
+        let mut c = cluster(2, 1000, "lalb", 1);
         let m = c.run(&trace_of(&[(0.0, 0), (2.5, 0)]));
         // First: load 1s + infer 1s, busy [0,2]... arrives 2.5 when idle.
         // Make it overlap instead:
         assert_eq!(m.completed, 2);
-        let mut c2 = cluster(2, 1000, Policy::lalb(), 1);
+        let mut c2 = cluster(2, 1000, "lalb", 1);
         let m2 = c2.run(&trace_of(&[(0.0, 0), (1.5, 0)]));
         // At t=1.5 gpu0 is inferring until t=2 (wait 0.5 < load 1).
         assert_eq!(m2.misses, 1, "second request waits for the busy holder");
@@ -3292,7 +3244,7 @@ mod tests {
         // gpu0 holds model 0 but has a long local backlog; a cold load on
         // idle gpu1 (1 s) beats waiting. Build backlog with three quick
         // requests for model 0 arriving together, then the probe.
-        let mut c = cluster(2, 1000, Policy::lalb(), 1);
+        let mut c = cluster(2, 1000, "lalb", 1);
         let m = c.run(&trace_of(&[(0.0, 0), (0.1, 0), (0.2, 0), (0.3, 0)]));
         // t=0: miss on gpu0 (load until 1, infer until 2).
         // t=0.1: holder busy, wait = 1.9 > load 1 → miss on gpu1.
@@ -3312,7 +3264,7 @@ mod tests {
         // that moment: [m2 (cold), m0]. With O3, gpu0 should serve m0
         // first (hit), skipping m2; m2 then loads on gpu1's... gpu1 scans:
         // no m1 request; LLB places m2 as a miss there.
-        let mut c = cluster(2, 1000, Policy::lalbo3(), 3);
+        let mut c = cluster(2, 1000, "lalbo3", 3);
         let m = c.run(&trace_of(&[(0.0, 0), (0.0, 1), (1.5, 2), (1.6, 0)]));
         assert_eq!(m.completed, 4);
         // Misses: m0 cold, m1 cold, m2 cold = 3. The m0 repeat must hit.
@@ -3328,7 +3280,7 @@ mod tests {
         // (2 s) is slower than a fresh 1 s load. In-order service costs a
         // fourth miss — and it is a false miss — exactly the behaviour O3
         // dispatch eliminates (compare `o3_dispatches_later_hit_ahead_of_head`).
-        let mut c = cluster(2, 1000, Policy::lalb(), 3);
+        let mut c = cluster(2, 1000, "lalb", 3);
         let m = c.run(&trace_of(&[(0.0, 0), (0.0, 1), (1.5, 2), (1.6, 0)]));
         assert_eq!(m.completed, 4);
         assert_eq!(m.misses, 4);
@@ -3344,7 +3296,7 @@ mod tests {
         // head must be dispatched regardless. We read the per-request
         // latency back through the datastore mirror.
         let run = |limit: u32| {
-            let mut cfg = ClusterConfig::test(1, 250, Policy::lalb_with_limit(limit));
+            let mut cfg = ClusterConfig::test(1, 250, spec(&format!("lalbo3:{limit}")));
             cfg.report_to_datastore = true;
             let ds = Arc::new(Datastore::new());
             let mut c = Cluster::new(cfg, toy_registry(2)).with_datastore(Arc::clone(&ds));
@@ -3372,7 +3324,7 @@ mod tests {
     #[test]
     fn eviction_under_memory_pressure() {
         // GPU fits two 100 MiB models; touch three models round-robin.
-        let mut c = cluster(1, 250, Policy::lalb(), 3);
+        let mut c = cluster(1, 250, "lalb", 3);
         let m = c.run(&trace_of(&[
             (0.0, 0),
             (10.0, 1),
@@ -3386,7 +3338,7 @@ mod tests {
 
     #[test]
     fn duplicates_metric_tracks_hot_model() {
-        let mut c = cluster(3, 1000, Policy::lb(), 2);
+        let mut c = cluster(3, 1000, "lb", 2);
         // Hot model 0 gets replicated by LB across GPUs.
         let m = c.run(&trace_of(&[
             (0.0, 0),
@@ -3402,8 +3354,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let t = trace_of(&[(0.0, 0), (0.5, 1), (1.0, 2), (1.5, 0), (2.0, 1)]);
-        let m1 = cluster(2, 250, Policy::lalbo3(), 3).run(&t);
-        let m2 = cluster(2, 250, Policy::lalbo3(), 3).run(&t);
+        let m1 = cluster(2, 250, "lalbo3", 3).run(&t);
+        let m2 = cluster(2, 250, "lalbo3", 3).run(&t);
         assert_eq!(m1, m2);
     }
 
@@ -3412,7 +3364,7 @@ mod tests {
         // 50 requests for 5 models on 1 small GPU: heavy thrash, but all
         // must complete and the makespan must be finite and consistent.
         let reqs: Vec<(f64, u32)> = (0..50).map(|i| (i as f64 * 0.01, (i % 5) as u32)).collect();
-        let mut c = cluster(1, 250, Policy::lalbo3(), 5);
+        let mut c = cluster(1, 250, "lalbo3", 5);
         let m = c.run(&trace_of(&reqs));
         assert_eq!(m.completed, 50);
         assert!(m.makespan_secs > 50.0, "50 × ≥1 s of serial inference");
@@ -3422,7 +3374,7 @@ mod tests {
     #[test]
     fn datastore_mirroring_writes_keys() {
         let ds = Arc::new(Datastore::new());
-        let mut cfg = ClusterConfig::test(1, 1000, Policy::lalb());
+        let mut cfg = ClusterConfig::test(1, 1000, spec("lalb"));
         cfg.report_to_datastore = true;
         let mut c = Cluster::new(cfg, toy_registry(1)).with_datastore(Arc::clone(&ds));
         c.run(&trace_of(&[(0.0, 0)]));
@@ -3438,7 +3390,7 @@ mod tests {
     fn heterogeneous_gpu_uses_its_own_profile() {
         // One GPU scaled to half load and half inference time: a cold
         // request costs 0.5 + 0.5 = 1 s instead of 2 s.
-        let mut cfg = ClusterConfig::test(1, 1000, Policy::lalb());
+        let mut cfg = ClusterConfig::test(1, 1000, spec("lalb"));
         cfg.hetero_specs = Some(vec![gfaas_gpu::GpuSpec::test(1000).with_scales(0.5, 0.5)]);
         let mut c = Cluster::new(cfg, toy_registry(1));
         let m = c.run(&trace_of(&[(0.0, 0)]));
@@ -3454,7 +3406,7 @@ mod tests {
         // gpu0 (fast, holds m0, busy) vs gpu1 (slow, idle). The fast
         // holder's estimated wait (0.25 s remaining) beats a slow cold
         // load (1 s) → the repeat request queues locally and hits.
-        let mut cfg = ClusterConfig::test(2, 1000, Policy::lalb());
+        let mut cfg = ClusterConfig::test(2, 1000, spec("lalb"));
         cfg.hetero_specs = Some(vec![
             gfaas_gpu::GpuSpec::test(1000).with_scales(0.5, 0.5),
             gfaas_gpu::GpuSpec::test(1000),
@@ -3472,7 +3424,7 @@ mod tests {
         // Tenant 0 (even functions) capped at 1 concurrent request; three
         // of its requests arrive together on a 3-GPU cluster. They must
         // run one at a time even though GPUs are free.
-        let mut cfg = ClusterConfig::test(3, 1000, Policy::lalbo3());
+        let mut cfg = ClusterConfig::test(3, 1000, spec("lalbo3"));
         cfg.num_tenants = 2;
         cfg.tenant_max_inflight = Some(1);
         let mut c = Cluster::new(cfg, toy_registry(1));
@@ -3491,7 +3443,7 @@ mod tests {
     fn tenant_cap_does_not_starve_other_tenants() {
         // Tenant 0 floods; tenant 1's single request (odd function rank)
         // must still be served promptly on a free GPU.
-        let mut cfg = ClusterConfig::test(2, 1000, Policy::lalbo3());
+        let mut cfg = ClusterConfig::test(2, 1000, spec("lalbo3"));
         cfg.num_tenants = 2;
         cfg.tenant_max_inflight = Some(1);
         cfg.report_to_datastore = true;
@@ -3518,7 +3470,7 @@ mod tests {
 
     #[test]
     fn crashes_are_retried_and_complete() {
-        let mut cfg = ClusterConfig::test(2, 1000, Policy::lalbo3());
+        let mut cfg = ClusterConfig::test(2, 1000, spec("lalbo3"));
         cfg.crash_rate = 0.3;
         cfg.seed = 5;
         let mut c = Cluster::new(cfg, toy_registry(3));
@@ -3536,7 +3488,7 @@ mod tests {
 
     #[test]
     fn crash_free_config_never_crashes() {
-        let mut c = cluster(2, 1000, Policy::lalbo3(), 2);
+        let mut c = cluster(2, 1000, "lalbo3", 2);
         let m = c.run(&trace_of(&[(0.0, 0), (1.0, 1), (2.0, 0)]));
         assert_eq!(c.crashes(), 0);
         assert_eq!(m.completed, 3);
@@ -3549,7 +3501,7 @@ mod tests {
         // this seed but lets the retry through. Probe seeds for one where
         // exactly the first attempt crashes.
         for seed in 0..50u64 {
-            let mut cfg = ClusterConfig::test(1, 1000, Policy::lalb());
+            let mut cfg = ClusterConfig::test(1, 1000, spec("lalb"));
             cfg.crash_rate = 0.5;
             cfg.seed = seed;
             let mut c = Cluster::new(cfg, toy_registry(1));
@@ -3568,7 +3520,7 @@ mod tests {
     #[test]
     fn sm_utilization_counts_inference_only() {
         // One request: load 1 s + infer 1 s → SM busy 1 of 2 s.
-        let mut c = cluster(1, 1000, Policy::lalb(), 1);
+        let mut c = cluster(1, 1000, "lalb", 1);
         let m = c.run(&trace_of(&[(0.0, 0)]));
         assert!((m.sm_utilization - 0.5).abs() < 1e-6);
     }
@@ -3579,7 +3531,7 @@ mod tests {
 
     #[test]
     fn fixed_cluster_reports_full_fleet_gpu_seconds() {
-        let mut c = cluster(2, 1000, Policy::lalb(), 1);
+        let mut c = cluster(2, 1000, "lalb", 1);
         let m = c.run(&trace_of(&[(0.0, 0)]));
         assert!(
             (m.gpu_seconds_provisioned - 2.0 * m.makespan_secs).abs() < 1e-9,
@@ -3594,7 +3546,7 @@ mod tests {
 
     #[test]
     fn queue_pressure_scales_up_then_releases_the_quiet_fleet() {
-        let mut cfg = ClusterConfig::test(2, 1000, Policy::lalbo3());
+        let mut cfg = ClusterConfig::test(2, 1000, spec("lalbo3"));
         cfg.autoscale = Some("queue:min=1,max=4,up=3,down=0,cadence=1".parse().unwrap());
         let mut c = Cluster::new(cfg, toy_registry(4));
         // A 12-request burst at t=0 swamps the 2-GPU initial fleet; a
@@ -3617,7 +3569,7 @@ mod tests {
     #[test]
     fn autoscaled_runs_are_deterministic() {
         let run = || {
-            let mut cfg = ClusterConfig::test(2, 500, Policy::lalbo3());
+            let mut cfg = ClusterConfig::test(2, 500, spec("lalbo3"));
             cfg.autoscale = Some("queue:min=1,max=4,up=2,down=0,cadence=1".parse().unwrap());
             let mut c = Cluster::new(cfg, toy_registry(5));
             let reqs: Vec<(f64, u32)> = (0..30).map(|i| (i as f64 * 0.2, (i % 5) as u32)).collect();
@@ -3652,7 +3604,7 @@ mod tests {
             }
         }
 
-        let mut cfg = ClusterConfig::test(3, 1000, Policy::lalb());
+        let mut cfg = ClusterConfig::test(3, 1000, spec("lalb"));
         cfg.autoscale = Some("queue:min=1,max=3,up=9,down=0,cadence=1".parse().unwrap());
         let mut c = Cluster::new(cfg, toy_registry(3));
         c.set_autoscaler(Box::new(DrainOnce { fired: false }));
@@ -3686,7 +3638,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "set_autoscaler")]
     fn set_autoscaler_requires_an_autoscale_config() {
-        let mut c = cluster(1, 1000, Policy::lalb(), 1);
+        let mut c = cluster(1, 1000, "lalb", 1);
         c.set_autoscaler(
             crate::autoscale::AutoscaleSpec::default()
                 .build()
@@ -3700,7 +3652,7 @@ mod tests {
 
     #[test]
     fn spec_strings_drive_the_cluster() {
-        let mut cfg = ClusterConfig::test(2, 1000, Policy::lalbo3());
+        let mut cfg = ClusterConfig::test(2, 1000, spec("lalbo3"));
         cfg.policy = "lalbo3:25".parse().unwrap();
         cfg.replacement = "tinylfu:0.9".parse().unwrap();
         let mut c = Cluster::new(cfg, toy_registry(2));
@@ -3712,10 +3664,10 @@ mod tests {
 
     #[test]
     fn try_new_surfaces_bad_specs_and_configs() {
-        let mut cfg = ClusterConfig::test(2, 1000, Policy::lalb());
+        let mut cfg = ClusterConfig::test(2, 1000, spec("lalb"));
         cfg.policy = crate::policy::PolicySpec::bare("belady");
         assert!(Cluster::try_new(cfg, toy_registry(1)).is_err());
-        let mut cfg = ClusterConfig::test(2, 1000, Policy::lalb());
+        let mut cfg = ClusterConfig::test(2, 1000, spec("lalb"));
         cfg.batch_size = 0;
         assert!(matches!(
             Cluster::try_new(cfg, toy_registry(1)),
@@ -3726,27 +3678,52 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid cluster config")]
     fn new_panics_on_invalid_config() {
-        let mut cfg = ClusterConfig::test(4, 1000, Policy::lalb());
+        let mut cfg = ClusterConfig::test(4, 1000, spec("lalb"));
         cfg.gpus_per_node = 3; // does not divide 4
         let _ = Cluster::new(cfg, toy_registry(1));
     }
 
     #[test]
-    fn injected_policy_objects_match_the_enum_path() {
-        // The open path (`with_policies`) must behave bit-identically to
-        // the compat enum path for the paper's policies.
+    fn injected_policy_objects_match_the_spec_path() {
+        // For every paper scheduler × evictor pair, the spec path (the
+        // config's specs resolved through the builtin registry) resolves
+        // to the paper's names and runs bit-identically to directly
+        // injected policy objects (`with_policies`).
+        use crate::cache::{FifoEvictor, LruEvictor, RandomEvictor};
+        use crate::scheduler::{LalbScheduler, LbScheduler};
         let t = trace_of(&[(0.0, 0), (0.3, 1), (0.9, 2), (1.5, 0), (2.0, 1), (2.2, 2)]);
-        let via_enum = cluster(2, 250, Policy::lalbo3(), 3).run(&t);
-        let cfg = ClusterConfig::test(2, 250, Policy::lalbo3());
-        let seed = cfg.seed;
-        let mut injected = Cluster::with_policies(
-            cfg,
-            toy_registry(3),
-            Box::new(crate::scheduler::LalbScheduler::new(25)),
-            crate::cache::ReplacementPolicy::Lru.build(seed),
-        )
-        .unwrap();
-        assert_eq!(injected.run(&t), via_enum);
+        type BuildScheduler = fn() -> Box<dyn SchedulerPolicy>;
+        type BuildEvictor = fn(u64) -> Box<dyn Evictor>;
+        let schedulers: [(&str, &str, BuildScheduler); 4] = [
+            ("lb", "LB", || Box::new(LbScheduler)),
+            ("lalb", "LALB", || Box::new(LalbScheduler::new(0))),
+            ("lalbo3", "LALBO3", || Box::new(LalbScheduler::new(25))),
+            ("lalbo3:7", "LALBO3(limit=7)", || {
+                Box::new(LalbScheduler::new(7))
+            }),
+        ];
+        let evictors: [(&str, BuildEvictor); 3] = [
+            ("lru", |_| Box::new(LruEvictor::default())),
+            ("fifo", |_| Box::new(FifoEvictor::default())),
+            ("random", |seed| Box::new(RandomEvictor::new(seed))),
+        ];
+        for (sched_spec, sched_name, sched) in schedulers {
+            for (ev_spec, evictor) in evictors {
+                let mut cfg = ClusterConfig::test(2, 250, spec(sched_spec));
+                cfg.replacement = spec(ev_spec);
+                let seed = cfg.seed;
+                let mut via_spec = Cluster::new(cfg.clone(), toy_registry(3));
+                assert_eq!(via_spec.scheduler_name(), sched_name);
+                assert_eq!(via_spec.evictor_name(), ev_spec);
+                let mut injected =
+                    Cluster::with_policies(cfg, toy_registry(3), sched(), evictor(seed)).unwrap();
+                assert_eq!(
+                    injected.run(&t),
+                    via_spec.run(&t),
+                    "{sched_spec} x {ev_spec}"
+                );
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -3755,7 +3732,7 @@ mod tests {
 
     /// A test cluster with the given batching spec.
     fn batched_cluster(gpus: usize, nmodels: usize, batching: &str) -> Cluster {
-        let mut cfg = ClusterConfig::test(gpus, 1000, Policy::lalb());
+        let mut cfg = ClusterConfig::test(gpus, 1000, spec("lalb"));
         cfg.batching = batching.parse().unwrap();
         Cluster::new(cfg, toy_registry(nmodels))
     }
@@ -3813,8 +3790,8 @@ mod tests {
     fn batching_none_is_identical_to_the_paper_path() {
         let reqs: Vec<(f64, u32)> = (0..60).map(|i| (i as f64 * 0.11, (i % 5) as u32)).collect();
         let t = trace_of(&reqs);
-        let legacy = cluster(3, 400, Policy::lalbo3(), 5).run(&t);
-        let mut cfg = ClusterConfig::test(3, 400, Policy::lalbo3());
+        let legacy = cluster(3, 400, "lalbo3", 5).run(&t);
+        let mut cfg = ClusterConfig::test(3, 400, spec("lalbo3"));
         cfg.batching = "none".parse().unwrap();
         let none = Cluster::new(cfg, toy_registry(5)).run(&t);
         assert_eq!(legacy, none);
@@ -3844,7 +3821,7 @@ mod tests {
         // batch itself counts toward the cap). The three requests
         // serialise exactly like the per-request dispatch test:
         // 2 s (cold) + 1 s + 1 s → max latency 4 s.
-        let mut cfg = ClusterConfig::test(3, 1000, Policy::lalbo3());
+        let mut cfg = ClusterConfig::test(3, 1000, spec("lalbo3"));
         cfg.num_tenants = 2;
         cfg.tenant_max_inflight = Some(1);
         cfg.batching = "coalesce:max=8,wait=0.05".parse().unwrap();
@@ -3861,7 +3838,7 @@ mod tests {
 
     #[test]
     fn batching_survives_crashes_without_losing_requests() {
-        let mut cfg = ClusterConfig::test(2, 1000, Policy::lalbo3());
+        let mut cfg = ClusterConfig::test(2, 1000, spec("lalbo3"));
         cfg.batching = "coalesce:max=4,wait=0.05".parse().unwrap();
         cfg.crash_rate = 0.3;
         cfg.seed = 5;
@@ -3889,7 +3866,7 @@ mod tests {
                 ScaleDecision::Down(1)
             }
         }
-        let mut cfg = ClusterConfig::test(2, 1000, Policy::lalb());
+        let mut cfg = ClusterConfig::test(2, 1000, spec("lalb"));
         cfg.batching = "coalesce:max=4,wait=0.5".parse().unwrap();
         cfg.autoscale = Some(
             "queue:min=1,max=2,up=99,down=0,cadence=2.2"
@@ -3970,13 +3947,12 @@ mod tests {
             }
         }
 
-        let cfg = ClusterConfig::test(3, 1000, Policy::lalb());
-        let seed = cfg.seed;
+        let cfg = ClusterConfig::test(3, 1000, spec("lalb"));
         let mut c = Cluster::with_policies(
             cfg,
             toy_registry(2),
             Box::new(FirstGpu),
-            crate::cache::ReplacementPolicy::Lru.build(seed),
+            Box::new(crate::cache::LruEvictor::default()),
         )
         .unwrap();
         assert_eq!(c.scheduler_name(), "first-gpu");
@@ -3996,7 +3972,7 @@ mod tests {
     /// 300 MiB each (evictions!), batching and autoscaling enabled — every
     /// journaled component carries non-trivial state.
     fn snap_fixture() -> (ClusterConfig, Trace) {
-        let mut cfg = ClusterConfig::test(3, 300, Policy::lalbo3());
+        let mut cfg = ClusterConfig::test(3, 300, spec("lalbo3"));
         cfg.batching = "coalesce:max=4,wait=0.05".parse().unwrap();
         cfg.autoscale = Some("queue:min=2,max=4,up=6,down=1".parse().unwrap());
         let reqs: Vec<(f64, u32)> = (0..30).map(|i| (i as f64 * 0.13, (i % 6) as u32)).collect();
@@ -4101,10 +4077,7 @@ mod tests {
         let bytes = c.checkpoint(&t);
 
         // Wrong config: different fleet size.
-        let mut other = Cluster::new(
-            ClusterConfig::test(4, 300, Policy::lalbo3()),
-            toy_registry(6),
-        );
+        let mut other = Cluster::new(ClusterConfig::test(4, 300, spec("lalbo3")), toy_registry(6));
         assert!(matches!(
             other.restore(&bytes, &t),
             Err(SnapError::ConfigMismatch)
@@ -4137,17 +4110,39 @@ mod tests {
         let mut target = snap_cluster(&cfg);
         assert!(target.restore(&bad, &t).is_err());
         assert_eq!(target.run(&t), full);
+
+        // Truncated anywhere, a checkpoint taken at 2 s must be rejected
+        // by a target paused at 1 s without touching it: the target then
+        // resumes exactly like an untouched twin.
+        let mut later = snap_cluster(&cfg);
+        later.run_until(&t, SimTime::from_secs_f64(2.0));
+        let later_bytes = later.checkpoint(&t);
+        let paused = || {
+            let mut c = snap_cluster(&cfg);
+            c.run_until(&t, SimTime::from_secs_f64(1.0));
+            c
+        };
+        let twin = paused().resume(&t);
+        let stride = (later_bytes.len() / 40).max(1);
+        let cuts = (0..later_bytes.len()).step_by(stride);
+        for cut in cuts.chain([later_bytes.len() - 1]) {
+            let mut target = paused();
+            assert!(
+                target.restore(&later_bytes[..cut], &t).is_err(),
+                "cut at {cut}"
+            );
+            assert_eq!(target.resume(&t), twin, "cut at {cut}");
+        }
     }
 
     /// A test cluster driven by the lookahead what-if scheduler.
     fn lookahead_cluster(gpus: usize, mem_mib: u64, nmodels: usize, k: usize) -> Cluster {
-        let cfg = ClusterConfig::test(gpus, mem_mib, Policy::lalbo3());
-        let seed = cfg.seed;
+        let cfg = ClusterConfig::test(gpus, mem_mib, spec("lalbo3"));
         Cluster::with_policies(
             cfg,
             toy_registry(nmodels),
             Box::new(crate::scheduler::LookaheadScheduler::new(k, 8, 25)),
-            crate::cache::ReplacementPolicy::Lru.build(seed),
+            Box::new(crate::cache::LruEvictor::default()),
         )
         .unwrap()
     }

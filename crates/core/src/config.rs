@@ -139,10 +139,7 @@ pub struct ClusterConfig {
     pub tenant_max_inflight: Option<usize>,
     /// Scheduling policy spec, resolved through
     /// [`crate::policy::PolicyRegistry`] (`"lb"`, `"lalb"`,
-    /// `"lalbo3[:limit]"`, or any registered key). The [`Policy`]
-    /// constructors convert into canonical specs.
-    ///
-    /// [`Policy`]: crate::scheduler::Policy
+    /// `"lalbo3[:limit]"`, or any registered key).
     pub policy: PolicySpec,
     /// Cache replacement spec (paper default `"lru"`; `"fifo"` /
     /// `"random"` for the §VI ablation, `"tinylfu[:decay]"` for the
@@ -203,18 +200,18 @@ pub struct ClusterConfig {
 
 impl Default for ClusterConfig {
     fn default() -> Self {
-        ClusterConfig::paper_testbed(crate::scheduler::Policy::lalbo3())
+        ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"))
     }
 }
 
 impl ClusterConfig {
     /// The paper's testbed: 12 RTX 2080 GPUs on 3 nodes.
-    pub fn paper_testbed(policy: impl Into<PolicySpec>) -> Self {
+    pub fn paper_testbed(policy: PolicySpec) -> Self {
         ClusterConfig {
             num_gpus: 12,
             gpus_per_node: 4,
             gpu_spec: GpuSpec::rtx2080(),
-            policy: policy.into(),
+            policy,
             hetero_specs: None,
             num_tenants: 1,
             tenant_max_inflight: None,
@@ -233,12 +230,12 @@ impl ClusterConfig {
     }
 
     /// A small test cluster with instant-PCIe GPUs of `mem_mib` each.
-    pub fn test(num_gpus: usize, mem_mib: u64, policy: impl Into<PolicySpec>) -> Self {
+    pub fn test(num_gpus: usize, mem_mib: u64, policy: PolicySpec) -> Self {
         ClusterConfig {
             num_gpus,
             gpus_per_node: num_gpus.max(1),
             gpu_spec: GpuSpec::test(mem_mib),
-            policy: policy.into(),
+            policy,
             hetero_specs: None,
             num_tenants: 1,
             tenant_max_inflight: None,
@@ -298,23 +295,21 @@ impl ClusterConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::ReplacementPolicy;
-    use crate::scheduler::Policy;
 
     #[test]
     fn paper_testbed_matches_evaluation_setup() {
-        let c = ClusterConfig::paper_testbed(Policy::lb());
+        let c = ClusterConfig::paper_testbed(PolicySpec::bare("lb"));
         assert_eq!(c.num_gpus, 12);
         assert_eq!(c.gpus_per_node, 4);
         assert_eq!(c.gpu_spec.name, "GeForce RTX 2080");
-        assert_eq!(c.replacement, ReplacementPolicy::Lru.into());
+        assert_eq!(c.replacement, PolicySpec::bare("lru"));
         assert_eq!(c.policy, PolicySpec::bare("lb"));
         assert!(c.validate().is_ok());
     }
 
     #[test]
     fn validate_rejects_hetero_length_mismatch() {
-        let mut c = ClusterConfig::test(3, 1000, Policy::lalb());
+        let mut c = ClusterConfig::test(3, 1000, PolicySpec::bare("lalb"));
         c.hetero_specs = Some(vec![GpuSpec::test(1000); 2]);
         assert_eq!(
             c.validate(),
@@ -327,7 +322,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_node_shape() {
-        let mut c = ClusterConfig::test(4, 1000, Policy::lalb());
+        let mut c = ClusterConfig::test(4, 1000, PolicySpec::bare("lalb"));
         c.gpus_per_node = 0;
         assert!(matches!(
             c.validate(),
@@ -344,16 +339,16 @@ mod tests {
 
     #[test]
     fn validate_rejects_zero_batch_and_zero_gpus() {
-        let mut c = ClusterConfig::test(1, 1000, Policy::lalb());
+        let mut c = ClusterConfig::test(1, 1000, PolicySpec::bare("lalb"));
         c.batch_size = 0;
         assert_eq!(c.validate(), Err(ConfigError::ZeroBatch));
-        let z = ClusterConfig::test(0, 1000, Policy::lalb());
+        let z = ClusterConfig::test(0, 1000, PolicySpec::bare("lalb"));
         assert_eq!(z.validate(), Err(ConfigError::NoGpus));
     }
 
     #[test]
     fn validate_checks_the_autoscale_spec() {
-        let mut c = ClusterConfig::test(4, 1000, Policy::lalb());
+        let mut c = ClusterConfig::test(4, 1000, PolicySpec::bare("lalb"));
         c.autoscale = Some("queue:min=2,max=8,up=4,down=1".parse().unwrap());
         assert!(c.validate().is_ok());
         // Inconsistent bounds surface as ConfigError::Autoscale…
@@ -363,7 +358,7 @@ mod tests {
         c.autoscale = Some(bad);
         assert!(matches!(c.validate(), Err(ConfigError::Autoscale(_))));
         // …and heterogeneous fleets cannot autoscale.
-        let mut c = ClusterConfig::test(2, 1000, Policy::lalb());
+        let mut c = ClusterConfig::test(2, 1000, PolicySpec::bare("lalb"));
         c.autoscale = Some(AutoscaleSpec::default());
         c.hetero_specs = Some(vec![GpuSpec::test(1000); 2]);
         assert_eq!(c.validate(), Err(ConfigError::AutoscaleWithHetero));
@@ -371,7 +366,7 @@ mod tests {
 
     #[test]
     fn validate_checks_the_store_spec() {
-        let mut c = ClusterConfig::test(4, 1000, Policy::lalb());
+        let mut c = ClusterConfig::test(4, 1000, PolicySpec::bare("lalb"));
         assert!(c.store.is_flat(), "flat is the default");
         assert!(c.validate().is_ok());
         c.store = "tiered:host=8G,origin_bw=2G".parse().unwrap();

@@ -19,9 +19,8 @@
 //!   (**LALB+O3**) with its starvation limit.
 //!
 //! Schedulers and evictors are named by string specs (`"lalbo3:25"`,
-//! `"tinylfu:0.9"`) resolved through [`policy::PolicyRegistry`]; the
-//! [`Policy`] / [`ReplacementPolicy`] enums remain as thin constructors
-//! for the paper's closed set.
+//! `"tinylfu:0.9"`) resolved through [`policy::PolicyRegistry`]; a spec
+//! is the only way to name a policy.
 //!
 //! Beyond the paper's fixed 12-GPU testbed, [`autoscale`] adds elastic
 //! capacity: an open [`autoscale::Autoscaler`] trait stepped on a virtual
@@ -75,7 +74,7 @@ pub use autoscale::{
     AutoscaleError, AutoscaleSpec, Autoscaler, QueuePressureAutoscaler, ScaleDecision,
 };
 pub use batching::{AdaptiveBatch, BatchPlan, BatchPolicy, BatchView, CoalesceBatch, NoBatch};
-pub use cache::{CacheManager, Evictor, FifoEvictor, LruEvictor, RandomEvictor, ReplacementPolicy};
+pub use cache::{CacheManager, Evictor, FifoEvictor, LruEvictor, RandomEvictor};
 pub use cluster::{Cluster, ScaleView, SchedCtx, SpecPlacement, SpecScore};
 pub use config::{ClusterConfig, ConfigError};
 pub use gfaas_obs::{NullRecorder, ObsEvent, RecordSpec, Recorder, SelfProfile};
@@ -84,7 +83,5 @@ pub use live::{LiveResponse, LiveServer};
 pub use metrics::RunMetrics;
 pub use policy::{PolicyError, PolicyRegistry, PolicySpec};
 pub use request::Request;
-pub use scheduler::{
-    Dispatch, LalbScheduler, LbScheduler, LookaheadScheduler, Policy, SchedulerPolicy,
-};
+pub use scheduler::{Dispatch, LalbScheduler, LbScheduler, LookaheadScheduler, SchedulerPolicy};
 pub use tinylfu::TinyLfuEvictor;

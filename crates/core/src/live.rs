@@ -24,7 +24,8 @@ use gfaas_models::live::{live_model, synthetic_batch, LiveModel};
 use gfaas_models::ModelRegistry;
 use gfaas_sim::time::{SimDuration, SimTime};
 
-use crate::cache::{CacheManager, ReplacementPolicy};
+use crate::cache::CacheManager;
+use crate::policy::{PolicyRegistry, PolicySpec};
 
 /// Outcome of one live inference.
 #[derive(Debug, Clone)]
@@ -91,11 +92,10 @@ impl LiveServer {
                 hits: 0,
             })
             .collect();
-        let cache = CacheManager::new(
-            gpus.iter().map(|g| g.device.id()),
-            ReplacementPolicy::Lru,
-            7,
-        );
+        let lru = PolicyRegistry::builtin()
+            .evictor(&PolicySpec::bare("lru"), 7)
+            .expect("builtin evictor");
+        let cache = CacheManager::with_evictor(gpus.iter().map(|g| g.device.id()), lru);
         LiveServer {
             registry,
             cache,

@@ -187,35 +187,6 @@ impl std::str::FromStr for PolicySpec {
     }
 }
 
-impl From<crate::scheduler::Policy> for PolicySpec {
-    /// Canonical spec for a paper scheduler: `lb`, `lalb`, `lalbo3`, or
-    /// `lalbo3:<limit>` for non-default limits.
-    fn from(p: crate::scheduler::Policy) -> Self {
-        use crate::scheduler::Policy;
-        match p {
-            Policy::LoadBalance => PolicySpec::bare("lb"),
-            Policy::Lalb { o3_limit: 0 } => PolicySpec::bare("lalb"),
-            Policy::Lalb { o3_limit } if o3_limit == DEFAULT_O3_LIMIT => PolicySpec::bare("lalbo3"),
-            Policy::Lalb { o3_limit } => PolicySpec {
-                key: "lalbo3".to_string(),
-                arg: Some(o3_limit.to_string()),
-            },
-        }
-    }
-}
-
-impl From<crate::cache::ReplacementPolicy> for PolicySpec {
-    /// Canonical spec for a paper replacement policy.
-    fn from(p: crate::cache::ReplacementPolicy) -> Self {
-        use crate::cache::ReplacementPolicy;
-        PolicySpec::bare(match p {
-            ReplacementPolicy::Lru => "lru",
-            ReplacementPolicy::Fifo => "fifo",
-            ReplacementPolicy::Random => "random",
-        })
-    }
-}
-
 /// Factory producing a scheduler from its spec.
 pub type SchedulerFactory =
     Box<dyn Fn(&PolicySpec) -> Result<Box<dyn SchedulerPolicy>, PolicyError> + Send + Sync>;
@@ -593,8 +564,6 @@ impl PolicyRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::ReplacementPolicy;
-    use crate::scheduler::Policy;
 
     #[test]
     fn parses_bare_and_argument_specs() {
@@ -777,26 +746,24 @@ mod tests {
     }
 
     #[test]
-    fn enum_conversions_round_trip_through_the_registry() {
+    fn paper_specs_resolve_to_paper_names() {
+        // A policy has one name: its spec. The registry resolves each
+        // paper spec to the display name reports print, and the spec
+        // round-trips through `Display`.
         let reg = PolicyRegistry::builtin();
-        for (policy, name) in [
-            (Policy::lb(), "LB"),
-            (Policy::lalb(), "LALB"),
-            (Policy::lalbo3(), "LALBO3"),
-            (Policy::lalb_with_limit(7), "LALBO3(limit=7)"),
+        for (spec, name) in [
+            ("lb", "LB"),
+            ("lalb", "LALB"),
+            ("lalbo3", "LALBO3"),
+            ("lalbo3:7", "LALBO3(limit=7)"),
         ] {
-            let spec: PolicySpec = policy.into();
-            assert_eq!(reg.scheduler_name(&spec).unwrap(), name);
-            assert_eq!(policy.name(), name, "enum and trait names agree");
+            let parsed = PolicySpec::parse(spec).unwrap();
+            assert_eq!(parsed.to_string(), spec);
+            assert_eq!(reg.scheduler_name(&parsed).unwrap(), name);
         }
-        for repl in [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::Fifo,
-            ReplacementPolicy::Random,
-        ] {
-            let spec: PolicySpec = repl.into();
-            let ev = reg.evictor(&spec, 3).unwrap();
-            assert_eq!(ev.name(), spec.key());
+        for spec in ["lru", "fifo", "random"] {
+            let ev = reg.evictor(&PolicySpec::bare(spec), 3).unwrap();
+            assert_eq!(ev.name(), spec);
         }
     }
 

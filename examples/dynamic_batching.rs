@@ -11,7 +11,7 @@
 //! replays the same bursty trace through each, showing what coalescing
 //! does to latency, misses, effective batch, and GPU busy time.
 
-use gfaas_core::{Cluster, ClusterConfig, Policy};
+use gfaas_core::{Cluster, ClusterConfig, PolicySpec};
 use gfaas_models::ModelRegistry;
 use gfaas_workload::{scenario::find, Scale};
 
@@ -37,7 +37,7 @@ fn main() {
         "coalesce:max=8,wait=0.05",
         "adaptive:slo=30,max=32,wait=0.05",
     ] {
-        let mut cfg = ClusterConfig::paper_testbed(Policy::lalbo3());
+        let mut cfg = ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"));
         cfg.batching = spec.parse().expect("valid batching spec");
         let mut cluster = Cluster::new(cfg, ModelRegistry::table1());
         let name = cluster.batcher_name();

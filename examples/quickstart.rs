@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use gfaas_core::{Cluster, ClusterConfig, Policy};
+use gfaas_core::{Cluster, ClusterConfig, PolicySpec};
 use gfaas_faas::{Datastore, FunctionSpec, Gateway, Runtime};
 use gfaas_models::ModelRegistry;
 use gfaas_trace::AzureTraceConfig;
@@ -48,7 +48,7 @@ fn main() {
     );
 
     // --- 3. The GPU cluster ------------------------------------------------
-    let mut config = ClusterConfig::paper_testbed(Policy::lalbo3());
+    let mut config = ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"));
     config.report_to_datastore = true;
     let mut cluster = Cluster::new(config, registry).with_datastore(Arc::clone(&datastore));
 

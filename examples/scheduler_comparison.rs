@@ -9,7 +9,7 @@
 //! cargo run --release -p gfaas-bench --example scheduler_comparison -- [WS]
 //! ```
 
-use gfaas_core::{Cluster, ClusterConfig, Policy, RunMetrics};
+use gfaas_core::{Cluster, ClusterConfig, PolicySpec, RunMetrics};
 use gfaas_models::ModelRegistry;
 use gfaas_trace::AzureTraceConfig;
 
@@ -24,13 +24,13 @@ fn main() {
         trace.len()
     );
 
-    let mut results: Vec<(Policy, RunMetrics)> = Vec::new();
-    for policy in [Policy::lb(), Policy::lalb(), Policy::lalbo3()] {
+    let mut results: Vec<(String, RunMetrics)> = Vec::new();
+    for policy in ["lb", "lalb", "lalbo3"].map(PolicySpec::bare) {
         let mut cluster = Cluster::new(
             ClusterConfig::paper_testbed(policy),
             ModelRegistry::table1(),
         );
-        results.push((policy, cluster.run(&trace)));
+        results.push((cluster.scheduler_name(), cluster.run(&trace)));
     }
 
     println!(
@@ -38,10 +38,10 @@ fn main() {
         "policy", "avg_lat(s)", "miss_ratio", "sm_util", "dup", "speedup"
     );
     let lb_latency = results[0].1.avg_latency_secs;
-    for (policy, m) in &results {
+    for (name, m) in &results {
         println!(
             "{:>10} {:>12.2} {:>12.3} {:>10.3} {:>10.2} {:>9.1}x",
-            policy.name(),
+            name,
             m.avg_latency_secs,
             m.miss_ratio,
             m.sm_utilization,

@@ -13,7 +13,7 @@
 //! served each request, the sampled cluster time series, and a
 //! ready-to-open Perfetto trace written to `/tmp/gfaas_trace.json`.
 
-use gfaas_core::{Cluster, ClusterConfig, Policy, RecordSpec};
+use gfaas_core::{Cluster, ClusterConfig, PolicySpec, RecordSpec};
 use gfaas_models::ModelRegistry;
 use gfaas_workload::{scenario::find, Scale};
 
@@ -23,7 +23,7 @@ fn main() {
         .expect("flash_crowd scenario registered")
         .trace(&scale, 11);
 
-    let mut cfg = ClusterConfig::paper_testbed(Policy::lalbo3());
+    let mut cfg = ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"));
     // The whole observability layer is one config field; `off` (the
     // default) keeps the run byte-identical and recorder-free.
     cfg.record = "ledger,perfetto,sample=30,slo=10"

@@ -17,15 +17,13 @@
 use std::fs::File;
 use std::io::BufReader;
 
-use gfaas_core::{Cluster, ClusterConfig, Policy};
+use gfaas_core::{Cluster, ClusterConfig, PolicySpec};
 use gfaas_models::ModelRegistry;
 use gfaas_trace::{AzureTraceConfig, Trace};
 
-fn parse_policy(s: &str) -> Policy {
+fn parse_policy(s: &str) -> PolicySpec {
     match s {
-        "lb" => Policy::lb(),
-        "lalb" => Policy::lalb(),
-        "lalbo3" => Policy::lalbo3(),
+        "lb" | "lalb" | "lalbo3" => PolicySpec::bare(s),
         other => {
             eprintln!("unknown policy {other:?}; expected lb | lalb | lalbo3");
             std::process::exit(2);
@@ -71,7 +69,7 @@ fn main() {
     );
     let m = cluster.run(&trace);
 
-    println!("policy {}:", policy.name());
+    println!("policy {}:", cluster.scheduler_name());
     println!("  avg latency      {:.2} s", m.avg_latency_secs);
     println!("  p/max latency    {:.2} s", m.max_latency_secs);
     println!("  miss ratio       {:.3}", m.miss_ratio);

@@ -10,8 +10,8 @@
 //! composable pieces, and shows what it does to LALB+O3. Part 2 replays
 //! every registered scenario under the paper's three schedulers.
 
-use gfaas_bench::{run_on_trace, ScenarioSuite};
-use gfaas_core::Policy;
+use gfaas_bench::{policy_name, run_on_trace, ScenarioSuite};
+use gfaas_core::PolicySpec;
 use gfaas_workload::{registry, Arrival, ModelMapping, Popularity, Scale, WorkloadSpec};
 
 fn main() {
@@ -46,11 +46,11 @@ fn main() {
         s.minute_cv,
         s.top15_share * 100.0
     );
-    for policy in [Policy::lb(), Policy::lalbo3()] {
-        let m = run_on_trace(policy, &trace);
+    for policy in ["lb", "lalbo3"].map(PolicySpec::bare) {
+        let m = run_on_trace(&policy, &trace);
         println!(
             "  {:<7} avg {:6.2} s   p95 {:6.2} s   miss {:.3}",
-            policy.name(),
+            policy_name(&policy),
             m.avg_latency_secs,
             m.p95_latency_secs,
             m.miss_ratio
@@ -63,7 +63,7 @@ fn main() {
         registry().len()
     );
     let mut suite = ScenarioSuite::new(Scale::paper(), vec![11]);
-    suite.policies = vec![Policy::lb().into(), Policy::lalbo3().into()];
+    suite.policies = vec![PolicySpec::bare("lb"), PolicySpec::bare("lalbo3")];
     for cell in suite.run().cells {
         println!(
             "  {:<12} {:<7} avg {:6.2} s   p95 {:6.2} s   miss {:.3}",

@@ -11,8 +11,8 @@
 //!   average and p95 latency — the elasticity claim `fig_autoscale`
 //!   reports.
 
-use gfaas_bench::{paper_policy_specs, run_configured_on_trace, REPORT_SEEDS};
-use gfaas_core::{AutoscaleSpec, Cluster, ClusterConfig, Policy, PolicySpec};
+use gfaas_bench::{paper_policies, run_configured_on_trace, REPORT_SEEDS};
+use gfaas_core::{AutoscaleSpec, Cluster, ClusterConfig, PolicySpec};
 use gfaas_models::ModelRegistry;
 use gfaas_workload::{registry, scenario::find, Scale};
 use proptest::prelude::*;
@@ -28,7 +28,7 @@ proptest! {
     ) {
         let scale = Scale::smoke();
         let spec: AutoscaleSpec = "queue:min=2,max=6,up=4,down=1,cadence=2".parse().unwrap();
-        let policy = paper_policy_specs()[policy_idx].clone();
+        let policy = paper_policies()[policy_idx].clone();
         for sc in registry() {
             let trace = sc.trace(&scale, seed);
             let run = || {
@@ -72,7 +72,7 @@ proptest! {
 fn diurnal_autoscaling_cuts_gpu_seconds_at_equal_or_better_latency() {
     let scale = Scale::paper();
     let scenario = find("diurnal").expect("diurnal scenario registered");
-    let policy: PolicySpec = Policy::lalbo3().into();
+    let policy = PolicySpec::bare("lalbo3");
     let replacement = PolicySpec::bare("lru");
     let autoscale = AutoscaleSpec::default();
 

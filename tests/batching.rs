@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use gfaas_bench::{run_batched_on_trace, AveragedMetrics, REPORT_SEEDS};
-use gfaas_core::{Cluster, ClusterConfig, Policy, PolicySpec, RunMetrics};
+use gfaas_core::{Cluster, ClusterConfig, PolicySpec, RunMetrics};
 use gfaas_faas::Datastore;
 use gfaas_models::ModelRegistry;
 use gfaas_trace::Trace;
@@ -25,7 +25,7 @@ use proptest::prelude::*;
 /// Runs a paper-testbed cluster on `trace` with the datastore mirror on,
 /// returning the metrics and the datastore.
 fn run_mirrored(batching: &str, trace: &Trace, crash_rate: f64) -> (RunMetrics, Arc<Datastore>) {
-    let mut cfg = ClusterConfig::paper_testbed(Policy::lalbo3());
+    let mut cfg = ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"));
     cfg.batching = batching.parse().unwrap();
     cfg.report_to_datastore = true;
     cfg.crash_rate = crash_rate;
@@ -99,7 +99,7 @@ proptest! {
     #[test]
     fn coalescing_never_lowers_smoke_burst_throughput(seed in any::<u64>()) {
         let trace = find("burst").unwrap().trace(&Scale::smoke(), seed);
-        let policy: PolicySpec = Policy::lalbo3().into();
+        let policy = PolicySpec::bare("lalbo3");
         let lru = PolicySpec::bare("lru");
         let none = run_batched_on_trace(&policy, &lru, &"none".parse().unwrap(), None, &trace);
         let coalesce =
@@ -124,7 +124,7 @@ proptest! {
 fn burst_coalescing_lifts_throughput_without_hurting_p95() {
     let scale = Scale::paper();
     let scenario = find("burst").expect("burst scenario registered");
-    let policy: PolicySpec = Policy::lalbo3().into();
+    let policy = PolicySpec::bare("lalbo3");
     let lru = PolicySpec::bare("lru");
 
     let mode = |batching: &str| -> AveragedMetrics {

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use gfaas_core::{Cluster, ClusterConfig, Policy};
+use gfaas_core::{Cluster, ClusterConfig, PolicySpec};
 use gfaas_faas::{Datastore, FunctionSpec, Gateway, Runtime};
 use gfaas_models::ModelRegistry;
 use gfaas_trace::{AzureTraceConfig, Trace};
@@ -24,7 +24,7 @@ fn gateway_to_cluster_to_datastore() {
     assert_eq!(ds.range("/functions/").len(), 22);
 
     // Run a workload with datastore mirroring on.
-    let mut cfg = ClusterConfig::paper_testbed(Policy::lalbo3());
+    let mut cfg = ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"));
     cfg.report_to_datastore = true;
     let mut cluster = Cluster::new(cfg, registry).with_datastore(Arc::clone(&ds));
     let trace = AzureTraceConfig::paper(15, 3).generate();
@@ -57,7 +57,7 @@ fn csv_trace_round_trips_through_the_cluster() {
 
     let run = |t: &Trace| {
         Cluster::new(
-            ClusterConfig::paper_testbed(Policy::lalb()),
+            ClusterConfig::paper_testbed(PolicySpec::bare("lalb")),
             ModelRegistry::table1(),
         )
         .run(t)
@@ -72,7 +72,7 @@ fn csv_trace_round_trips_through_the_cluster() {
 fn watch_observes_gpu_status_transitions() {
     let ds = Arc::new(Datastore::new());
     let watcher = ds.watch("/gpu/");
-    let mut cfg = ClusterConfig::paper_testbed(Policy::lalb());
+    let mut cfg = ClusterConfig::paper_testbed(PolicySpec::bare("lalb"));
     cfg.report_to_datastore = true;
     let mut cluster = Cluster::new(cfg, ModelRegistry::table1()).with_datastore(Arc::clone(&ds));
     cluster.run(&AzureTraceConfig::paper(15, 5).generate());
@@ -91,14 +91,14 @@ fn watch_observes_gpu_status_transitions() {
 #[test]
 fn all_policies_complete_every_request() {
     let trace = AzureTraceConfig::paper(35, 13).generate();
-    for policy in [Policy::lb(), Policy::lalb(), Policy::lalbo3()] {
+    for policy in ["lb", "lalb", "lalbo3"].map(PolicySpec::bare) {
         let m = Cluster::new(
-            ClusterConfig::paper_testbed(policy),
+            ClusterConfig::paper_testbed(policy.clone()),
             ModelRegistry::table1(),
         )
         .run(&trace);
-        assert_eq!(m.completed as usize, trace.len(), "{}", policy.name());
-        assert!(m.makespan_secs >= 360.0 - 60.0, "{}", policy.name());
+        assert_eq!(m.completed as usize, trace.len(), "{policy}");
+        assert!(m.makespan_secs >= 360.0 - 60.0, "{policy}");
         assert!(m.sm_utilization > 0.0 && m.sm_utilization <= 1.0);
     }
 }

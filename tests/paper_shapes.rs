@@ -3,7 +3,7 @@
 //! factor*, not absolute numbers (EXPERIMENTS.md records those).
 
 use gfaas_bench::{paper_trace, run_on_trace};
-use gfaas_core::{Cluster, ClusterConfig, Policy};
+use gfaas_core::{Cluster, ClusterConfig, PolicySpec};
 use gfaas_models::ModelRegistry;
 
 const SEED: u64 = 11;
@@ -12,8 +12,8 @@ const SEED: u64 = 11;
 fn lalb_beats_lb_by_a_large_factor_everywhere() {
     for ws in [15, 25, 35] {
         let trace = paper_trace(ws, SEED);
-        let lb = run_on_trace(Policy::lb(), &trace);
-        let lalb = run_on_trace(Policy::lalb(), &trace);
+        let lb = run_on_trace(&PolicySpec::bare("lb"), &trace);
+        let lalb = run_on_trace(&PolicySpec::bare("lalb"), &trace);
         // Paper: 79–98% latency reduction → at least 5x here.
         assert!(
             lalb.avg_latency_secs * 5.0 < lb.avg_latency_secs,
@@ -34,8 +34,8 @@ fn lalb_beats_lb_by_a_large_factor_everywhere() {
 #[test]
 fn o3_wins_at_the_large_working_set() {
     let trace = paper_trace(35, SEED);
-    let lalb = run_on_trace(Policy::lalb(), &trace);
-    let o3 = run_on_trace(Policy::lalbo3(), &trace);
+    let lalb = run_on_trace(&PolicySpec::bare("lalb"), &trace);
+    let o3 = run_on_trace(&PolicySpec::bare("lalbo3"), &trace);
     // Paper Fig 7: out-of-order dispatch sharply cuts latency and misses
     // at WS35.
     assert!(
@@ -52,8 +52,8 @@ fn o3_wins_at_the_large_working_set() {
 #[test]
 fn miss_ratio_degrades_with_working_set_for_lalb() {
     // Paper Fig 4b: locality gets harder as the working set grows.
-    let m15 = run_on_trace(Policy::lalb(), &paper_trace(15, SEED));
-    let m35 = run_on_trace(Policy::lalb(), &paper_trace(35, SEED));
+    let m15 = run_on_trace(&PolicySpec::bare("lalb"), &paper_trace(15, SEED));
+    let m35 = run_on_trace(&PolicySpec::bare("lalb"), &paper_trace(35, SEED));
     assert!(
         m35.miss_ratio > m15.miss_ratio,
         "ws35 {:.3} should exceed ws15 {:.3}",
@@ -67,9 +67,9 @@ fn lb_has_the_worst_false_miss_ratio() {
     // Paper Fig 5: LB up to ~96%; locality-aware schedulers much lower.
     for ws in [15, 35] {
         let trace = paper_trace(ws, SEED);
-        let lb = run_on_trace(Policy::lb(), &trace);
-        let lalb = run_on_trace(Policy::lalb(), &trace);
-        let o3 = run_on_trace(Policy::lalbo3(), &trace);
+        let lb = run_on_trace(&PolicySpec::bare("lb"), &trace);
+        let lalb = run_on_trace(&PolicySpec::bare("lalb"), &trace);
+        let o3 = run_on_trace(&PolicySpec::bare("lalbo3"), &trace);
         assert!(
             lb.false_miss_ratio > 0.6,
             "LB false-miss {:.3}",
@@ -84,8 +84,8 @@ fn lb_has_the_worst_false_miss_ratio() {
 fn locality_reduces_hot_model_duplicates() {
     // Paper Fig 6: LB churns the most replicas of the hottest model.
     let trace = paper_trace(15, SEED);
-    let lb = run_on_trace(Policy::lb(), &trace);
-    let lalb = run_on_trace(Policy::lalb(), &trace);
+    let lb = run_on_trace(&PolicySpec::bare("lb"), &trace);
+    let lalb = run_on_trace(&PolicySpec::bare("lalb"), &trace);
     assert!(
         lalb.avg_duplicates < lb.avg_duplicates,
         "LALB {:.2} vs LB {:.2}",
@@ -101,7 +101,10 @@ fn o3_limit_sweep_is_beneficial_and_saturates() {
     // Paper Fig 7: latency and miss ratio fall as the limit grows, then
     // flatten. Check endpoint ordering and saturation.
     let trace = paper_trace(35, SEED);
-    let at = |limit: u32| run_on_trace(Policy::lalb_with_limit(limit), &trace);
+    let at = |limit: u32| {
+        let policy = PolicySpec::parse(&format!("lalbo3:{limit}")).unwrap();
+        run_on_trace(&policy, &trace)
+    };
     let l0 = at(0);
     let l25 = at(25);
     let l45 = at(45);
@@ -118,8 +121,8 @@ fn sm_utilization_anticorrelates_with_miss_ratio() {
     // Paper Fig 4c: utilisation is highest where misses are fewest,
     // because SMs idle during model uploads.
     let trace = paper_trace(25, SEED);
-    let lb = run_on_trace(Policy::lb(), &trace);
-    let o3 = run_on_trace(Policy::lalbo3(), &trace);
+    let lb = run_on_trace(&PolicySpec::bare("lb"), &trace);
+    let o3 = run_on_trace(&PolicySpec::bare("lalbo3"), &trace);
     assert!(o3.miss_ratio < lb.miss_ratio);
     assert!(
         o3.sm_utilization > lb.sm_utilization,
@@ -136,8 +139,8 @@ fn headline_speedup_is_double_digit() {
     // Abstract: "a speedup of 48x compared to the default, load balancing
     // only schedulers". Require at least ~20x on the averaged grid.
     let trace = paper_trace(25, SEED);
-    let lb = run_on_trace(Policy::lb(), &trace);
-    let o3 = run_on_trace(Policy::lalbo3(), &trace);
+    let lb = run_on_trace(&PolicySpec::bare("lb"), &trace);
+    let o3 = run_on_trace(&PolicySpec::bare("lalbo3"), &trace);
     let speedup = lb.avg_latency_secs / o3.avg_latency_secs;
     assert!(speedup > 20.0, "speedup {speedup:.1}x");
 }
@@ -145,8 +148,8 @@ fn headline_speedup_is_double_digit() {
 #[test]
 fn runs_are_deterministic() {
     let trace = paper_trace(35, SEED);
-    let a = run_on_trace(Policy::lalbo3(), &trace);
-    let b = run_on_trace(Policy::lalbo3(), &trace);
+    let a = run_on_trace(&PolicySpec::bare("lalbo3"), &trace);
+    let b = run_on_trace(&PolicySpec::bare("lalbo3"), &trace);
     assert_eq!(a, b);
 }
 
@@ -154,22 +157,17 @@ fn runs_are_deterministic() {
 fn replacement_policy_ablation_keeps_lalbo3_ahead() {
     // §VI: locality-aware scheduling helps regardless of the replacement
     // policy.
-    use gfaas_core::ReplacementPolicy;
     let trace = paper_trace(25, SEED);
-    for repl in [
-        ReplacementPolicy::Lru,
-        ReplacementPolicy::Fifo,
-        ReplacementPolicy::Random,
-    ] {
-        let mut lb_cfg = ClusterConfig::paper_testbed(Policy::lb());
-        lb_cfg.replacement = repl.into();
+    for repl in ["lru", "fifo", "random"].map(PolicySpec::bare) {
+        let mut lb_cfg = ClusterConfig::paper_testbed(PolicySpec::bare("lb"));
+        lb_cfg.replacement = repl.clone();
         let lb = Cluster::new(lb_cfg, ModelRegistry::table1()).run(&trace);
-        let mut o3_cfg = ClusterConfig::paper_testbed(Policy::lalbo3());
-        o3_cfg.replacement = repl.into();
+        let mut o3_cfg = ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"));
+        o3_cfg.replacement = repl.clone();
         let o3 = Cluster::new(o3_cfg, ModelRegistry::table1()).run(&trace);
         assert!(
             o3.avg_latency_secs * 3.0 < lb.avg_latency_secs,
-            "{repl:?}: O3 {:.2}s vs LB {:.2}s",
+            "{repl}: O3 {:.2}s vs LB {:.2}s",
             o3.avg_latency_secs,
             lb.avg_latency_secs
         );
@@ -181,7 +179,7 @@ fn estimation_ablation_shapes() {
     use gfaas_core::config::BusyWaitPolicy;
     let trace = paper_trace(25, SEED);
     let run_bw = |bw: BusyWaitPolicy| {
-        let mut cfg = ClusterConfig::paper_testbed(Policy::lalbo3());
+        let mut cfg = ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"));
         cfg.busy_wait = bw;
         Cluster::new(cfg, ModelRegistry::table1()).run(&trace)
     };

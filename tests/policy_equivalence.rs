@@ -1,78 +1,127 @@
-//! The pluggable-policy acceptance bar: every route into the policy layer
-//! — enum constructors, parsed string specs, and directly injected trait
-//! objects — must drive bit-identical simulations, and the new TinyLFU
-//! evictor must actually pay off on the drifting workload it was built
-//! for.
+//! The pluggable-policy acceptance bar: a policy is named by its spec
+//! alone. Every paper spec must resolve to the paper's report name, drive
+//! the same simulation as directly injected trait objects, and reproduce
+//! pinned metrics; the TinyLFU evictor must actually pay off on the
+//! drifting workload it was built for.
 
 use gfaas::bench::{run_spec_on_trace, ScenarioSuite, REPORT_SEEDS};
-use gfaas::core::{Cluster, ClusterConfig, Policy, PolicySpec, ReplacementPolicy, RunMetrics};
+use gfaas::core::{
+    Cluster, ClusterConfig, Evictor, FifoEvictor, LalbScheduler, LbScheduler, LruEvictor,
+    PolicyError, PolicyRegistry, PolicySpec, RandomEvictor, SchedulerPolicy,
+};
 use gfaas::models::ModelRegistry;
 use gfaas::workload::{registry, Scale};
+use proptest::prelude::*;
 
-/// The paper's scheduler enums zipped with their canonical spec strings.
-const SCHEDULERS: [(Policy, &str); 3] = [
-    (Policy::LoadBalance, "lb"),
-    (Policy::Lalb { o3_limit: 0 }, "lalb"),
-    (Policy::Lalb { o3_limit: 25 }, "lalbo3:25"),
+/// Builds a scheduler trait object directly, without the registry.
+type BuildScheduler = fn() -> Box<dyn SchedulerPolicy>;
+
+/// Builds an evictor trait object directly from the run seed.
+type BuildEvictor = fn(u64) -> Box<dyn Evictor>;
+
+/// The paper's scheduler specs, their report names, and the trait
+/// objects they resolve to.
+const SCHEDULERS: [(&str, &str, BuildScheduler); 4] = [
+    ("lb", "LB", || Box::new(LbScheduler)),
+    ("lalb", "LALB", || Box::new(LalbScheduler::new(0))),
+    ("lalbo3", "LALBO3", || Box::new(LalbScheduler::new(25))),
+    ("lalbo3:7", "LALBO3(limit=7)", || {
+        Box::new(LalbScheduler::new(7))
+    }),
 ];
 
-/// The paper's replacement enums zipped with their spec strings.
-const EVICTORS: [(ReplacementPolicy, &str); 3] = [
-    (ReplacementPolicy::Lru, "lru"),
-    (ReplacementPolicy::Fifo, "fifo"),
-    (ReplacementPolicy::Random, "random"),
+/// The paper's replacement specs and the trait objects they resolve to
+/// (the seed feeds `random`).
+const EVICTORS: [(&str, BuildEvictor); 3] = [
+    ("lru", |_| Box::new(LruEvictor::default())),
+    ("fifo", |_| Box::new(FifoEvictor::default())),
+    ("random", |seed| Box::new(RandomEvictor::new(seed))),
 ];
 
-fn run_cfg(cfg: ClusterConfig, trace: &gfaas::trace::Trace) -> RunMetrics {
-    Cluster::new(cfg, ModelRegistry::table1()).run(trace)
-}
+/// `(scenario, scheduler, evictor, avg latency s, miss ratio)` of the
+/// smoke scenarios where the evictor changes the outcome, at the first
+/// report seed. Recorded when the enum constructors were removed, from
+/// the runs they drove; a spec path that drifts from them changed
+/// behaviour, not just naming.
+#[rustfmt::skip]
+const PINNED: [(&str, &str, &str, f64, f64); 24] = [
+    ("diurnal", "lb", "lru", 3.46, 0.7580645161290323),
+    ("diurnal", "lb", "fifo", 3.46, 0.7580645161290323),
+    ("diurnal", "lb", "random", 3.38225806451613, 0.7258064516129032),
+    ("diurnal", "lalb", "lru", 2.5042024838709667, 0.3225806451612903),
+    ("diurnal", "lalb", "fifo", 2.5042024838709667, 0.3225806451612903),
+    ("diurnal", "lalb", "random", 2.5042024838709667, 0.3225806451612903),
+    ("diurnal", "lalbo3", "lru", 2.5042024838709667, 0.3225806451612903),
+    ("diurnal", "lalbo3", "fifo", 2.5042024838709667, 0.3225806451612903),
+    ("diurnal", "lalbo3", "random", 2.5042024838709667, 0.3225806451612903),
+    ("diurnal", "lalbo3:7", "lru", 2.5042024838709667, 0.3225806451612903),
+    ("diurnal", "lalbo3:7", "fifo", 2.5042024838709667, 0.3225806451612903),
+    ("diurnal", "lalbo3:7", "random", 2.5042024838709667, 0.3225806451612903),
+    ("flash_crowd", "lb", "lru", 3.7016666666666667, 0.7833333333333333),
+    ("flash_crowd", "lb", "fifo", 3.7016666666666667, 0.7833333333333333),
+    ("flash_crowd", "lb", "random", 3.7016666666666667, 0.7833333333333333),
+    ("flash_crowd", "lalb", "lru", 2.9880162666666665, 0.43333333333333335),
+    ("flash_crowd", "lalb", "fifo", 3.011865833333333, 0.45),
+    ("flash_crowd", "lalb", "random", 3.011865833333333, 0.45),
+    ("flash_crowd", "lalbo3", "lru", 2.9880162666666665, 0.43333333333333335),
+    ("flash_crowd", "lalbo3", "fifo", 3.011865833333333, 0.45),
+    ("flash_crowd", "lalbo3", "random", 3.011865833333333, 0.45),
+    ("flash_crowd", "lalbo3:7", "lru", 2.9880162666666665, 0.43333333333333335),
+    ("flash_crowd", "lalbo3:7", "fifo", 3.011865833333333, 0.45),
+    ("flash_crowd", "lalbo3:7", "random", 3.011865833333333, 0.45),
+];
 
 #[test]
-fn spec_path_equals_enum_path_for_every_policy_pair() {
-    // 3 schedulers × 3 evictors on every smoke scenario: the registry
-    // path (parsed strings) and the compat path (enum constructors) must
-    // produce byte-identical RunMetrics.
+fn spec_path_pins_names_and_metrics_for_every_policy_pair() {
+    let reg = PolicyRegistry::builtin();
+    for (sched, name, _) in SCHEDULERS {
+        let spec: PolicySpec = sched.parse().unwrap();
+        assert_eq!(reg.scheduler_name(&spec).unwrap(), name);
+    }
+    for (evictor, _) in EVICTORS {
+        let spec: PolicySpec = evictor.parse().unwrap();
+        assert_eq!(reg.evictor(&spec, 1).unwrap().name(), evictor);
+    }
     let scale = Scale::smoke();
-    for sc in registry() {
+    for (scenario, sched, evictor, avg_latency, miss) in PINNED {
+        let sc = registry()
+            .into_iter()
+            .find(|s| s.name == scenario)
+            .expect("scenario registered");
         let trace = sc.trace(&scale, REPORT_SEEDS[0]);
-        for (policy, pspec) in SCHEDULERS {
-            for (repl, rspec) in EVICTORS {
-                let mut enum_cfg = ClusterConfig::paper_testbed(policy);
-                enum_cfg.replacement = repl.into();
-                let via_enum = run_cfg(enum_cfg, &trace);
-                let via_spec =
-                    run_spec_on_trace(&pspec.parse().unwrap(), &rspec.parse().unwrap(), &trace);
-                assert_eq!(
-                    via_enum, via_spec,
-                    "{}: {pspec} x {rspec} diverged from the enum baseline",
-                    sc.name
-                );
-            }
-        }
+        let m = run_spec_on_trace(&sched.parse().unwrap(), &evictor.parse().unwrap(), &trace);
+        assert_eq!(
+            (m.avg_latency_secs, m.miss_ratio),
+            (avg_latency, miss),
+            "{scenario}: {sched} x {evictor}"
+        );
     }
 }
 
 #[test]
 fn injected_trait_objects_equal_the_registry_path() {
     // Handing `Cluster::with_policies` explicitly constructed trait
-    // objects (no registry involved) must match spec resolution too —
-    // the registry is wiring, not behaviour.
-    let trace = registry()[0].trace(&Scale::smoke(), REPORT_SEEDS[0]);
-    for (policy, pspec) in SCHEDULERS {
-        for (repl, rspec) in EVICTORS {
-            let cfg = ClusterConfig::paper_testbed(policy);
-            let seed = cfg.seed;
-            let mut injected = Cluster::with_policies(
-                cfg,
-                ModelRegistry::table1(),
-                policy.build(),
-                repl.build(seed),
-            )
-            .unwrap();
-            let via_injection = injected.run(&trace);
-            let via_spec =
-                run_spec_on_trace(&pspec.parse().unwrap(), &rspec.parse().unwrap(), &trace);
-            assert_eq!(via_injection, via_spec, "{pspec} x {rspec}");
+    // objects (no registry involved) must match spec resolution on every
+    // smoke scenario: the registry is wiring, not behaviour.
+    let scale = Scale::smoke();
+    for sc in registry() {
+        let trace = sc.trace(&scale, REPORT_SEEDS[0]);
+        for (sched, _, build_sched) in SCHEDULERS {
+            for (evictor, build_evictor) in EVICTORS {
+                let cfg = ClusterConfig::paper_testbed(sched.parse().unwrap());
+                let seed = cfg.seed;
+                let mut injected = Cluster::with_policies(
+                    cfg,
+                    ModelRegistry::table1(),
+                    build_sched(),
+                    build_evictor(seed),
+                )
+                .unwrap();
+                let via_injection = injected.run(&trace);
+                let via_spec =
+                    run_spec_on_trace(&sched.parse().unwrap(), &evictor.parse().unwrap(), &trace);
+                assert_eq!(via_injection, via_spec, "{}: {sched} x {evictor}", sc.name);
+            }
         }
     }
 }
@@ -151,4 +200,65 @@ fn tinylfu_keeps_the_static_paper_scenario_close_to_lru() {
         t.miss_ratio,
         l.miss_ratio
     );
+}
+
+/// The spec alphabet the fuzz draws from: key characters plus every
+/// separator the argument grammars use.
+const SPEC_ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789:=,.";
+
+/// Arbitrary strings over [`SPEC_ALPHABET`], half of them led by a
+/// builtin key so the factories' argument parsers see input too.
+fn arb_spec_string() -> impl Strategy<Value = String> {
+    const KEYS: [&str; 13] = [
+        "lb",
+        "lalb",
+        "lalbo3",
+        "lookahead",
+        "lru",
+        "fifo",
+        "random",
+        "tinylfu",
+        "none",
+        "coalesce",
+        "adaptive",
+        "flat",
+        "tiered",
+    ];
+    let chars = proptest::collection::vec(0..SPEC_ALPHABET.len(), 0..16);
+    (any::<bool>(), 0..KEYS.len(), chars).prop_map(|(keyed, key, chars)| {
+        let tail: String = chars.iter().map(|&i| SPEC_ALPHABET[i] as char).collect();
+        if keyed {
+            format!("{}:{tail}", KEYS[key])
+        } else {
+            tail
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// A spec is the only name a policy has, so its parser and the
+    /// builtin registry must be total: parsing never panics, every
+    /// accepted spec round-trips through `Display`, and every namespace
+    /// answers an unknown key with `Err` and a known one without
+    /// panicking.
+    #[test]
+    fn policy_spec_parse_and_resolution_are_total(s in arb_spec_string()) {
+        let Ok(spec) = PolicySpec::parse(&s) else {
+            return Ok(());
+        };
+        prop_assert_eq!(spec.to_string(), s.clone());
+        prop_assert_eq!(PolicySpec::parse(&spec.to_string()), Ok(spec.clone()));
+        let reg = PolicyRegistry::builtin();
+        let key = spec.key();
+        let scheduler = reg.scheduler(&spec);
+        prop_assert!(reg.scheduler_keys().contains(&key) || matches!(scheduler, Err(PolicyError::UnknownScheduler(_))));
+        let evictor = reg.evictor(&spec, 7);
+        prop_assert!(reg.evictor_keys().contains(&key) || matches!(evictor, Err(PolicyError::UnknownEvictor(_))));
+        let batcher = reg.batcher(&spec);
+        prop_assert!(reg.batcher_keys().contains(&key) || matches!(batcher, Err(PolicyError::UnknownBatcher(_))));
+        let store = reg.store(&spec);
+        prop_assert!(reg.store_keys().contains(&key) || matches!(store, Err(PolicyError::UnknownStore(_))));
+    }
 }

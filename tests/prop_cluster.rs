@@ -1,7 +1,7 @@
 //! Property tests over the whole cluster: conservation laws and bounds
 //! that must hold for *any* workload, policy, and seed.
 
-use gfaas_core::{Cluster, ClusterConfig, Policy};
+use gfaas_core::{Cluster, ClusterConfig, PolicySpec};
 use gfaas_models::zoo::{Family, ModelSpec};
 use gfaas_models::ModelRegistry;
 use gfaas_sim::time::SimTime;
@@ -21,11 +21,11 @@ fn toy_registry(n: usize) -> ModelRegistry {
     ModelRegistry::from_specs(specs)
 }
 
-fn arb_policy() -> impl Strategy<Value = Policy> {
+fn arb_policy() -> impl Strategy<Value = PolicySpec> {
     prop_oneof![
-        Just(Policy::lb()),
-        Just(Policy::lalb()),
-        (0u32..50).prop_map(Policy::lalb_with_limit),
+        Just(PolicySpec::bare("lb")),
+        Just(PolicySpec::bare("lalb")),
+        (0u32..50).prop_map(|limit| PolicySpec::parse(&format!("lalbo3:{limit}")).unwrap()),
     ]
 }
 
@@ -95,7 +95,7 @@ proptest! {
         trace in arb_trace(5),
     ) {
         let run = || {
-            Cluster::new(ClusterConfig::test(3, 400, policy), toy_registry(5)).run(&trace)
+            Cluster::new(ClusterConfig::test(3, 400, policy.clone()), toy_registry(5)).run(&trace)
         };
         prop_assert_eq!(run(), run());
     }
@@ -126,7 +126,7 @@ proptest! {
     #[test]
     fn scales_across_cluster_sizes(trace in arb_trace(8), gpus in 1usize..9) {
         let mut cluster = Cluster::new(
-            ClusterConfig::test(gpus, 700, Policy::lalbo3()),
+            ClusterConfig::test(gpus, 700, PolicySpec::bare("lalbo3")),
             toy_registry(8),
         );
         let m = cluster.run(&trace);

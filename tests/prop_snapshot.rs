@@ -13,7 +13,7 @@
 //! cache, batcher, store, autoscaler, RNG, or event queue fails the
 //! property.
 
-use gfaas_core::{Cluster, ClusterConfig, Policy};
+use gfaas_core::{Cluster, ClusterConfig, PolicySpec};
 use gfaas_models::zoo::{Family, ModelSpec};
 use gfaas_models::ModelRegistry;
 use gfaas_sim::time::SimTime;
@@ -55,7 +55,7 @@ fn arb_cell() -> impl Strategy<Value = Cell> {
 }
 
 fn config_of(cell: Cell, gpus: usize, seed: u64) -> ClusterConfig {
-    let mut cfg = ClusterConfig::test(gpus, 300, Policy::lalbo3());
+    let mut cfg = ClusterConfig::test(gpus, 300, PolicySpec::bare("lalbo3"));
     cfg.seed = seed;
     let batched = matches!(cell, Cell::Batched | Cell::Stacked);
     let autoscaled = matches!(cell, Cell::Autoscaled | Cell::Stacked);

@@ -3,7 +3,7 @@
 //! the fig4 pipeline, and composed specs drive the cluster directly.
 
 use gfaas::bench::{run_replicated, ScenarioSuite, REPORT_SEEDS};
-use gfaas::core::Policy;
+use gfaas::core::PolicySpec;
 use gfaas::workload::{Arrival, ModelMapping, Popularity, WorkloadSpec};
 
 #[test]
@@ -23,13 +23,13 @@ fn suite_matrix_covers_every_cell_deterministically() {
 
 #[test]
 fn paper_scenario_cells_equal_fig4_numbers() {
-    // The suite runs the spec-resolved trait path; `run_replicated` runs
-    // the compat enum path. Their `paper` cells must stay bit-equal.
+    // The suite and the fig4 pipeline (`run_replicated`) build their
+    // clusters separately. Their `paper` cells must stay bit-equal.
     let mut suite = ScenarioSuite::paper_default();
     suite.scenarios.retain(|s| s.name == "paper");
     for (policy, cell) in gfaas::bench::paper_policies().iter().zip(suite.run().cells) {
-        assert_eq!(cell.policy_name, policy.name());
-        let fig4 = run_replicated(*policy, 25, &REPORT_SEEDS);
+        assert_eq!(cell.policy_name, gfaas::bench::policy_name(policy));
+        let fig4 = run_replicated(policy, 25, &REPORT_SEEDS);
         assert_eq!(cell.metrics, fig4, "{}", cell.policy_name);
     }
 }
@@ -49,7 +49,7 @@ fn composed_spec_feeds_cluster_run_unchanged() {
         seed: 5,
     };
     let trace = spec.generate();
-    let m = gfaas::bench::run_on_trace(Policy::lalbo3(), &trace);
+    let m = gfaas::bench::run_on_trace(&PolicySpec::bare("lalbo3"), &trace);
     assert_eq!(m.completed, trace.len() as u64);
     assert!(m.avg_latency_secs > 0.0);
 }

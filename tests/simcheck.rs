@@ -12,7 +12,7 @@
 //! both builds instead.
 #![cfg(feature = "simcheck")]
 
-use gfaas_core::{AutoscaleSpec, Cluster, ClusterConfig, Policy};
+use gfaas_core::{AutoscaleSpec, Cluster, ClusterConfig, PolicySpec};
 use gfaas_models::ModelRegistry;
 use gfaas_trace::AzureTraceConfig;
 use gfaas_workload::scenario::find;
@@ -20,7 +20,7 @@ use gfaas_workload::Scale;
 
 #[test]
 fn paper_policies_pass_the_sanitizer() {
-    for policy in [Policy::lb(), Policy::lalb(), Policy::lalbo3()] {
+    for policy in ["lb", "lalb", "lalbo3"].map(PolicySpec::bare) {
         let trace = AzureTraceConfig::paper(25, 42).generate();
         let mut cluster = Cluster::new(
             ClusterConfig::paper_testbed(policy),
@@ -40,7 +40,7 @@ fn elastic_tiered_batched_cell_passes_the_sanitizer() {
     let trace = find("churn")
         .expect("scenario registered")
         .trace(&Scale::smoke(), 11);
-    let mut cfg = ClusterConfig::paper_testbed(Policy::lalbo3());
+    let mut cfg = ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"));
     cfg.autoscale = Some(AutoscaleSpec::default());
     cfg.store = "tiered:host=8G,origin_bw=1G,prefetch=2,hot=4"
         .parse()

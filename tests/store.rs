@@ -12,7 +12,7 @@
 //!   a pure function of (config, seed), and demoted models actually
 //!   come back from the host tier instead of the origin.
 
-use gfaas_core::{Cluster, ClusterConfig, Policy, RunMetrics, StoreStats};
+use gfaas_core::{Cluster, ClusterConfig, PolicySpec, RunMetrics, StoreStats};
 use gfaas_models::ModelRegistry;
 use gfaas_workload::scenario::find;
 use gfaas_workload::Scale;
@@ -32,7 +32,7 @@ fn run_cell(
     let trace = find(scenario)
         .expect("scenario registered")
         .trace(&Scale::smoke(), seed);
-    let mut cfg = ClusterConfig::paper_testbed(Policy::lalbo3());
+    let mut cfg = ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"));
     cfg.replacement = replacement.parse().expect("replacement spec");
     cfg.batching = batching.parse().expect("batching spec");
     cfg.autoscale = autoscale.map(|s| s.parse().expect("autoscale spec"));
@@ -64,7 +64,7 @@ fn flat_store_is_byte_identical_to_the_default_config() {
         for &(batching, replacement, autoscale) in cells {
             let trace = find(scenario).unwrap().trace(&Scale::smoke(), 11);
             let run = |explicit_flat: bool| -> RunMetrics {
-                let mut cfg = ClusterConfig::paper_testbed(Policy::lalbo3());
+                let mut cfg = ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"));
                 cfg.replacement = replacement.parse().unwrap();
                 cfg.batching = batching.parse().unwrap();
                 cfg.autoscale = autoscale.map(|s| s.parse().unwrap());
@@ -226,7 +226,7 @@ fn tinylfu_auto_matches_hand_tuned_presets() {
             let mut sum = 0.0;
             for &seed in &seeds {
                 let trace = find(scenario).unwrap().trace(&Scale::paper(), seed);
-                let mut cfg = ClusterConfig::paper_testbed(Policy::lalbo3());
+                let mut cfg = ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"));
                 cfg.replacement = replacement.parse().unwrap();
                 let m = Cluster::new(cfg, ModelRegistry::table1()).run(&trace);
                 sum += m.miss_ratio;
