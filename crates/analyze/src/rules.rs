@@ -17,7 +17,7 @@
 //! | `obs-guard` | gfaas-core           | `ObsEvent::…` outside a recorder guard   |
 //! | `no-unsafe` | whole workspace      | the `unsafe` keyword                     |
 //! | `float-ord` | deterministic crates | `partial_cmp` calls, `f32`/`f64` map keys|
-//! | `snap-mutate`| gfaas-core          | direct writes to journal-managed fields  |
+//! | `snap-mutate`| gfaas-core          | direct writes to pinned cluster fields   |
 
 use crate::lexer::{Tok, TokKind};
 
@@ -132,8 +132,7 @@ pub static RULES: &[Rule] = &[
     Rule {
         id: "snap-mutate",
         severity: Severity::Error,
-        summary:
-            "no direct mutation of journal-managed cluster state outside the snapshot write API",
+        summary: "no direct mutation of pinned cluster state outside the cluster's write API",
         check: check_snap_mutate,
     },
 ];
@@ -315,18 +314,18 @@ fn check_float_ord(f: &FileCtx<'_>) -> Vec<Finding> {
     findings
 }
 
-/// D5 — the PR 10 rollback invariant: every field the `gfaas-snap`
-/// journal images (`global_queue`, the per-unit `local_queue` /
-/// `in_flight` / `holding`, `local_aggs`, the `units` vector itself)
-/// may only be written through the snapshot write API — the `Cluster` /
+/// D5 — the rollback invariant: every field a `gfaas-snap` pin covers
+/// through a write set (`global_queue`, the per-unit `local_queue` /
+/// `in_flight` / `holding`, `local_aggs`, the `units` vector itself) may
+/// only be written through the cluster's write API — the `Cluster` /
 /// `SchedCtx` methods in `cluster.rs` and `GpuUnit`'s own impl in
-/// `gpu_manager.rs` — which keep the aggregate indices and the journal's
-/// capture points in sync. A write anywhere else in `gfaas-core`
-/// (a scheduler reaching through `ctx`, a new subsystem poking a queue)
-/// mutates state the journal believes it owns: rollback still restores
-/// bytes, but the bookkeeping the write skipped (aggregates, queue-depth
-/// notes) silently diverges. Flags field accesses followed by a mutating
-/// method, an assignment, or taken as `&mut` borrows.
+/// `gpu_manager.rs` — which keep the aggregate indices and the write
+/// sets in sync. The containers already refuse unlogged writes at
+/// compile time; a write anywhere else in `gfaas-core` (a scheduler
+/// reaching through `ctx`, a new subsystem poking a queue) would also
+/// skip the bookkeeping those methods do (aggregates, queue-depth
+/// notes). Flags field accesses followed by a mutating method, an
+/// assignment, or taken as `&mut` borrows.
 fn check_snap_mutate(f: &FileCtx<'_>) -> Vec<Finding> {
     if f.krate != "core" || matches!(f.file_name(), "cluster.rs" | "gpu_manager.rs") {
         return Vec::new();
@@ -374,7 +373,7 @@ fn check_snap_mutate(f: &FileCtx<'_>) -> Vec<Finding> {
             continue;
         }
         // Field accesses only (`x.local_queue`): a local variable that
-        // merely shares the name is not journal-managed state.
+        // merely shares the name is not pinned state.
         if i == 0 || toks[i - 1].text != "." {
             continue;
         }
@@ -391,8 +390,8 @@ fn check_snap_mutate(f: &FileCtx<'_>) -> Vec<Finding> {
             findings.push(Finding {
                 line: t.line,
                 message: format!(
-                    "`{}` is journal-managed cluster state: write it through the \
-                     Cluster/SchedCtx snapshot API so the undo journal and the \
+                    "`{}` is pinned cluster state: write it through the \
+                     Cluster/SchedCtx API so the pin write sets and the \
                      aggregate indices observe the mutation",
                     t.text
                 ),

@@ -159,25 +159,32 @@ impl OrderLists {
         }
     }
 
-    /// Rebuilds the lists from [`OrderLists::save_state`] bytes.
+    /// Rebuilds the lists from [`OrderLists::save_state`] bytes, reusing
+    /// the existing list buffers (a snapshot rollback decodes this on
+    /// every fork). On error the lists are partially overwritten.
     pub(crate) fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), SnapError> {
         let ngpus = dec.usize()?;
-        let mut per_gpu = Vec::with_capacity(ngpus.min(dec.remaining()));
-        for _ in 0..ngpus {
-            per_gpu.push(match dec.u8()? {
-                0 => None,
+        if ngpus > dec.remaining() {
+            return Err(SnapError::Truncated);
+        }
+        self.per_gpu.resize(ngpus, None);
+        for slot in &mut self.per_gpu {
+            match dec.u8()? {
+                0 => *slot = None,
                 1 => {
                     let len = dec.usize()?;
-                    let mut order = VecDeque::with_capacity(len.min(dec.remaining() / 4));
-                    for _ in 0..len {
-                        order.push_back(ModelId(dec.u32()?));
-                    }
-                    Some(order)
+                    let bytes = dec.take(len.checked_mul(4).ok_or(SnapError::Truncated)?)?;
+                    let order = slot.get_or_insert_with(VecDeque::new);
+                    order.clear();
+                    order.extend(
+                        bytes.chunks_exact(4).map(|b| {
+                            ModelId(u32::from_le_bytes(b.try_into().expect("4-byte chunk")))
+                        }),
+                    );
                 }
                 _ => return Err(SnapError::Corrupt("bad order-list tag")),
-            });
+            }
         }
-        self.per_gpu = per_gpu;
         Ok(())
     }
 }
@@ -506,21 +513,30 @@ impl CacheManager {
     /// Restores state written by [`CacheManager::save_state`] into a
     /// manager whose evictor was built from the same spec and attached to
     /// the same GPUs.
+    ///
+    /// Decoding reuses the existing replica-list buffers, since a
+    /// snapshot rollback runs it on every fork. On error the manager is
+    /// partially overwritten; [`crate::cluster::Cluster::restore`] decodes
+    /// a backup over it.
     pub fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), SnapError> {
         let nmodels = dec.usize()?;
-        let mut residency = Vec::with_capacity(nmodels.min(dec.remaining()));
-        for _ in 0..nmodels {
+        if nmodels > dec.remaining() / 8 {
+            return Err(SnapError::Truncated);
+        }
+        self.residency.resize_with(nmodels, Vec::new);
+        for gpus in &mut self.residency {
             let nreplicas = dec.usize()?;
-            let mut gpus = Vec::with_capacity(nreplicas.min(dec.remaining() / 2));
-            for _ in 0..nreplicas {
-                gpus.push(GpuId(dec.u16()?));
-            }
+            let bytes = dec.take(nreplicas.checked_mul(2).ok_or(SnapError::Truncated)?)?;
+            gpus.clear();
+            gpus.extend(
+                bytes
+                    .chunks_exact(2)
+                    .map(|b| GpuId(u16::from_le_bytes(b.try_into().expect("2-byte chunk")))),
+            );
             if !gpus.is_sorted() {
                 return Err(SnapError::Corrupt("replica list not sorted"));
             }
-            residency.push(gpus);
         }
-        self.residency = residency;
         self.evictions = dec.u64()?;
         self.evictor.load_state(dec)
     }

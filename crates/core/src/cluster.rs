@@ -43,7 +43,8 @@ use gfaas_sim::event::EventQueue;
 use gfaas_sim::rng::DetRng;
 use gfaas_sim::time::{SimDuration, SimTime};
 use gfaas_snap::{
-    fnv1a, read_header, write_header, Dec, Enc, Fnv1a, Journal, JournalStats, SnapError, SnapId,
+    fnv1a, read_header, write_header, Dec, Enc, Fnv1a, JournalStats, PinStack, PinnedDeque,
+    PinnedVec, PreImage, SnapError, SnapId, WriteSet,
 };
 use gfaas_store::{ModelStore, StoreStats};
 use gfaas_trace::Trace;
@@ -53,7 +54,7 @@ use crate::batching::{BatchPolicy, BatchView};
 use crate::cache::{CacheManager, Evictor};
 use crate::config::{BusyWaitPolicy, ClusterConfig, ConfigError};
 use crate::gpu_manager::{lru_key, status_key, GpuUnit, HoldSlot, InFlight, Phase, UnitState};
-use crate::metrics::{MetricsCollector, MetricsImage, RunMetrics};
+use crate::metrics::{MetricsCollector, MetricsMark, RunMetrics};
 use crate::policy::{PolicyRegistry, PolicySpec};
 use crate::request::Request;
 use crate::scheduler::{Dispatch, LalbScheduler, SchedulerPolicy, DEFAULT_O3_LIMIT};
@@ -64,9 +65,9 @@ use crate::simcheck::SimChecker;
 ///
 /// GPU events carry the dispatch sequence token of the work they belong
 /// to; a crash invalidates the token so the stale completion event is
-/// ignored when it fires. `Clone` because the snapshot journal pins the
-/// pending event queue alongside the rest of the mutable state.
-#[derive(Debug, Clone)]
+/// ignored when it fires. `Copy` because a snapshot pin copies the
+/// pending event heap (a fleet-sized handful of entries).
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Event {
     /// The GPU finished its current phase (load or inference).
     GpuDone(GpuId, u64),
@@ -92,7 +93,10 @@ pub(crate) enum Event {
 pub struct Cluster {
     config: ClusterConfig,
     registry: ModelRegistry,
-    units: Vec<GpuUnit>,
+    /// The per-GPU units. Reads deref to a slice; every write goes
+    /// through [`PinnedVec::write`], which saves the unit's pre-image
+    /// into the innermost live pin (see [`Cluster::snapshot`]).
+    units: PinnedVec<GpuUnit>,
     cache: CacheManager,
     /// The active scheduling policy. Taken out during a pass so the
     /// policy can borrow the cluster through [`SchedCtx`].
@@ -108,7 +112,9 @@ pub struct Cluster {
     /// scheduling decision) gates on one predictable branch and the flat
     /// default stays byte-identical to a build without the store hooks.
     store_flat: bool,
-    global_queue: VecDeque<Request>,
+    /// The global queue. Mutations under a live pin log their positional
+    /// inverse; the queue also keeps Σ arrival ticks for fork scoring.
+    global_queue: PinnedDeque<Request>,
     metrics: MetricsCollector,
     now: SimTime,
     last_completion: SimTime,
@@ -148,8 +154,9 @@ pub struct Cluster {
     busy_secs: f64,
     /// Per-unit incremental summary of the local queue (parallel to
     /// `units`), maintained at every push/pop/remove so finish-time
-    /// estimates need not walk the queue. See [`LocalAgg`].
-    local_aggs: Vec<LocalAgg>,
+    /// estimates need not walk the queue. See [`LocalAgg`]. Pinned like
+    /// `units`.
+    local_aggs: PinnedVec<LocalAgg>,
     /// Recycled buffer for the per-pass idle-GPU candidate list.
     idle_scratch: Vec<GpuId>,
     /// Attached event recorder (see [`gfaas_obs`]). `None` — the default —
@@ -193,15 +200,17 @@ pub struct Cluster {
     /// loop `mem::take`s it while running.
     events: EventQueue<Event>,
     /// Cursor into the trace: the next arrival to admit. Part of the
-    /// journaled/checkpointed state — rolling back re-delivers arrivals.
+    /// pinned/checkpointed state — rolling back re-delivers arrivals.
     next_arrival: usize,
     /// Whether [`Cluster::begin_run`] already performed its one-time
     /// setup (tick scheduling, RunStart emission, counters).
     run_started: bool,
-    /// Undo-log of pinned state images (see [`gfaas_snap`]). Empty —
-    /// and therefore zero-cost — unless [`Cluster::snapshot`] or the
-    /// lookahead scheduler's what-if forks are in use.
-    journal: Journal<ClusterImage>,
+    /// Live pins (see [`gfaas_snap`]): one [`PinFrame`] of fixed-size
+    /// state per [`Cluster::snapshot`] or lookahead fork, while `units`,
+    /// `local_aggs` and `global_queue` keep the matching write sets.
+    /// Empty — and the write paths one untaken branch — unless pins are
+    /// in use.
+    pins: PinStack<PinFrame>,
 }
 
 /// Incremental summary of one GPU's local queue, kept in lockstep with
@@ -224,6 +233,13 @@ struct LocalAgg {
     /// Distinct queued models: `(model, Σ batch items, request count)`,
     /// in first-push order. Entries leave when their count hits zero.
     groups: Vec<(ModelId, usize, usize)>,
+}
+
+impl PreImage for LocalAgg {
+    fn save_from(&mut self, src: &Self) {
+        self.infer_sum = src.infer_sum;
+        self.groups.clone_from(&src.groups);
+    }
 }
 
 impl Cluster {
@@ -346,13 +362,13 @@ impl Cluster {
         Ok(Cluster {
             config,
             registry,
-            units,
+            units: PinnedVec::new(units),
             cache,
             sched: Some(sched),
             batcher,
             store,
             store_flat,
-            global_queue: VecDeque::new(),
+            global_queue: PinnedDeque::new(),
             metrics: MetricsCollector::new(),
             now: SimTime::ZERO,
             last_completion: SimTime::ZERO,
@@ -373,7 +389,7 @@ impl Cluster {
             holding_units: 0,
             draining_units: 0,
             busy_secs: 0.0,
-            local_aggs: vec![LocalAgg::default(); total_units],
+            local_aggs: PinnedVec::new(vec![LocalAgg::default(); total_units]),
             idle_scratch: Vec::new(),
             recorder,
             #[cfg(feature = "simcheck")]
@@ -389,7 +405,7 @@ impl Cluster {
             events: EventQueue::new(),
             next_arrival: 0,
             run_started: false,
-            journal: Journal::new(),
+            pins: PinStack::new(),
         })
     }
 
@@ -573,7 +589,7 @@ impl Cluster {
     /// `local_queue` push.
     fn agg_push(&mut self, gi: usize, r: &Request) {
         let dur = self.infer_time_on(gi, r.model, r.batch);
-        let agg = &mut self.local_aggs[gi];
+        let agg = self.local_aggs.write(gi);
         agg.infer_sum += dur;
         match agg.groups.iter_mut().find(|g| g.0 == r.model) {
             Some(g) => {
@@ -589,7 +605,7 @@ impl Cluster {
     /// immutable profile it was added from, so the subtraction is exact.
     fn agg_remove(&mut self, gi: usize, r: &Request) {
         let dur = self.infer_time_on(gi, r.model, r.batch);
-        let agg = &mut self.local_aggs[gi];
+        let agg = self.local_aggs.write(gi);
         agg.infer_sum -= dur;
         let pos = agg
             .groups
@@ -604,10 +620,22 @@ impl Cluster {
         }
     }
 
+    /// Pops the head of `gi`'s local queue and accounts it with
+    /// [`Cluster::agg_remove`]. An empty queue is checked through a read,
+    /// so it is not a write a live pin would have to save.
+    fn pop_local(&mut self, gi: usize) -> Option<Request> {
+        if self.units[gi].local_queue.is_empty() {
+            return None;
+        }
+        let r = self.units.write(gi).local_queue.pop_front()?;
+        self.agg_remove(gi, &r);
+        Some(r)
+    }
+
     /// Recomputes `gi`'s aggregate from its queue — the rare-path reset
     /// after a crash rebuilds the local queue wholesale.
     fn agg_rebuild(&mut self, gi: usize) {
-        self.local_aggs[gi] = LocalAgg::default();
+        *self.local_aggs.write(gi) = LocalAgg::default();
         let n = self.units[gi].local_queue.len();
         for i in 0..n {
             let r = self.units[gi].local_queue[i];
@@ -981,7 +1009,7 @@ impl Cluster {
         gpus.clear();
         let mut busy = 0usize;
         let mut online = 0usize;
-        for u in &self.units {
+        for u in self.units.iter() {
             let is_online = matches!(u.state, UnitState::Online);
             let is_draining = matches!(u.state, UnitState::Draining);
             if matches!(u.state, UnitState::Offline) {
@@ -1030,7 +1058,8 @@ impl Cluster {
                     let f = self.units[gi].in_flight.as_ref().expect("work in flight");
                     (f.model(), f.tier)
                 };
-                self.units[gi]
+                self.units
+                    .write(gi)
                     .device
                     .complete_load(self.now, model)
                     .expect("load completion mismatch");
@@ -1053,11 +1082,13 @@ impl Cluster {
                     .expect("work in flight")
                     .items();
                 let dur = self.infer_time_on(gi, model, items);
-                let done = self.units[gi]
+                let done = self
+                    .units
+                    .write(gi)
                     .device
                     .start_inference(self.now, model, dur)
                     .expect("post-load inference start");
-                if let Some(f) = self.units[gi].in_flight.as_mut() {
+                if let Some(f) = self.units.write(gi).in_flight.as_mut() {
                     // The upload interval just closed; `started` now marks
                     // the inference interval for busy-time accounting.
                     self.busy_secs += self.now.duration_since(f.started).as_secs_f64();
@@ -1077,8 +1108,14 @@ impl Cluster {
                 self.schedule_inference_outcome(gi, done, dur, events);
             }
             Phase::Running => {
-                let inflight = self.units[gi].in_flight.take().expect("work in flight");
-                self.units[gi]
+                let inflight = self
+                    .units
+                    .write(gi)
+                    .in_flight
+                    .take()
+                    .expect("work in flight");
+                self.units
+                    .write(gi)
                     .device
                     .complete_inference(self.now, inflight.model())
                     .expect("inference completion mismatch");
@@ -1116,11 +1153,11 @@ impl Cluster {
                 // load or cache hit), so they count toward Algorithm 1's
                 // hit frequency; a lead miss does not.
                 let hit_served = inflight.requests.len() - usize::from(!inflight.was_hit);
-                self.units[gi].hits += hit_served as u64;
+                self.units.write(gi).hits += hit_served as u64;
                 let mut recycled = inflight.requests;
                 recycled.clear();
                 self.batch_pool.push(recycled);
-                self.units[gi].idle_since = self.now;
+                self.units.write(gi).idle_since = self.now;
                 if self.units[gi].state == UnitState::Online {
                     self.idle_online += 1;
                     self.emit_with(|_| ObsEvent::UnitIdle { gpu: g });
@@ -1167,9 +1204,15 @@ impl Cluster {
             Some(f) if f.seq == seq && matches!(f.phase, Phase::Running) => {}
             _ => return, // already completed or crashed
         }
-        let inflight = self.units[gi].in_flight.take().expect("work in flight");
+        let inflight = self
+            .units
+            .write(gi)
+            .in_flight
+            .take()
+            .expect("work in flight");
         let model = inflight.model();
-        self.units[gi]
+        self.units
+            .write(gi)
             .device
             .force_kill(self.now, model)
             .expect("crashing process exists");
@@ -1183,7 +1226,7 @@ impl Cluster {
             model,
             requeued: inflight.requests.len(),
         });
-        self.units[gi].idle_since = self.now;
+        self.units.write(gi).idle_since = self.now;
         if self.units[gi].state == UnitState::Online {
             self.idle_online += 1;
             self.emit_with(|_| ObsEvent::UnitIdle { gpu: g });
@@ -1196,14 +1239,14 @@ impl Cluster {
         // the now-dead process (their residency expectation is void).
         let mut requeue = inflight.requests;
         let mut keep = VecDeque::new();
-        while let Some(r) = self.units[gi].local_queue.pop_front() {
+        while let Some(r) = self.units.write(gi).local_queue.pop_front() {
             if r.model == model {
                 requeue.push(r);
             } else {
                 keep.push_back(r);
             }
         }
-        self.units[gi].local_queue = keep;
+        self.units.write(gi).local_queue = keep;
         self.agg_rebuild(gi);
         for r in requeue.into_iter().rev() {
             let id = r.id;
@@ -1247,11 +1290,12 @@ impl Cluster {
     /// work can flow onto them immediately.
     fn scale_up(&mut self, want: usize, events: &mut EventQueue<Event>) {
         let mut provisioned: Vec<GpuId> = Vec::new();
-        for unit in &mut self.units {
+        for gi in 0..self.units.len() {
             if provisioned.len() == want {
                 break;
             }
-            if unit.state == UnitState::Offline {
+            if self.units[gi].state == UnitState::Offline {
+                let unit = self.units.write(gi);
                 unit.state = UnitState::Online;
                 unit.online_since = self.now;
                 unit.idle_since = self.now;
@@ -1313,7 +1357,7 @@ impl Cluster {
             if self.units[gi].is_idle() {
                 self.idle_online -= 1;
             }
-            self.units[gi].state = UnitState::Draining;
+            self.units.write(gi).state = UnitState::Draining;
             self.draining_units += 1;
             self.scale_downs += 1;
             self.emit_with(|c| ObsEvent::DrainStart {
@@ -1340,7 +1384,8 @@ impl Cluster {
         let g = unit.id();
         let residents: Vec<ModelId> = unit.device.resident_models().collect();
         for model in residents {
-            self.units[gi]
+            self.units
+                .write(gi)
                 .device
                 .evict(model)
                 .expect("drained GPU's residents are ready processes");
@@ -1356,7 +1401,7 @@ impl Cluster {
             }
             self.emit_with(|_| ObsEvent::Eviction { gpu: g, model });
         }
-        let unit = &mut self.units[gi];
+        let unit = self.units.write(gi);
         unit.provisioned += self.now.duration_since(unit.online_since);
         unit.state = UnitState::Offline;
         self.draining_units -= 1;
@@ -1419,7 +1464,9 @@ impl Cluster {
         let mut i = 0;
         while out.len() < cap && i < self.units[gi].local_queue.len() {
             if self.units[gi].local_queue[i].model == model {
-                let r = self.units[gi]
+                let r = self
+                    .units
+                    .write(gi)
                     .local_queue
                     .remove(i)
                     .expect("index in bounds");
@@ -1535,7 +1582,7 @@ impl Cluster {
                     gathered: requests.len(),
                     release_at,
                 });
-                self.units[gi].holding = Some(HoldSlot {
+                self.units.write(gi).holding = Some(HoldSlot {
                     requests,
                     max_requests: cap,
                     hit,
@@ -1559,7 +1606,12 @@ impl Cluster {
             return false;
         };
         let (model, cap) = (slot.model(), slot.max_requests);
-        let mut slot = self.units[gi].holding.take().expect("slot checked above");
+        let mut slot = self
+            .units
+            .write(gi)
+            .holding
+            .take()
+            .expect("slot checked above");
         self.collect_same_model(gi, model, cap, &mut slot.requests);
         if slot.requests.len() >= cap {
             // Full: launch now; the pending BatchHold timer goes stale
@@ -1568,7 +1620,7 @@ impl Cluster {
             self.launch_batch(gi, slot.requests, slot.hit, events);
             true
         } else {
-            self.units[gi].holding = Some(slot);
+            self.units.write(gi).holding = Some(slot);
             false
         }
     }
@@ -1582,7 +1634,12 @@ impl Cluster {
             Some(h) if h.seq == seq => {}
             _ => return,
         }
-        let mut slot = self.units[gi].holding.take().expect("slot checked above");
+        let mut slot = self
+            .units
+            .write(gi)
+            .holding
+            .take()
+            .expect("slot checked above");
         self.holding_units -= 1;
         self.collect_same_model(gi, slot.model(), slot.max_requests, &mut slot.requests);
         self.launch_batch(gi, slot.requests, slot.hit, events);
@@ -1608,7 +1665,12 @@ impl Cluster {
             return;
         }
         let mut requests = {
-            let f = self.units[gi].in_flight.as_mut().expect("work in flight");
+            let f = self
+                .units
+                .write(gi)
+                .in_flight
+                .as_mut()
+                .expect("work in flight");
             std::mem::take(&mut f.requests)
         };
         self.collect_same_model(gi, model, cap, &mut requests);
@@ -1623,7 +1685,8 @@ impl Cluster {
         if joined > 0 {
             self.emit_with(|_| ObsEvent::LoadRiders { gpu: g, joined });
         }
-        self.units[gi]
+        self.units
+            .write(gi)
             .in_flight
             .as_mut()
             .expect("work in flight")
@@ -1703,12 +1766,11 @@ impl Cluster {
             if self.draining_units > 0 {
                 for gi in 0..self.units.len() {
                     if self.units[gi].state == UnitState::Draining && self.units[gi].is_idle() {
-                        if let Some(r) = self.units[gi].local_queue.pop_front() {
+                        if let Some(r) = self.pop_local(gi) {
                             debug_assert!(
                                 self.cache.is_cached(self.units[gi].id(), r.model),
                                 "local-queue request's model must be resident"
                             );
-                            self.agg_remove(gi, &r);
                             self.dispatch_batched(gi, r, true, events);
                             progress = true;
                         }
@@ -1748,12 +1810,11 @@ impl Cluster {
                     continue; // became busy earlier in this iteration
                 }
                 // Algorithm 1 lines 2–5: the local queue has priority.
-                if let Some(r) = ctx.cluster.units[gi].local_queue.pop_front() {
+                if let Some(r) = ctx.cluster.pop_local(gi) {
                     debug_assert!(
                         ctx.cluster.cache.is_cached(g, r.model),
                         "local-queue request's model must be resident"
                     );
-                    ctx.cluster.agg_remove(gi, &r);
                     ctx.cluster.dispatch_batched(gi, r, true, ctx.events);
                     ctx.progress = true;
                     continue;
@@ -1794,7 +1855,9 @@ impl Cluster {
         }
         let items: usize = requests.iter().map(|r| r.batch).sum();
         let dur = self.infer_time_on(gi, model, items);
-        let done = self.units[gi]
+        let done = self
+            .units
+            .write(gi)
             .device
             .start_inference(self.now, model, dur)
             .expect("hit dispatch on idle GPU");
@@ -1815,7 +1878,7 @@ impl Cluster {
             requests: requests.len(),
             items,
         });
-        self.units[gi].in_flight = Some(InFlight {
+        self.units.write(gi).in_flight = Some(InFlight {
             requests,
             phase: Phase::Running,
             was_hit: true,
@@ -1868,7 +1931,8 @@ impl Cluster {
                 )
             });
         for v in victims {
-            self.units[gi]
+            self.units
+                .write(gi)
                 .device
                 .evict(v)
                 .expect("victims on an idle GPU are evictable");
@@ -1896,7 +1960,9 @@ impl Cluster {
         } else {
             self.store.begin_load(self.now, model, occupancy, flat_load)
         };
-        let (_pid, ready) = self.units[gi]
+        let (_pid, ready) = self
+            .units
+            .write(gi)
             .device
             .start_load_timed(self.now, model, occupancy, load_time)
             .expect("load after eviction fits");
@@ -1916,7 +1982,7 @@ impl Cluster {
             batch: seq,
             tier,
         });
-        self.units[gi].in_flight = Some(InFlight {
+        self.units.write(gi).in_flight = Some(InFlight {
             requests,
             phase: Phase::Loading,
             was_hit: false,
@@ -1981,30 +2047,35 @@ impl Cluster {
     // Versioned state: snapshot / rollback / commit (gfaas-snap)
     // ------------------------------------------------------------------
 
-    /// Pins the complete mutable simulation state in the snapshot
-    /// journal and returns a handle. The cluster keeps running normally;
-    /// [`Cluster::rollback`] restores this instant byte-identically,
-    /// [`Cluster::commit`] retires the pin. Zero-cost when unused: no
-    /// run-loop path touches the journal.
+    /// Pins the complete mutable simulation state and returns a handle.
+    /// The cluster keeps running normally; [`Cluster::rollback`] restores
+    /// this instant byte-identically, [`Cluster::commit`] retires the
+    /// pin. A pin records the fixed-size state (scalars, RNG, pending
+    /// events, metric marks, policy blobs) up front and the GPU units and
+    /// global queue as write sets, so it costs O(state touched), never
+    /// O(queue). Zero-cost when unused: with no pin live every write path
+    /// is one untaken branch.
     pub fn snapshot(&mut self) -> SnapId {
-        let img = self.capture_image(&self.events);
-        self.journal.snapshot(img)
+        let events = std::mem::take(&mut self.events);
+        let id = self.pin(&events);
+        self.events = events;
+        id
     }
 
     /// Restores the state pinned by `id`, discarding everything that
     /// happened since — metrics, RNG, queues, residency, pending events,
-    /// the arrival cursor, all of it. The pin survives, so the same
-    /// snapshot can be rolled back to again. Returns false for a dead or
-    /// foreign id. Attached recorders and datastores are *not* rewound:
-    /// rolling back mid-recording leaves already-emitted telemetry in
-    /// the sinks (the lookahead forks stash the recorder first for
-    /// exactly that reason).
+    /// the arrival cursor, all of it — and closing every younger pin. The
+    /// pin survives, so the same snapshot can be rolled back to again.
+    /// Returns false for a dead or foreign id. Attached recorders and
+    /// datastores are *not* rewound: rolling back mid-recording leaves
+    /// already-emitted telemetry in the sinks (the lookahead forks stash
+    /// the recorder first for exactly that reason).
     pub fn rollback(&mut self, id: SnapId) -> bool {
-        let Some(img) = self.journal.rollback(id) else {
+        let Some(at) = self.pins.find(id) else {
             return false;
         };
         let mut events = std::mem::take(&mut self.events);
-        self.apply_image(img, &mut events);
+        self.rollback_to(at, false, &mut events);
         self.events = events;
         true
     }
@@ -2012,41 +2083,34 @@ impl Cluster {
     /// Retires the pin `id` (and any older pins), keeping the current
     /// timeline. Returns false for a dead or foreign id.
     pub fn commit(&mut self, id: SnapId) -> bool {
-        self.journal.commit(id)
-    }
-
-    /// Journal counters: snapshots taken, rollbacks (including
-    /// speculative forks), commits.
-    pub fn journal_stats(&self) -> JournalStats {
-        self.journal.stats()
-    }
-
-    /// Live (uncommitted, un-rolled-back) pins in the journal.
-    pub fn journal_depth(&self) -> usize {
-        self.journal.depth()
-    }
-
-    /// Deep-copies every piece of mutable simulation state into a
-    /// [`ClusterImage`]. The event heap is passed in because the drive
-    /// loop owns it (`mem::take`n) while a speculation fork captures.
-    fn capture_image(&self, events: &EventQueue<Event>) -> ClusterImage {
-        let blob_of = |f: &dyn Fn(&mut Enc)| {
-            let mut enc = Enc::new();
-            f(&mut enc);
-            enc.into_bytes()
+        let Some(at) = self.pins.find(id) else {
+            return false;
         };
-        ClusterImage {
-            units: self.units.clone(),
-            cache_blob: blob_of(&|e| self.cache.save_state(e)),
-            sched_blob: self.sched.as_ref().map(|s| blob_of(&|e| s.save_state(e))),
-            batcher_blob: blob_of(&|e| self.batcher.save_state(e)),
-            store_blob: blob_of(&|e| self.store.save_state(e)),
-            autoscaler_blob: self
-                .autoscaler
-                .as_ref()
-                .map(|a| blob_of(&|e| a.save_state(e))),
-            global_queue: self.global_queue.clone(),
-            metrics: self.metrics.snapshot_image(),
+        self.units.commit(at);
+        self.local_aggs.commit(at);
+        self.global_queue.commit(at);
+        self.pins.committed(at);
+        true
+    }
+
+    /// Pin counters: snapshots taken, rollbacks (including speculative
+    /// forks), commits.
+    pub fn journal_stats(&self) -> JournalStats {
+        self.pins.stats()
+    }
+
+    /// Live (uncommitted, un-rolled-back) pins.
+    pub fn journal_depth(&self) -> usize {
+        self.pins.depth()
+    }
+
+    /// Opens a pin: records the fixed-size state into a recycled
+    /// [`PinFrame`] and opens the containers' write sets. The event heap
+    /// is passed in because the drive loop owns it (`mem::take`n) while a
+    /// speculation fork pins.
+    fn pin(&mut self, events: &EventQueue<Event>) -> SnapId {
+        let (id, f) = self.pins.push();
+        f.scalars = Scalars {
             now: self.now,
             last_completion: self.last_completion,
             hot_model: self.hot_model,
@@ -2063,81 +2127,132 @@ impl Cluster {
             holding_units: self.holding_units,
             draining_units: self.draining_units,
             busy_secs: self.busy_secs,
-            local_aggs: self.local_aggs.clone(),
-            events: events.clone(),
             next_arrival: self.next_arrival,
             run_started: self.run_started,
-            profile: self.profile.clone(),
             estimator_calls: self.estimator_calls.get(),
-            #[cfg(feature = "simcheck")]
-            simcheck: self.simcheck.clone(),
+        };
+        f.profile = self.profile.clone();
+        self.metrics.mark_into(&mut f.metrics);
+        f.replaced_metrics = None;
+        f.events.clone_from(events);
+        // Policy objects keep their state private; their checkpoint
+        // hooks serialise it into one reused buffer.
+        f.blobs.clear();
+        self.cache.save_state(&mut f.blobs);
+        f.sched_present = self.sched.is_some();
+        if let Some(s) = &self.sched {
+            s.save_state(&mut f.blobs);
         }
+        self.batcher.save_state(&mut f.blobs);
+        self.store.save_state(&mut f.blobs);
+        if let Some(a) = &self.autoscaler {
+            a.save_state(&mut f.blobs);
+        }
+        #[cfg(feature = "simcheck")]
+        f.simcheck.clone_from(&self.simcheck);
+        self.units.pin(id);
+        self.local_aggs.pin(id);
+        self.global_queue.pin(id);
+        id
     }
 
-    /// Restores an image captured by [`Cluster::capture_image`],
-    /// byte-for-byte. Policy objects (scheduler, batcher, store,
-    /// evictor, autoscaler) are the same *objects* — only their mutable
-    /// state is rewound, through their save/load hooks.
-    fn apply_image(&mut self, img: ClusterImage, events: &mut EventQueue<Event>) {
-        self.metrics.restore_image(&img.metrics);
-        self.units = img.units;
-        let mut dec = Dec::new(&img.cache_blob);
+    /// Restores the instant pinned at stack position `at`: undoes the
+    /// write sets innermost-first, then copies the pin's fixed-size
+    /// state back. Younger pins close; with `retire` the pin itself
+    /// closes too (a finished fork), otherwise it stays open for further
+    /// rollbacks.
+    fn rollback_to(&mut self, at: usize, retire: bool, events: &mut EventQueue<Event>) {
+        self.units.rollback(at);
+        self.local_aggs.rollback(at);
+        self.global_queue.rollback(at);
+        if retire {
+            self.units.release(at);
+            self.local_aggs.release(at);
+            self.global_queue.release(at);
+        }
+        // A checkpoint restore under a live pin swaps the whole metrics
+        // collector; the innermost-first walk puts the oldest one back.
+        for f in self.pins.frames_from_mut(at).rev() {
+            if let Some(m) = f.replaced_metrics.take() {
+                self.metrics = m;
+            }
+        }
+        let f = self.pins.frame_mut(at);
+        let Scalars {
+            now,
+            last_completion,
+            hot_model,
+            local_moves,
+            crashes,
+            dispatch_seq,
+            rng,
+            scale_ups,
+            scale_downs,
+            online_low,
+            online_high,
+            pending_total,
+            idle_online,
+            holding_units,
+            draining_units,
+            busy_secs,
+            next_arrival,
+            run_started,
+            estimator_calls,
+        } = f.scalars;
+        self.now = now;
+        self.last_completion = last_completion;
+        self.hot_model = hot_model;
+        self.local_moves = local_moves;
+        self.crashes = crashes;
+        self.dispatch_seq = dispatch_seq;
+        self.rng = DetRng::from_state(rng);
+        self.scale_ups = scale_ups;
+        self.scale_downs = scale_downs;
+        self.online_low = online_low;
+        self.online_high = online_high;
+        self.pending_total = pending_total;
+        self.idle_online = idle_online;
+        self.holding_units = holding_units;
+        self.draining_units = draining_units;
+        self.busy_secs = busy_secs;
+        self.next_arrival = next_arrival;
+        self.run_started = run_started;
+        self.estimator_calls.set(estimator_calls);
+        self.profile.clone_from(&f.profile);
+        self.metrics.rewind(&f.metrics);
+        if retire {
+            // The frame is closing: take its heap instead of copying it.
+            std::mem::swap(events, &mut f.events);
+        } else {
+            events.clone_from(&f.events);
+        }
+        let mut dec = Dec::new(f.blobs.as_bytes());
         self.cache
             .load_state(&mut dec)
-            .expect("journaled cache image decodes");
-        match (self.sched.as_mut(), &img.sched_blob) {
-            (Some(s), Some(b)) => {
-                let mut dec = Dec::new(b);
-                s.load_state(&mut dec)
-                    .expect("journaled scheduler image decodes");
-            }
-            (None, None) => {}
-            _ => unreachable!("snapshot and rollback straddle a scheduling pass"),
+            .expect("pinned cache state decodes");
+        assert_eq!(
+            f.sched_present,
+            self.sched.is_some(),
+            "snapshot and rollback straddle a scheduling pass"
+        );
+        if let Some(s) = self.sched.as_mut() {
+            s.load_state(&mut dec)
+                .expect("pinned scheduler state decodes");
         }
-        let mut dec = Dec::new(&img.batcher_blob);
         self.batcher
             .load_state(&mut dec)
-            .expect("journaled batcher image decodes");
-        let mut dec = Dec::new(&img.store_blob);
+            .expect("pinned batcher state decodes");
         self.store
             .load_state(&mut dec)
-            .expect("journaled store image decodes");
-        match (self.autoscaler.as_mut(), &img.autoscaler_blob) {
-            (Some(a), Some(b)) => {
-                let mut dec = Dec::new(b);
-                a.load_state(&mut dec)
-                    .expect("journaled autoscaler image decodes");
-            }
-            (None, None) => {}
-            _ => unreachable!("autoscaler presence cannot change mid-run"),
+            .expect("pinned store state decodes");
+        if let Some(a) = self.autoscaler.as_mut() {
+            a.load_state(&mut dec)
+                .expect("pinned autoscaler state decodes");
         }
-        self.global_queue = img.global_queue;
-        self.now = img.now;
-        self.last_completion = img.last_completion;
-        self.hot_model = img.hot_model;
-        self.local_moves = img.local_moves;
-        self.crashes = img.crashes;
-        self.dispatch_seq = img.dispatch_seq;
-        self.rng = DetRng::from_state(img.rng);
-        self.scale_ups = img.scale_ups;
-        self.scale_downs = img.scale_downs;
-        self.online_low = img.online_low;
-        self.online_high = img.online_high;
-        self.pending_total = img.pending_total;
-        self.idle_online = img.idle_online;
-        self.holding_units = img.holding_units;
-        self.draining_units = img.draining_units;
-        self.busy_secs = img.busy_secs;
-        self.local_aggs = img.local_aggs;
-        *events = img.events;
-        self.next_arrival = img.next_arrival;
-        self.run_started = img.run_started;
-        self.profile = img.profile;
-        self.estimator_calls.set(img.estimator_calls);
+        debug_assert_eq!(dec.remaining(), 0, "pinned policy state fully consumed");
         #[cfg(feature = "simcheck")]
-        {
-            self.simcheck = img.simcheck;
-        }
+        self.simcheck.clone_from(&f.simcheck);
+        self.pins.rolled_back(at, retire);
     }
 
     // ------------------------------------------------------------------
@@ -2157,6 +2272,7 @@ impl Cluster {
     /// [`Cluster::resume`]; a warm-started run's metrics are
     /// byte-identical to an uninterrupted one.
     pub fn checkpoint(&self, trace: &Trace) -> Vec<u8> {
+        assert!(self.sched.is_some(), "checkpoint outside a scheduling pass");
         let mut enc = Enc::new();
         write_header(
             &mut enc,
@@ -2164,25 +2280,34 @@ impl Cluster {
             trace_digest(trace),
             trace.len(),
         );
-        for u in &self.units {
-            save_unit(&mut enc, u);
+        self.encode_state(&mut enc, &self.events);
+        enc.into_bytes()
+    }
+
+    /// The checkpoint image body: every piece of mutable simulation
+    /// state, with the pending events passed in (a fork runs with the
+    /// heap owned by the drive loop). The scheduler's state is written
+    /// only when it is in its slot — it always is outside a pass, which
+    /// is where checkpoints are taken.
+    fn encode_state(&self, enc: &mut Enc, events: &EventQueue<Event>) {
+        for u in self.units.iter() {
+            save_unit(enc, u);
         }
-        self.cache.save_state(&mut enc);
-        self.sched
-            .as_ref()
-            .expect("checkpoint outside a scheduling pass")
-            .save_state(&mut enc);
-        self.batcher.save_state(&mut enc);
-        self.store.save_state(&mut enc);
+        self.cache.save_state(enc);
+        if let Some(s) = &self.sched {
+            s.save_state(enc);
+        }
+        self.batcher.save_state(enc);
+        self.store.save_state(enc);
         enc.put_bool(self.autoscaler.is_some());
         if let Some(a) = &self.autoscaler {
-            a.save_state(&mut enc);
+            a.save_state(enc);
         }
         enc.put_usize(self.global_queue.len());
-        for r in &self.global_queue {
-            save_request(&mut enc, r);
+        for r in self.global_queue.iter() {
+            save_request(enc, r);
         }
-        self.metrics.save_state(&mut enc);
+        self.metrics.save_state(enc);
         enc.put_time(self.now);
         enc.put_time(self.last_completion);
         enc.put_bool(self.hot_model.is_some());
@@ -2204,14 +2329,14 @@ impl Cluster {
         enc.put_usize(self.holding_units);
         enc.put_usize(self.draining_units);
         enc.put_f64(self.busy_secs);
-        save_events(&mut enc, &self.events);
+        save_events(enc, events);
         enc.put_usize(self.next_arrival);
         enc.put_bool(self.run_started);
         // The sanitizer slot is written unconditionally so the wire
         // layout is identical with and without the `simcheck` feature —
         // a checkpoint taken by either build restores under either.
         #[cfg(feature = "simcheck")]
-        self.simcheck.save_state(&mut enc);
+        self.simcheck.save_state(enc);
         #[cfg(not(feature = "simcheck"))]
         {
             enc.put_u64(0);
@@ -2222,7 +2347,6 @@ impl Cluster {
             enc.put_usize(0);
             enc.put_u128(0);
         }
-        enc.into_bytes()
     }
 
     /// Restores a [`Cluster::checkpoint`] image into this cluster, which
@@ -2232,22 +2356,22 @@ impl Cluster {
     /// [`Cluster::resume`] or [`Cluster::run_until`]. On error the
     /// cluster is left exactly as it was before the call.
     pub fn restore(&mut self, bytes: &[u8], trace: &Trace) -> Result<(), SnapError> {
-        // Decoding overwrites units and policy state in place, so keep an
-        // image of the current state to put back if the bytes are bad.
-        let backup = self.capture_image(&self.events);
+        // Decoding overwrites units and policy state in place, so keep a
+        // checkpoint of the current state to decode back if the bytes are
+        // bad.
+        let backup = self.checkpoint(trace);
         let restored = self.decode_checkpoint(bytes, trace);
         if restored.is_err() {
-            let mut events = std::mem::take(&mut self.events);
-            self.apply_image(backup, &mut events);
-            self.events = events;
+            self.decode_checkpoint(&backup, trace)
+                .expect("a cluster's own checkpoint decodes");
         }
         restored
     }
 
-    /// The decoding half of [`Cluster::restore`]. The queue, metrics,
-    /// RNG, event heap and arrival cursor are assigned only once the
-    /// whole image has decoded: the metrics collector in particular
-    /// cannot be rewound by [`Cluster::apply_image`] once replaced.
+    /// The decoding half of [`Cluster::restore`]. Writes go through the
+    /// pinned containers like any other, so a pin taken before a restore
+    /// still rolls back across it; the one wholesale swap, the metrics
+    /// collector, is handed to the innermost pin.
     fn decode_checkpoint(&mut self, bytes: &[u8], trace: &Trace) -> Result<(), SnapError> {
         let mut dec = Dec::new(bytes);
         read_header(
@@ -2256,8 +2380,8 @@ impl Cluster {
             trace_digest(trace),
             trace.len(),
         )?;
-        for u in &mut self.units {
-            load_unit(&mut dec, u)?;
+        for gi in 0..self.units.len() {
+            load_unit(&mut dec, self.units.write(gi))?;
         }
         self.cache.load_state(&mut dec)?;
         self.sched
@@ -2323,8 +2447,12 @@ impl Cluster {
             let _ = dec.u128()?;
         }
         dec.finish()?;
-        self.global_queue = queue;
-        self.metrics = metrics;
+        self.validate_requests(&queue)?;
+        self.global_queue.replace(queue);
+        let replaced = std::mem::replace(&mut self.metrics, metrics);
+        if let Some(f) = self.pins.top_mut() {
+            f.replaced_metrics.get_or_insert(replaced);
+        }
         self.rng = DetRng::from_state(rng_state);
         self.events = events;
         self.next_arrival = next_arrival;
@@ -2335,17 +2463,69 @@ impl Cluster {
         Ok(())
     }
 
+    /// Rejects decoded requests the simulation cannot run: a model the
+    /// registry does not know, a batch size other than the config's, or
+    /// an empty invocation. The estimators index the registry by model,
+    /// so these must be caught before any derived state is rebuilt.
+    fn validate_requests(&self, global: &VecDeque<Request>) -> Result<(), SnapError> {
+        let ok = |r: &Request| {
+            (r.model.0 as usize) < self.registry.len() && r.batch == self.config.batch_size
+        };
+        for u in self.units.iter() {
+            let inflight = u.in_flight.as_ref().map_or(&[][..], |f| &f.requests);
+            let held = u.holding.as_ref().map_or(&[][..], |h| &h.requests);
+            if u.in_flight.as_ref().is_some_and(|f| f.requests.is_empty())
+                || u.holding.as_ref().is_some_and(|h| h.requests.is_empty())
+            {
+                return Err(SnapError::Corrupt("empty invocation"));
+            }
+            if !(inflight.iter().all(ok) && held.iter().all(ok) && u.local_queue.iter().all(ok)) {
+                return Err(SnapError::Corrupt("request outside the config"));
+            }
+        }
+        if !global.iter().all(ok) {
+            return Err(SnapError::Corrupt("request outside the config"));
+        }
+        Ok(())
+    }
+
     // ------------------------------------------------------------------
     // Speculative what-if scheduling (the lookahead policy's fork engine)
     // ------------------------------------------------------------------
+
+    /// The debug fork oracle's view of the whole state: the checkpoint
+    /// body (scheduler slot included only when occupied), plus the
+    /// self-profile and estimator count a checkpoint leaves out.
+    #[cfg(debug_assertions)]
+    fn state_bytes(&self, events: &EventQueue<Event>) -> Vec<u8> {
+        let mut enc = Enc::new();
+        self.encode_state(&mut enc, events);
+        let p = &self.profile;
+        for v in [
+            p.arrivals,
+            p.events_popped,
+            p.schedule_passes,
+            p.pass_rounds,
+            p.dispatches,
+            p.estimator_calls,
+            p.holds_parked,
+            p.heap_peak as u64,
+            self.estimator_calls.get(),
+        ] {
+            enc.put_u64(v);
+        }
+        enc.into_bytes()
+    }
 
     /// Forks the world, performs one candidate placement for the queued
     /// request at `queue_index`, replays up to `horizon` pending runtime
     /// events under a plain greedy LALBO3 scheduler, scores the outcome,
     /// and rolls everything back. The fork is invisible: recorder and
     /// datastore are stashed for its duration, and every other mutable
-    /// bit — metrics, RNG, residency, queues, the event heap — is
-    /// journaled and restored byte-identically.
+    /// bit — metrics, RNG, residency, queues, the event heap — is pinned
+    /// and restored byte-identically. Debug builds check that on every
+    /// fork by encoding the whole state before the pin and after the
+    /// restore.
     pub(crate) fn speculate_placement(
         &mut self,
         events: &mut EventQueue<Event>,
@@ -2355,7 +2535,9 @@ impl Cluster {
     ) -> SpecScore {
         let recorder = self.recorder.take();
         let datastore = self.datastore.take();
-        let id = self.journal.snapshot(self.capture_image(events));
+        #[cfg(debug_assertions)]
+        let before = self.state_bytes(events);
+        self.pin(events);
         let completed0 = self.metrics.completed();
         let lat0 = self.metrics.latency_sample_count();
 
@@ -2375,7 +2557,7 @@ impl Cluster {
             SpecPlacement::WaitOn(g) => {
                 let gi = g.0 as usize;
                 self.agg_push(gi, &r);
-                self.units[gi].local_queue.push_back(r);
+                self.units.write(gi).local_queue.push_back(r);
                 self.local_moves += 1;
             }
         }
@@ -2387,8 +2569,7 @@ impl Cluster {
         // post-round invariant — an idle GPU never sits on queued work.
         for gi in 0..self.units.len() {
             if self.units[gi].state != UnitState::Offline && self.units[gi].is_idle() {
-                if let Some(r) = self.units[gi].local_queue.pop_front() {
-                    self.agg_remove(gi, &r);
+                if let Some(r) = self.pop_local(gi) {
                     self.dispatch_batched(gi, r, true, events);
                 }
             }
@@ -2421,9 +2602,19 @@ impl Cluster {
         let end = self.now;
         let age = |r: &Request| end.duration_since(r.arrival).as_micros() as u128;
         let mut cost_ticks = self.metrics.latency_ticks_from(lat0) as u128;
-        cost_ticks += self.global_queue.iter().map(age).sum::<u128>();
-        let mut pending = self.global_queue.len();
-        for u in &self.units {
+        // Σ (end − arrival) over the global queue in O(1): ticks are
+        // integer µs and every queued arrival is at or before `end`.
+        let queued = self.global_queue.len();
+        let queue_age =
+            queued as u128 * u128::from(end.as_micros()) - self.global_queue.weight_sum();
+        debug_assert_eq!(
+            queue_age,
+            self.global_queue.iter().map(age).sum::<u128>(),
+            "global-queue arrival sum out of sync"
+        );
+        cost_ticks += queue_age;
+        let mut pending = queued;
+        for u in self.units.iter() {
             pending += u.local_queue.len();
             cost_ticks += u.local_queue.iter().map(age).sum::<u128>();
             if let Some(f) = &u.in_flight {
@@ -2439,10 +2630,15 @@ impl Cluster {
             pending,
         };
 
-        // `take` (not commit) retires only this fork's frame, so pins
-        // the caller holds across the pass survive.
-        let img = self.journal.take(id).expect("speculation frame is live");
-        self.apply_image(img, events);
+        // A retiring rollback (not a commit) closes only this fork's pin,
+        // so pins the caller holds across the pass survive.
+        let at = self.pins.depth() - 1;
+        self.rollback_to(at, true, events);
+        #[cfg(debug_assertions)]
+        assert!(
+            self.state_bytes(events) == before,
+            "fork restore diverged from the pinned state"
+        );
         self.recorder = recorder;
         self.datastore = datastore;
         score
@@ -2510,25 +2706,36 @@ impl Cluster {
     }
 }
 
-/// A deep copy of every piece of mutable simulation state, pinned in the
-/// snapshot journal. GPU units, queues, and the event heap are plain
-/// clones; policy objects (scheduler, batcher, store, evictor inside the
-/// cache, autoscaler) contribute their mutable state through the same
-/// save/load hooks the on-disk checkpoint uses. Scratch buffers
-/// (`batch_pool`, `idle_scratch`, `obs_scratch`) and attached sinks
-/// (recorder, datastore) are deliberately not part of the image.
-#[derive(Clone)]
-struct ClusterImage {
-    units: Vec<GpuUnit>,
-    cache_blob: Vec<u8>,
-    /// `None` exactly when captured during a scheduling pass (the policy
-    /// is `mem::take`n then) — restore must agree on presence.
-    sched_blob: Option<Vec<u8>>,
-    batcher_blob: Vec<u8>,
-    store_blob: Vec<u8>,
-    autoscaler_blob: Option<Vec<u8>>,
-    global_queue: VecDeque<Request>,
-    metrics: MetricsImage,
+/// The fixed-size state one pin records when it opens (see
+/// [`Cluster::snapshot`]). The unbounded state — GPU units, local
+/// aggregates, the global queue — is not here: those containers keep
+/// their own write sets for the same pin. Policy objects (scheduler,
+/// batcher, store, evictor inside the cache, autoscaler) contribute their
+/// state through the save/load hooks the on-disk checkpoint uses.
+/// Scratch buffers and attached sinks (recorder, datastore) are
+/// deliberately not pinned. Frames are recycled, so every buffer here is
+/// reused by the next pin.
+#[derive(Default)]
+struct PinFrame {
+    scalars: Scalars,
+    profile: SelfProfile,
+    metrics: MetricsMark,
+    /// The collector a checkpoint restore swapped out under this pin.
+    replaced_metrics: Option<MetricsCollector>,
+    events: EventQueue<Event>,
+    /// Cache, scheduler (when present), batcher, store and autoscaler
+    /// state, in that order.
+    blobs: Enc,
+    /// Whether the scheduler was in its slot; it is not mid-pass, and a
+    /// rollback must agree.
+    sched_present: bool,
+    #[cfg(feature = "simcheck")]
+    simcheck: SimChecker,
+}
+
+/// The cluster's plain scalar state, copied whole into each pin.
+#[derive(Debug, Default, Clone, Copy)]
+struct Scalars {
     now: SimTime,
     last_completion: SimTime,
     hot_model: Option<ModelId>,
@@ -2545,14 +2752,9 @@ struct ClusterImage {
     holding_units: usize,
     draining_units: usize,
     busy_secs: f64,
-    local_aggs: Vec<LocalAgg>,
-    events: EventQueue<Event>,
     next_arrival: usize,
     run_started: bool,
-    profile: SelfProfile,
     estimator_calls: u64,
-    #[cfg(feature = "simcheck")]
-    simcheck: SimChecker,
 }
 
 /// A candidate placement a lookahead policy can fork on — the three §IV
@@ -2861,7 +3063,15 @@ impl SchedCtx<'_> {
     /// Records that the request at position `i` was passed over by
     /// out-of-order dispatch (Algorithm 1's visit counter).
     pub fn note_skip(&mut self, i: usize) {
-        self.cluster.global_queue[i].visits += 1;
+        self.note_skips(i..i + 1);
+    }
+
+    /// [`SchedCtx::note_skip`] for every request in `range`: one call
+    /// for a scan's run of consecutive skips.
+    pub fn note_skips(&mut self, range: std::ops::Range<usize>) {
+        if !range.is_empty() {
+            self.cluster.global_queue.update(range, |r| r.visits += 1);
+        }
     }
 
     /// True iff §VI isolation forbids dispatching more work for `tenant`.
@@ -2991,7 +3201,7 @@ impl SchedCtx<'_> {
             model: r.model,
         });
         self.cluster.agg_push(gi, &r);
-        self.cluster.units[gi].local_queue.push_back(r);
+        self.cluster.units.write(gi).local_queue.push_back(r);
         self.cluster.local_moves += 1;
         self.progress = true;
     }

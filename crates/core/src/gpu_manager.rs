@@ -15,6 +15,7 @@ use std::collections::VecDeque;
 
 use gfaas_gpu::{GpuDevice, GpuId, ModelId, Tier};
 use gfaas_sim::time::{SimDuration, SimTime};
+use gfaas_snap::PreImage;
 
 use crate::request::Request;
 
@@ -30,7 +31,7 @@ pub enum Phase {
 /// The work currently executing on a GPU: one invocation serving one or
 /// more coalesced same-model requests (one, unless a
 /// [`crate::batching::BatchPolicy`] merged a batch).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct InFlight {
     /// The coalesced requests, lead first (the lead's dispatch decided
     /// placement and hit/miss accounting). Never empty; all share one
@@ -52,6 +53,38 @@ pub struct InFlight {
     /// always reports origin). Carried so the load-complete event can be
     /// labelled with where the bytes actually came from.
     pub tier: Tier,
+}
+
+impl Clone for InFlight {
+    fn clone(&self) -> Self {
+        InFlight {
+            requests: self.requests.clone(),
+            phase: self.phase,
+            was_hit: self.was_hit,
+            started: self.started,
+            seq: self.seq,
+            tier: self.tier,
+        }
+    }
+
+    /// Field-wise copy into the existing request buffer (allocation-free
+    /// when it is large enough) — a unit pre-image save.
+    fn clone_from(&mut self, src: &Self) {
+        let InFlight {
+            requests,
+            phase,
+            was_hit,
+            started,
+            seq,
+            tier,
+        } = self;
+        requests.clone_from(&src.requests);
+        *phase = src.phase;
+        *was_hit = src.was_hit;
+        *started = src.started;
+        *seq = src.seq;
+        *tier = src.tier;
+    }
 }
 
 impl InFlight {
@@ -90,7 +123,7 @@ impl InFlight {
 /// the dispatch is delayed briefly so more same-model requests can join.
 /// The GPU is reserved (not idle) while holding; a `BatchHold` timer —
 /// or the batch filling to `max_requests` — launches it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct HoldSlot {
     /// The requests gathered so far, lead first (never empty).
     pub requests: Vec<Request>,
@@ -103,6 +136,34 @@ pub struct HoldSlot {
     /// Sequence token matching the scheduled `BatchHold` event (an early
     /// launch clears the slot; the stale timer is then ignored).
     pub seq: u64,
+}
+
+impl Clone for HoldSlot {
+    fn clone(&self) -> Self {
+        HoldSlot {
+            requests: self.requests.clone(),
+            max_requests: self.max_requests,
+            hit: self.hit,
+            release_at: self.release_at,
+            seq: self.seq,
+        }
+    }
+
+    /// Field-wise copy into the existing request buffer.
+    fn clone_from(&mut self, src: &Self) {
+        let HoldSlot {
+            requests,
+            max_requests,
+            hit,
+            release_at,
+            seq,
+        } = self;
+        requests.clone_from(&src.requests);
+        *max_requests = src.max_requests;
+        *hit = src.hit;
+        *release_at = src.release_at;
+        *seq = src.seq;
+    }
 }
 
 impl HoldSlot {
@@ -161,6 +222,38 @@ pub struct GpuUnit {
     /// Provisioned time accumulated over *completed* online intervals;
     /// the open interval is closed by [`GpuUnit::provisioned_until`].
     pub provisioned: SimDuration,
+}
+
+impl PreImage for GpuUnit {
+    /// Copies every mutable field into this image's existing buffers; the
+    /// device's id and static spec are skipped (see
+    /// [`GpuDevice::copy_state_from`]).
+    fn save_from(&mut self, src: &Self) {
+        let GpuUnit {
+            device,
+            local_queue,
+            in_flight,
+            holding,
+            hits,
+            idle_since,
+            state,
+            online_since,
+            provisioned,
+        } = self;
+        device.copy_state_from(&src.device);
+        // Two slice copies rather than a per-element clone.
+        local_queue.clear();
+        let (head, tail) = src.local_queue.as_slices();
+        local_queue.extend(head);
+        local_queue.extend(tail);
+        in_flight.clone_from(&src.in_flight);
+        holding.clone_from(&src.holding);
+        *hits = src.hits;
+        *idle_since = src.idle_since;
+        *state = src.state;
+        *online_since = src.online_since;
+        *provisioned = src.provisioned;
+    }
 }
 
 impl GpuUnit {

@@ -58,8 +58,9 @@ pub mod tinylfu;
 /// (ledger / Perfetto / sampler), and the `--record` spec.
 pub use gfaas_obs as obs;
 
-/// Re-export of the versioned-state layer ([`gfaas_snap`]): the undo-log
-/// [`snap::Journal`] behind [`cluster::Cluster::snapshot`] /
+/// Re-export of the versioned-state layer ([`gfaas_snap`]): the pin
+/// stack and per-pin write sets ([`snap::PinStack`], [`snap::PinnedVec`],
+/// [`snap::PinnedDeque`]) behind [`cluster::Cluster::snapshot`] /
 /// [`cluster::Cluster::rollback`], plus the checkpoint wire codec
 /// ([`snap::Enc`] / [`snap::Dec`]) and its header/digest helpers.
 pub use gfaas_snap as snap;

@@ -152,47 +152,60 @@ impl MetricsCollector {
             .sum()
     }
 
-    /// Captures the collector's mutable state for the snapshot journal.
-    /// The latency histogram is captured as a rewind mark (two words)
-    /// rather than a sample-buffer clone: during a run nothing but
-    /// `push` touches it (quantile queries happen only in
-    /// [`MetricsCollector::finish`]), which is exactly the contract
+    /// Records the collector's mutable state into `mark`, reusing its
+    /// buffers, for a snapshot pin. The latency histogram is recorded as
+    /// a rewind mark (two words) rather than a sample-buffer copy: during
+    /// a run nothing but `push` touches it (quantile queries happen only
+    /// in [`MetricsCollector::finish`]), which is exactly the contract
     /// [`Histogram::rewind`] requires.
-    pub(crate) fn snapshot_image(&self) -> MetricsImage {
-        MetricsImage {
-            latency: self.latency.clone(),
-            hist_mark: self.latency_hist.mark(),
-            hits: self.hits,
-            false_misses: self.false_misses,
-            duplicates: self.duplicates.clone(),
-            completed: self.completed,
-            queue_peak: self.queue_peak,
-            queue_last_t: self.queue_last_t,
-            queue_last_len: self.queue_last_len,
-            queue_ticks: self.queue_ticks,
-            invocation_batches: self.invocation_batches.clone(),
-            batched_requests: self.batched_requests,
-        }
+    pub(crate) fn mark_into(&self, mark: &mut MetricsMark) {
+        let MetricsCollector {
+            latency,
+            latency_hist,
+            hits,
+            false_misses,
+            duplicates,
+            completed,
+            queue_peak,
+            queue_last_t,
+            queue_last_len,
+            queue_ticks,
+            invocation_batches,
+            batched_requests,
+        } = self;
+        mark.latency.clone_from(latency);
+        mark.hist = latency_hist.mark();
+        mark.hits = *hits;
+        mark.false_misses = *false_misses;
+        mark.duplicates.clone_from(duplicates);
+        mark.completed = *completed;
+        mark.queue_peak = *queue_peak;
+        mark.queue_last_t = *queue_last_t;
+        mark.queue_last_len = *queue_last_len;
+        mark.queue_ticks = *queue_ticks;
+        mark.invocation_batches.clone_from(invocation_batches);
+        mark.batched_requests = *batched_requests;
     }
 
-    /// Restores the collector to a [`MetricsCollector::snapshot_image`].
-    pub(crate) fn restore_image(&mut self, img: &MetricsImage) {
-        self.latency = img.latency.clone();
-        self.latency_hist.rewind(img.hist_mark);
-        self.hits = img.hits;
-        self.false_misses = img.false_misses;
-        self.duplicates = img.duplicates.clone();
-        self.completed = img.completed;
-        self.queue_peak = img.queue_peak;
-        self.queue_last_t = img.queue_last_t;
-        self.queue_last_len = img.queue_last_len;
-        self.queue_ticks = img.queue_ticks;
-        self.invocation_batches.clone_from(&img.invocation_batches);
-        self.batched_requests = img.batched_requests;
+    /// Rewinds the collector to a [`MetricsCollector::mark_into`] mark
+    /// taken from its own past.
+    pub(crate) fn rewind(&mut self, mark: &MetricsMark) {
+        self.latency.clone_from(&mark.latency);
+        self.latency_hist.rewind(mark.hist);
+        self.hits = mark.hits;
+        self.false_misses = mark.false_misses;
+        self.duplicates.clone_from(&mark.duplicates);
+        self.completed = mark.completed;
+        self.queue_peak = mark.queue_peak;
+        self.queue_last_t = mark.queue_last_t;
+        self.queue_last_len = mark.queue_last_len;
+        self.queue_ticks = mark.queue_ticks;
+        self.invocation_batches.clone_from(&mark.invocation_batches);
+        self.batched_requests = mark.batched_requests;
     }
 
     /// Serialises the collector for an on-disk checkpoint. Unlike
-    /// [`MetricsCollector::snapshot_image`] this must be standalone, so
+    /// [`MetricsCollector::mark_into`] this must be standalone, so
     /// the full histogram sample buffer is written out.
     pub(crate) fn save_state(&self, enc: &mut Enc) {
         let (n, mean, m2, min, max) = self.latency.raw_parts();
@@ -240,10 +253,15 @@ impl MetricsCollector {
         let latency = Welford::from_raw_parts((n, mean, m2, min, max));
         let bin_width = dec.f64()?;
         let nbins = dec.usize()?;
+        // Bins are derived, not stored, so the count is bounded before it
+        // sizes an allocation.
+        if nbins == 0 || nbins > 1 << 20 {
+            return Err(SnapError::Corrupt("invalid histogram configuration"));
+        }
         // NaN-safe: a NaN bin width must also be rejected, so the
         // comparison goes through `partial_cmp`, not a negated `>`.
         // gfaas-lint: allow(float-ord, decoder validation rejecting NaN — Greater is the only accepted outcome)
-        if bin_width.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) || nbins == 0 {
+        if bin_width.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return Err(SnapError::Corrupt("invalid histogram configuration"));
         }
         let nsamples = dec.usize()?;
@@ -367,14 +385,14 @@ impl MetricsCollector {
     }
 }
 
-/// A journaled image of [`MetricsCollector`]'s mutable state. Everything
-/// is cloned except the latency histogram, whose sample buffer is
-/// append-only during a run and is captured as a
+/// A snapshot pin's record of [`MetricsCollector`]'s mutable state.
+/// Everything is copied except the latency histogram, whose sample
+/// buffer is append-only during a run and is recorded as a
 /// [`Histogram::mark`]/[`Histogram::rewind`] pair instead.
-#[derive(Debug, Clone)]
-pub(crate) struct MetricsImage {
+#[derive(Debug, Default)]
+pub(crate) struct MetricsMark {
     latency: Welford,
-    hist_mark: (usize, bool),
+    hist: (usize, bool),
     hits: Ratio,
     false_misses: u64,
     duplicates: TimeWeighted,
@@ -572,13 +590,14 @@ mod tests {
     #[test]
     fn snapshot_image_rolls_back_later_updates() {
         let mut c = busy_collector();
-        let img = c.snapshot_image();
+        let mut mark = MetricsMark::default();
+        c.mark_into(&mut mark);
         let baseline = format!("{c:?}");
         c.record_completion(SimDuration::from_secs(9));
         c.record_dispatch(false, false);
         c.observe_queue_depth(SimTime::from_secs(5), 9);
         c.record_invocation(3);
-        c.restore_image(&img);
+        c.rewind(&mark);
         assert_eq!(format!("{c:?}"), baseline);
         let m = c.finish(SimTime::from_secs(10), 0.0);
         assert_eq!(m.completed, 2);

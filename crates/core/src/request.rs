@@ -2,6 +2,7 @@
 
 use gfaas_gpu::ModelId;
 use gfaas_sim::time::SimTime;
+use gfaas_snap::Weighted;
 
 /// One queued inference request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,6 +42,15 @@ impl Request {
     pub fn with_tenant(mut self, tenant: u16) -> Self {
         self.tenant = tenant;
         self
+    }
+}
+
+/// A queued request weighs its arrival tick count, so the global queue
+/// keeps Σ arrival and a lookahead fork bills the queue's total age as
+/// `len · now − Σ arrival` instead of walking it.
+impl Weighted for Request {
+    fn weight(&self) -> u128 {
+        u128::from(self.arrival.as_micros())
     }
 }
 

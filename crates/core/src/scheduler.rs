@@ -194,6 +194,44 @@ impl LalbScheduler {
     }
 }
 
+/// Why an out-of-order scan run stopped at its current request.
+enum Stop {
+    /// The request's tenant is at its §VI cap.
+    Blocked,
+    /// The request's model is cached on the scanning GPU.
+    Hit,
+    /// The request reached the O3 starvation limit.
+    Starved,
+}
+
+/// One run of Algorithm 1's out-of-order scan from `*i`: advances `*i`
+/// past requests the GPU skips and stops at the first one it must act
+/// on (`None` at the end of the queue). The run only reads; the skipped
+/// requests' visit counters are bumped in one call when it ends, before
+/// the caller acts — so a scan over a long queue stays a tight read loop.
+fn o3_run(gpu: GpuId, o3_limit: u32, i: &mut usize, ctx: &mut SchedCtx<'_>) -> Option<Stop> {
+    let start = *i;
+    let stop = loop {
+        if *i >= ctx.queue_len() {
+            break None;
+        }
+        let r = ctx.queued(*i);
+        let (tenant, model, visits) = (r.tenant, r.model, r.visits);
+        if ctx.tenant_blocked(tenant) {
+            break Some(Stop::Blocked);
+        }
+        if ctx.is_cached(gpu, model) {
+            break Some(Stop::Hit);
+        }
+        if visits >= o3_limit {
+            break Some(Stop::Starved);
+        }
+        *i += 1;
+    };
+    ctx.note_skips(start..*i);
+    stop
+}
+
 impl SchedulerPolicy for LalbScheduler {
     /// `LALB` at limit 0, `LALBO3` at the paper's default limit, else
     /// `LALBO3(limit=N)` (Fig 7's sweep).
@@ -211,33 +249,21 @@ impl SchedulerPolicy for LalbScheduler {
         // whose model is cached on this GPU; skipped requests accumulate
         // visits, and a request at the limit is placed immediately.
         let mut i = 0;
-        while i < ctx.queue_len() {
-            if !ctx.is_idle(gpu) {
-                return Dispatch::None; // got work via LocalityLoadBalance
-            }
-            let (tenant, model, visits) = {
-                let r = ctx.queued(i);
-                (r.tenant, r.model, r.visits)
-            };
-            if ctx.tenant_blocked(tenant) {
-                // §VI isolation: capped tenants are passed over without
-                // O3 visit accounting (they are blocked, not skipped).
-                i += 1;
-                continue;
-            }
-            if ctx.is_cached(gpu, model) {
-                return Dispatch::Hit(ctx.take_queued(i));
-            }
-            if visits >= self.o3_limit {
-                let r = ctx.take_queued(i);
-                if let Some(d) = Self::locality_load_balance(gpu, r, ctx) {
-                    return d;
+        while ctx.is_idle(gpu) {
+            match o3_run(gpu, self.o3_limit, &mut i, ctx) {
+                None => break,
+                // §VI isolation: capped tenants are passed over without O3
+                // visit accounting (they are blocked, not skipped).
+                Some(Stop::Blocked) => i += 1,
+                Some(Stop::Hit) => return Dispatch::Hit(ctx.take_queued(i)),
+                Some(Stop::Starved) => {
+                    let r = ctx.take_queued(i);
+                    if let Some(d) = Self::locality_load_balance(gpu, r, ctx) {
+                        return d;
+                    }
+                    // r went to another GPU or a local queue; the element
+                    // at index i is now the next request — do not advance.
                 }
-                // r went to another GPU or a local queue; the element at
-                // index i is now the next request — do not advance i.
-            } else {
-                ctx.note_skip(i);
-                i += 1;
             }
         }
 
@@ -441,28 +467,15 @@ impl SchedulerPolicy for LookaheadScheduler {
         // cached here is a free win, and skipped requests accumulate
         // visits toward the starvation limit.
         let mut i = 0;
-        while i < ctx.queue_len() {
-            if !ctx.is_idle(gpu) {
-                return Dispatch::None;
-            }
-            let (tenant, model, visits) = {
-                let r = ctx.queued(i);
-                (r.tenant, r.model, r.visits)
-            };
-            if ctx.tenant_blocked(tenant) {
-                i += 1;
-                continue;
-            }
-            if ctx.is_cached(gpu, model) {
-                return Dispatch::Hit(ctx.take_queued(i));
-            }
-            if visits >= self.o3_limit {
+        while ctx.is_idle(gpu) {
+            match o3_run(gpu, self.o3_limit, &mut i, ctx) {
+                None => break,
+                Some(Stop::Blocked) => i += 1,
+                Some(Stop::Hit) => return Dispatch::Hit(ctx.take_queued(i)),
                 // Starvation guard: place this request now, but let the
                 // forks pick which arm serves it best.
-                return self.place(gpu, i, ctx);
+                Some(Stop::Starved) => return self.place(gpu, i, ctx),
             }
-            ctx.note_skip(i);
-            i += 1;
         }
         // No cached-here hit: speculatively place the head-most
         // unblocked request. One placement per call — if it lands on

@@ -448,6 +448,34 @@ impl GpuDevice {
         self.inferences_completed
     }
 
+    /// Overwrites this device's mutable state with `src`'s, reusing this
+    /// device's buffers: the allocation-free copy behind a snapshot
+    /// pre-image. The id and the static [`GpuSpec`] are not copied — the
+    /// target is always an earlier image of the same device.
+    pub fn copy_state_from(&mut self, src: &GpuDevice) {
+        debug_assert_eq!(self.id, src.id, "pre-images belong to one device");
+        let GpuDevice {
+            id: _,
+            spec: _,
+            mem,
+            sm,
+            procs,
+            state,
+            next_pid,
+            loads_started,
+            evictions,
+            inferences_completed,
+        } = self;
+        mem.clone_from(&src.mem);
+        *sm = src.sm;
+        procs.clone_from(&src.procs);
+        *state = src.state;
+        *next_pid = src.next_pid;
+        *loads_started = src.loads_started;
+        *evictions = src.evictions;
+        *inferences_completed = src.inferences_completed;
+    }
+
     /// Serialises the device's mutable state for a checkpoint image. The
     /// id and spec are configuration — a restore target is built from the
     /// same cluster config (the checkpoint envelope's config digest

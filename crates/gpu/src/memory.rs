@@ -8,8 +8,6 @@
 //! cache manager reasons purely in terms of total occupancy (Table I's
 //! per-model "occupation size").
 
-use std::collections::BTreeMap;
-
 /// Handle to one live allocation in a [`MemoryPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AllocId(pub u64);
@@ -38,12 +36,40 @@ impl std::fmt::Display for OomError {
 impl std::error::Error for OomError {}
 
 /// A fixed-capacity device-memory pool with per-allocation bookkeeping.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MemoryPool {
     capacity: u64,
     used: u64,
     next_id: u64,
-    allocs: BTreeMap<AllocId, u64>,
+    /// Live allocations sorted by id. Ids only grow, so an allocation
+    /// appends; a device holds a handful of models, so a flat array with
+    /// binary search beats a tree map, and copying it into a reused
+    /// buffer (a snapshot pre-image) allocates nothing.
+    allocs: Vec<(AllocId, u64)>,
+}
+
+impl Clone for MemoryPool {
+    fn clone(&self) -> Self {
+        MemoryPool {
+            capacity: self.capacity,
+            used: self.used,
+            next_id: self.next_id,
+            allocs: self.allocs.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let MemoryPool {
+            capacity,
+            used,
+            next_id,
+            allocs,
+        } = self;
+        *capacity = src.capacity;
+        *used = src.used;
+        *next_id = src.next_id;
+        allocs.clone_from(&src.allocs);
+    }
 }
 
 impl MemoryPool {
@@ -53,7 +79,7 @@ impl MemoryPool {
             capacity,
             used: 0,
             next_id: 0,
-            allocs: BTreeMap::new(),
+            allocs: Vec::new(),
         }
     }
 
@@ -104,21 +130,27 @@ impl MemoryPool {
         let id = AllocId(self.next_id);
         self.next_id += 1;
         self.used += size;
-        self.allocs.insert(id, size);
+        self.allocs.push((id, size));
         Ok(id)
     }
 
     /// Frees a live allocation, returning its size. Double-free returns
     /// `None` and leaves the pool untouched.
     pub fn free_alloc(&mut self, id: AllocId) -> Option<u64> {
-        let size = self.allocs.remove(&id)?;
+        let i = self.alloc_idx(id).ok()?;
+        let (_, size) = self.allocs.remove(i);
         self.used -= size;
         Some(size)
     }
 
     /// Size of a live allocation, if it exists.
     pub fn size_of(&self, id: AllocId) -> Option<u64> {
-        self.allocs.get(&id).copied()
+        self.alloc_idx(id).ok().map(|i| self.allocs[i].1)
+    }
+
+    /// Position of `id` in the sorted allocation table.
+    fn alloc_idx(&self, id: AllocId) -> Result<usize, usize> {
+        self.allocs.binary_search_by_key(&id, |&(a, _)| a)
     }
 
     /// Serialises the pool's mutable state (capacity is configuration and
@@ -142,10 +174,25 @@ impl MemoryPool {
         self.next_id = dec.u64()?;
         let n = dec.usize()?;
         self.allocs.clear();
+        self.allocs.reserve(n.min(dec.remaining() / 16));
         for _ in 0..n {
             let id = AllocId(dec.u64()?);
             let size = dec.u64()?;
-            self.allocs.insert(id, size);
+            if self.allocs.last().is_some_and(|&(last, _)| last >= id) {
+                return Err(gfaas_snap::SnapError::Corrupt(
+                    "allocation table not sorted",
+                ));
+            }
+            self.allocs.push((id, size));
+        }
+        if self
+            .allocs
+            .last()
+            .is_some_and(|&(last, _)| last.0 >= self.next_id)
+        {
+            return Err(gfaas_snap::SnapError::Corrupt(
+                "allocation id at or past the id counter",
+            ));
         }
         Ok(())
     }

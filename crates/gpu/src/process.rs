@@ -32,7 +32,7 @@ pub enum ProcState {
 }
 
 /// A resident GPU process serving one model.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct GpuProcess {
     /// Process id, unique within its device.
     pub pid: ProcId,

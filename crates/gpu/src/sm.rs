@@ -10,7 +10,7 @@
 use gfaas_sim::time::{SimDuration, SimTime};
 
 /// Accumulates SM-busy intervals and reports utilisation over a horizon.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SmTracker {
     busy: SimDuration,
     intervals: u64,

@@ -11,7 +11,7 @@ use std::collections::BinaryHeap;
 
 /// A pending event: its due time, a tie-breaking sequence number, and the
 /// caller's payload.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Entry<E> {
     time: SimTime,
     seq: u64,
@@ -50,12 +50,32 @@ impl<E> Ord for Entry<E> {
 /// sequence/flow counters, so a clone pops the identical event stream —
 /// the property the snapshot/rollback machinery in `gfaas-snap` relies
 /// on.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     scheduled: u64,
     delivered: u64,
+}
+
+impl<E: Clone> Clone for EventQueue<E> {
+    fn clone(&self) -> Self {
+        EventQueue {
+            heap: self.heap.clone(),
+            next_seq: self.next_seq,
+            scheduled: self.scheduled,
+            delivered: self.delivered,
+        }
+    }
+
+    /// Copies `src` into this queue's existing heap buffer — how a
+    /// snapshot pin saves the pending events without allocating.
+    fn clone_from(&mut self, src: &Self) {
+        self.heap.clone_from(&src.heap);
+        self.next_seq = src.next_seq;
+        self.scheduled = src.scheduled;
+        self.delivered = src.delivered;
+    }
 }
 
 impl<E> Default for EventQueue<E> {
