@@ -318,8 +318,9 @@ fn check_float_ord(f: &FileCtx<'_>) -> Vec<Finding> {
 /// through a write set (`global_queue`, the per-unit `local_queue` /
 /// `in_flight` / `holding`, `local_aggs`, the `units` vector itself) may
 /// only be written through the cluster's write API — the `Cluster` /
-/// `SchedCtx` methods in `cluster.rs` and `GpuUnit`'s own impl in
-/// `gpu_manager.rs` — which keep the aggregate indices and the write
+/// `SchedCtx` methods in the `cluster` module's files (`cluster.rs` or
+/// `cluster/*.rs`) and `GpuUnit`'s own impl in `gpu_manager.rs` — which
+/// keep the aggregate indices and the write
 /// sets in sync. The containers already refuse unlogged writes at
 /// compile time; a write anywhere else in `gfaas-core` (a scheduler
 /// reaching through `ctx`, a new subsystem poking a queue) would also
@@ -327,7 +328,15 @@ fn check_float_ord(f: &FileCtx<'_>) -> Vec<Finding> {
 /// notes). Flags field accesses followed by a mutating method, an
 /// assignment, or taken as `&mut` borrows.
 fn check_snap_mutate(f: &FileCtx<'_>) -> Vec<Finding> {
-    if f.krate != "core" || matches!(f.file_name(), "cluster.rs" | "gpu_manager.rs") {
+    let in_cluster = f
+        .rel
+        .strip_prefix("crates/core/src/cluster/")
+        .is_some_and(|rest| !rest.contains('/'));
+    let write_api = matches!(
+        f.rel,
+        "crates/core/src/cluster.rs" | "crates/core/src/gpu_manager.rs"
+    );
+    if f.krate != "core" || in_cluster || write_api {
         return Vec::new();
     }
     const FIELDS: &[&str] = &[
@@ -611,8 +620,24 @@ fn f(&mut self) {
         // Reads, comparisons, and lookalike locals stay silent.
         let reads = "let n = u.local_queue.len();\nif u.in_flight == None {}\nlet local_queue = VecDeque::new();\nlocal_queue.push_back(r);";
         assert!(run("snap-mutate", "crates/core/src/scheduler.rs", "core", reads).is_empty());
-        // The write API itself and other crates are out of scope.
+        // The write API itself — the `cluster` module, in either file
+        // layout — and other crates are out of scope.
         assert!(run("snap-mutate", "crates/core/src/cluster.rs", "core", push).is_empty());
+        assert!(run(
+            "snap-mutate",
+            "crates/core/src/cluster/batch.rs",
+            "core",
+            push
+        )
+        .is_empty());
+        // Only the module's own files: a deeper file or a lookalike name
+        // elsewhere is still flagged.
+        for path in [
+            "crates/core/src/cluster/x/y.rs",
+            "crates/core/src/scheduler/cluster.rs",
+        ] {
+            assert_eq!(run("snap-mutate", path, "core", push), [1], "{path}");
+        }
         assert!(run(
             "snap-mutate",
             "crates/core/src/gpu_manager.rs",

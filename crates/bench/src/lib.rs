@@ -21,7 +21,10 @@
 //! code those binaries use. Policies are named by `gfaas-core` policy
 //! specs (`"lalbo3:25"`, `"tinylfu:0.9"`), so anything in the
 //! [`PolicyRegistry`] — including evictors beyond the paper's LRU — can
-//! be swept without touching this crate.
+//! be swept without touching this crate. [`counters`] holds the
+//! benchmark's counter gate (`bench_counters`).
+
+pub mod counters;
 
 use gfaas_core::obs::ledger::Ledger;
 use gfaas_core::obs::sampler::TimeSeries;

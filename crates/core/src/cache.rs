@@ -161,20 +161,18 @@ impl OrderLists {
 
     /// Rebuilds the lists from [`OrderLists::save_state`] bytes, reusing
     /// the existing list buffers (a snapshot rollback decodes this on
-    /// every fork). On error the lists are partially overwritten.
+    /// every fork). The lists must have been attached to the same GPUs
+    /// the bytes describe. On error the lists are partially overwritten.
     pub(crate) fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), SnapError> {
-        let ngpus = dec.usize()?;
-        if ngpus > dec.remaining() {
-            return Err(SnapError::Truncated);
+        if dec.usize()? != self.per_gpu.len() {
+            return Err(SnapError::Corrupt("order lists for another fleet"));
         }
-        self.per_gpu.resize(ngpus, None);
         for slot in &mut self.per_gpu {
-            match dec.u8()? {
-                0 => *slot = None,
-                1 => {
+            match (dec.u8()?, slot.as_mut()) {
+                (0, None) => {}
+                (1, Some(order)) => {
                     let len = dec.usize()?;
                     let bytes = dec.take(len.checked_mul(4).ok_or(SnapError::Truncated)?)?;
-                    let order = slot.get_or_insert_with(VecDeque::new);
                     order.clear();
                     order.extend(
                         bytes.chunks_exact(4).map(|b| {
@@ -765,6 +763,17 @@ mod tests {
         let mut m = mgr("lru");
         assert!(matches!(
             m.load_state(&mut Dec::new(&bytes)),
+            Err(SnapError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn load_state_rejects_order_lists_for_another_fleet() {
+        let mut enc = Enc::new();
+        with_spec(&[G0], "lru", 42).save_state(&mut enc);
+        let bytes = enc.into_bytes();
+        assert!(matches!(
+            mgr("lru").load_state(&mut Dec::new(&bytes)),
             Err(SnapError::Corrupt(_))
         ));
     }

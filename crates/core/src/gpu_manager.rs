@@ -13,9 +13,9 @@
 
 use std::collections::VecDeque;
 
-use gfaas_gpu::{GpuDevice, GpuId, ModelId, Tier};
+use gfaas_gpu::{DeviceState, GpuDevice, GpuId, ModelId, Tier};
 use gfaas_sim::time::{SimDuration, SimTime};
-use gfaas_snap::PreImage;
+use gfaas_snap::{PreImage, SnapError};
 
 use crate::request::Request;
 
@@ -281,6 +281,52 @@ impl GpuUnit {
             UnitState::Online | UnitState::Draining => end.duration_since(self.online_since),
         };
         self.provisioned + open
+    }
+
+    /// Checks a decoded unit against the invariants every live unit
+    /// keeps at virtual time `now`: the device is consistent
+    /// ([`GpuDevice::check_state`]); local-queue work is resident;
+    /// in-flight work is a non-empty single-model batch in the device's
+    /// phase, on the device's model, started by `now`; a held batch is
+    /// not also in flight, is a non-empty single-model batch, and was a
+    /// hit exactly when its model is resident; an offline unit is empty.
+    pub fn check_state(&self, now: SimTime) -> Result<(), SnapError> {
+        let d = &self.device;
+        let corrupt = |what| Err(SnapError::Corrupt(what));
+        d.check_state(now)?;
+        let one_model = |rs: &[Request]| rs.iter().all(|r| r.model == rs[0].model);
+        if !self.local_queue.iter().all(|r| d.has_model(r.model)) {
+            return corrupt("local-queue request without its model resident");
+        }
+        let in_flight_ok = match (&self.in_flight, d.state()) {
+            (None, DeviceState::Idle) => true,
+            (Some(f), DeviceState::Loading { model, .. } | DeviceState::Running { model, .. }) => {
+                let loading = matches!(d.state(), DeviceState::Loading { .. });
+                !f.requests.is_empty()
+                    && one_model(&f.requests)
+                    && f.model() == model
+                    && (f.phase == Phase::Loading) == loading
+                    && f.started <= now
+            }
+            _ => false,
+        };
+        if !in_flight_ok {
+            return corrupt("in-flight work disagrees with the device");
+        }
+        let hold_ok = self.holding.as_ref().is_none_or(|h| {
+            self.in_flight.is_none()
+                && !h.requests.is_empty()
+                && one_model(&h.requests)
+                && h.hit == d.has_model(h.model())
+        });
+        if !hold_ok {
+            return corrupt("held batch disagrees with the device");
+        }
+        let empty = self.is_idle() && self.local_queue.is_empty() && d.resident_count() == 0;
+        if self.state == UnitState::Offline && !empty {
+            return corrupt("offline GPU holds work or models");
+        }
+        Ok(())
     }
 
     /// The device id.

@@ -124,6 +124,13 @@ impl MetricsCollector {
         self.completed
     }
 
+    /// The queue-depth integral's state: last observation time, last
+    /// depth, accumulated micros·depth ticks.
+    #[cfg(feature = "simcheck")]
+    pub(crate) fn queue_integral(&self) -> (SimTime, usize, u128) {
+        (self.queue_last_t, self.queue_last_len, self.queue_ticks)
+    }
+
     /// Sum of the latency histogram's samples in whole microseconds, for
     /// the simcheck ledger cross-check. Each sample was pushed as a
     /// `SimDuration` converted to seconds; whole-microsecond counts below

@@ -36,7 +36,7 @@ use gfaas_sim::time::SimTime;
 use gfaas_store::ModelStore;
 
 use crate::gpu_manager::GpuUnit;
-use crate::metrics::RunMetrics;
+use crate::metrics::{MetricsCollector, RunMetrics};
 
 /// How many popped events between fleet audits.
 const AUDIT_EVERY: u64 = 1024;
@@ -239,6 +239,17 @@ impl SimChecker {
         self.q_last_len = dec.usize()?;
         self.q_ticks = dec.u128()?;
         Ok(())
+    }
+
+    /// Whether restored sanitizer state agrees with the restored run:
+    /// it has seen exactly the `arrivals` admitted so far, no time after
+    /// `now`, and mirrors `metrics`' queue-depth integral exactly. A
+    /// checkpoint restore rejects state that would trip the sanitizer
+    /// for a reason the run itself does not have.
+    pub fn agrees_with(&self, arrivals: u64, now: SimTime, metrics: &MetricsCollector) -> bool {
+        self.arrivals == arrivals
+            && self.last_t <= now
+            && (self.q_last_t, self.q_last_len, self.q_ticks) == metrics.queue_integral()
     }
 
     /// Cross-checks the observability ledger against the metrics

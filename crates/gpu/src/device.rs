@@ -476,6 +476,48 @@ impl GpuDevice {
         *inferences_completed = src.inferences_completed;
     }
 
+    /// Checks a decoded state against the invariants every live device
+    /// keeps, at virtual time `now`: the memory pool accounts for exactly
+    /// the resident processes' allocations; only the in-flight model's
+    /// process is busy, in the device's phase and until the device's
+    /// completion time (not before `now`); and the SM interval is open
+    /// exactly while an inference runs, since at most `now`.
+    pub fn check_state(&self, now: SimTime) -> Result<(), gfaas_snap::SnapError> {
+        let corrupt = |what| Err(gfaas_snap::SnapError::Corrupt(what));
+        let mut owned: Vec<_> = self.procs.iter().map(|(_, p)| p.alloc).collect();
+        owned.sort_unstable();
+        if !self.mem.accounts_for(&owned) {
+            return corrupt("device memory disagrees with its processes");
+        }
+        let busy = match self.state {
+            DeviceState::Idle => None,
+            DeviceState::Loading { model, until } => Some((model, ProcState::Loading { until })),
+            DeviceState::Running { model, until } => Some((model, ProcState::Running { until })),
+        };
+        if let Some((m, _)) = busy {
+            if !self.has_model(m) || self.busy_until() < Some(now) {
+                return corrupt("device busy without a live process");
+            }
+        }
+        for (m, p) in &self.procs {
+            let want = busy
+                .filter(|&(bm, _)| bm == *m)
+                .map_or(ProcState::Ready, |(_, st)| st);
+            if p.state != want {
+                return corrupt("process state disagrees with the device");
+            }
+        }
+        let running = matches!(self.state, DeviceState::Running { .. });
+        let sm_ok = match self.sm.open_since() {
+            Some(t) => running && t <= now,
+            None => !running,
+        };
+        if !sm_ok {
+            return corrupt("SM interval disagrees with the device");
+        }
+        Ok(())
+    }
+
     /// Serialises the device's mutable state for a checkpoint image. The
     /// id and spec are configuration — a restore target is built from the
     /// same cluster config (the checkpoint envelope's config digest
@@ -795,6 +837,40 @@ mod tests {
         bytes.pop(); // ...and truncate it
         let mut dec = gfaas_snap::Dec::new(&bytes);
         assert!(d.load_state(&mut dec).is_err());
+    }
+
+    #[test]
+    fn check_state_holds_through_a_miss_cycle_and_catches_corruption() {
+        let mut d = dev(4096);
+        d.check_state(t(0)).unwrap();
+        let (_, ready) = d.start_load(t(0), M1, 100 * MIB).unwrap();
+        d.check_state(t(0)).unwrap();
+        assert!(
+            d.check_state(ready + SimDuration::from_secs(1)).is_err(),
+            "load overdue"
+        );
+        d.complete_load(ready, M1).unwrap();
+        let done = d
+            .start_inference(ready, M1, SimDuration::from_secs(1))
+            .unwrap();
+        d.check_state(ready).unwrap();
+        let mut bad = d.clone();
+        bad.sm = SmTracker::new();
+        assert!(
+            bad.check_state(ready).is_err(),
+            "running without an SM interval"
+        );
+        let mut bad = d.clone();
+        bad.procs[0].1.state = ProcState::Ready;
+        assert!(
+            bad.check_state(ready).is_err(),
+            "running device, ready process"
+        );
+        let mut bad = d.clone();
+        bad.procs.clear();
+        assert!(bad.check_state(ready).is_err(), "memory held by no process");
+        d.complete_inference(done, M1).unwrap();
+        d.check_state(done).unwrap();
     }
 
     #[test]

@@ -148,6 +148,21 @@ impl MemoryPool {
         self.alloc_idx(id).ok().map(|i| self.allocs[i].1)
     }
 
+    /// True iff the accounting is whole: the live allocations are
+    /// exactly `owned` (sorted by id), their sizes sum to the used bytes,
+    /// and those fit the capacity. A decoded pool is checked against the
+    /// allocations its owners claim.
+    pub fn accounts_for(&self, owned: &[AllocId]) -> bool {
+        let sum: u128 = self.allocs.iter().map(|&(_, size)| u128::from(size)).sum();
+        self.used <= self.capacity
+            && sum == u128::from(self.used)
+            && self
+                .allocs
+                .iter()
+                .map(|&(id, _)| id)
+                .eq(owned.iter().copied())
+    }
+
     /// Position of `id` in the sorted allocation table.
     fn alloc_idx(&self, id: AllocId) -> Result<usize, usize> {
         self.allocs.binary_search_by_key(&id, |&(a, _)| a)
@@ -252,6 +267,21 @@ mod tests {
         p.try_alloc(100).unwrap();
         assert!(!p.can_fit(1));
         assert_eq!(p.utilization(), 1.0);
+    }
+
+    #[test]
+    fn accounts_for_exactly_the_owned_allocations() {
+        let mut p = MemoryPool::new(100);
+        let a = p.try_alloc(30).unwrap();
+        let b = p.try_alloc(50).unwrap();
+        assert!(p.accounts_for(&[a, b]));
+        assert!(!p.accounts_for(&[a]), "an unowned allocation");
+        assert!(!p.accounts_for(&[a, b, AllocId(9)]), "a claim on nothing");
+        p.used = 70;
+        assert!(
+            !p.accounts_for(&[a, b]),
+            "used bytes disagree with the sizes"
+        );
     }
 
     #[test]

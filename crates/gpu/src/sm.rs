@@ -77,6 +77,11 @@ impl SmTracker {
         (self.busy_until(end).as_secs_f64() / span).clamp(0.0, 1.0)
     }
 
+    /// When the open interval began; `None` while the SMs are idle.
+    pub fn open_since(&self) -> Option<SimTime> {
+        self.open_since
+    }
+
     /// True iff an interval is currently open.
     pub fn is_busy(&self) -> bool {
         self.open_since.is_some()

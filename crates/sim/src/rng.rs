@@ -20,6 +20,14 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Seed 0: a valid placeholder for state that is overwritten before use
+/// (an all-zero xoshiro state would emit only zeros).
+impl Default for DetRng {
+    fn default() -> Self {
+        DetRng::new(0)
+    }
+}
+
 impl DetRng {
     /// Creates a generator from a 64-bit seed. Distinct seeds give
     /// independent-looking streams; the same seed always gives the same

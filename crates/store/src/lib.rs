@@ -870,6 +870,12 @@ impl ModelStore for TieredStore {
                 bytes: dec.u64()?,
             });
         }
+        let staged: u128 = self.host.iter().map(|e| u128::from(e.bytes)).sum();
+        if staged != u128::from(self.host_used) || self.host_used > self.host_capacity {
+            return Err(gfaas_snap::SnapError::Corrupt(
+                "host tier accounting disagrees with its entries",
+            ));
+        }
         let n = dec.usize()?;
         self.in_flight.clear();
         for _ in 0..n {
@@ -1192,6 +1198,18 @@ mod tests {
             store.begin_load(t(5.1), ModelId(9), bytes, SimDuration::ZERO);
         }
         assert_eq!(format!("{fresh:?}"), format!("{s:?}"));
+    }
+
+    #[test]
+    fn tiered_load_rejects_host_accounting_that_disagrees_with_its_entries() {
+        let mut s = tiered("tiered:host=8G");
+        s.demote(t(0.0), ModelId(1), 1000 * MIB);
+        let mut enc = gfaas_snap::Enc::new();
+        s.save_state(&mut enc);
+        let mut blob = enc.into_bytes();
+        blob[0] ^= 1; // the leading host_used word
+        let mut fresh = tiered("tiered:host=8G");
+        assert!(fresh.load_state(&mut gfaas_snap::Dec::new(&blob)).is_err());
     }
 
     #[test]

@@ -128,17 +128,19 @@ impl AzureFunctionsDataset {
                 })?;
                 per_minute.push(count);
             }
+            let overflow = || malformed(lineno, "invocation counts overflow a 64-bit total");
+            let sum = |counts: &[u64]| counts.iter().try_fold(0u64, |t, &c| t.checked_add(c));
             match index.get(&id) {
                 Some(&at) => {
                     let existing = &mut functions[at];
                     for (a, b) in existing.per_minute.iter_mut().zip(&per_minute) {
-                        *a += b;
+                        *a = a.checked_add(*b).ok_or_else(overflow)?;
                     }
-                    existing.total += per_minute.iter().sum::<u64>();
+                    existing.total = sum(&existing.per_minute).ok_or_else(overflow)?;
                 }
                 None => {
                     index.insert(id.clone(), functions.len());
-                    let total = per_minute.iter().sum();
+                    let total = sum(&per_minute).ok_or_else(overflow)?;
                     functions.push(FunctionRow {
                         id,
                         per_minute,
@@ -309,12 +311,17 @@ o1,a1,f,http,3,4
 
     #[test]
     fn malformed_inputs_name_the_line() {
-        let cases: [(&str, &str); 5] = [
+        let max = u64::MAX;
+        let one_row = format!("HashOwner,1,2\no1,{max},1\n");
+        let two_rows = format!("HashOwner,1,2\no1,{max},0\no1,1,0\n");
+        let cases: [(&str, &str); 7] = [
             ("", "missing header"),
             ("HashOwner,HashApp\n", "no minute column"),
             ("1,2,3\no,a", "no identity columns"),
             ("HashOwner,1,2\no1,5\n", "line 2"),
             ("HashOwner,1,2\no1,5,x\n", "bad count \"x\""),
+            (&one_row, "line 2: invocation counts overflow"),
+            (&two_rows, "line 3: invocation counts overflow"),
         ];
         for (input, needle) in cases {
             let err = parse(input).unwrap_err();

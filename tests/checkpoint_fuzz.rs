@@ -1,11 +1,14 @@
 //! Checkpoint-decoder robustness: truncated and bit-flipped checkpoint
-//! images must never panic [`Cluster::restore`].
+//! images must never panic [`Cluster::restore`], nor the run it resumes.
 //!
 //! The images are real mid-run checkpoints of a cluster with every
 //! stateful layer attached (batching, autoscaling, a tiered store), so
 //! each component decoder sees corrupt input. A rejected image must
 //! leave the target exactly as it was: its checkpoint bytes unchanged,
-//! and its resumed run byte-identical to an untouched twin's.
+//! and its resumed run byte-identical to an untouched twin's. An
+//! accepted image (a flip in a field no invariant covers) must run.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use gfaas_core::{Cluster, ClusterConfig, PolicySpec, RunMetrics};
 use gfaas_models::zoo::{Family, ModelSpec};
@@ -66,16 +69,22 @@ fn image() -> Vec<u8> {
     paused(2.3).checkpoint(&trace())
 }
 
+/// How far an accepted image is resumed: far past the trace's last
+/// arrival (5.2 s), so every restored request and timer gets to run.
+const RESUME_HORIZON_SECS: f64 = 2_000.0;
+
 /// Restores `bad` into a target paused at a different instant and
-/// checks the failure contract. An image the decoder accepts (a flip in
-/// a field no invariant covers) is fine; only a panic or an `Err` that
-/// disturbs the target fails.
+/// checks the restore contract: a rejected image leaves the target
+/// undisturbed, and an accepted one runs to the resume horizon without
+/// panicking.
 fn check_rejection_leaves_target_untouched(bad: &[u8], twin: &RunMetrics) -> Result<(), String> {
     let t = trace();
     let mut target = paused(1.1);
     let before = target.checkpoint(&t);
     if target.restore(bad, &t).is_ok() {
-        return Ok(());
+        let horizon = SimTime::from_secs_f64(RESUME_HORIZON_SECS);
+        return catch_unwind(AssertUnwindSafe(|| target.run_until(&t, horizon)))
+            .map_err(|_| "an accepted image panicked when resumed".into());
     }
     if target.checkpoint(&t) != before {
         return Err("a rejected image changed the target's state".into());
