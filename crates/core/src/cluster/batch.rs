@@ -186,7 +186,6 @@ impl Cluster {
                     seq,
                 });
                 self.scalars.holding_units += 1;
-                self.report_status(g, "busy");
                 events.schedule(release_at, Event::BatchHold(g, seq));
                 return;
             }

@@ -332,7 +332,6 @@ impl Cluster {
             seq,
             tier: Tier::HBM,
         });
-        self.report_status(g, "busy");
         self.schedule_inference_outcome(gi, done, dur, events);
     }
 
@@ -432,15 +431,18 @@ impl Cluster {
         for _ in 1..requests.len() {
             self.cache.touch(g, model);
         }
-        self.report_lru(g);
         let seq = self.scalars.dispatch_seq;
         self.scalars.dispatch_seq += 1;
-        self.emit_with(|_| ObsEvent::LoadStart {
-            gpu: g,
-            model,
-            batch: seq,
-            tier,
-        });
+        if self.recorder.is_some() {
+            let resident = self.cache.resident(g);
+            self.emit_with(|_| ObsEvent::LoadStart {
+                gpu: g,
+                model,
+                batch: seq,
+                tier,
+                resident: &resident,
+            });
+        }
         self.units.write(gi).in_flight = Some(InFlight {
             requests,
             phase: Phase::Loading,
@@ -449,7 +451,6 @@ impl Cluster {
             seq,
             tier,
         });
-        self.report_status(g, "busy");
         events.schedule(ready, Event::GpuDone(g, seq));
     }
 

@@ -46,7 +46,6 @@ impl Cluster {
             self.store.note_scale_up(self.scalars.now);
         }
         for g in provisioned {
-            self.report_status(g, "idle");
             self.emit_with(|_| ObsEvent::ScaleUp { gpu: g });
             self.emit_with(|_| ObsEvent::UnitIdle { gpu: g });
         }
@@ -117,9 +116,13 @@ impl Cluster {
         unit.provisioned += self.scalars.now.duration_since(unit.online_since);
         unit.state = UnitState::Offline;
         self.scalars.draining_units -= 1;
-        self.emit_with(|_| ObsEvent::Offline { gpu: g });
-        self.report_status(g, "offline");
-        self.report_lru(g);
+        if self.recorder.is_some() {
+            let resident = self.cache.resident(g);
+            self.emit_with(|_| ObsEvent::Offline {
+                gpu: g,
+                resident: &resident,
+            });
+        }
     }
 }
 

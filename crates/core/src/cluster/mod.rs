@@ -41,7 +41,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use gfaas_faas::Datastore;
+use gfaas_faas::{mirror::DatastoreMirror, Datastore};
 use gfaas_gpu::{GpuDevice, GpuId, ModelId};
 use gfaas_models::ModelRegistry;
 use gfaas_obs::ledger::{Ledger, LedgerHandle, LedgerRecorder};
@@ -59,7 +59,7 @@ use crate::autoscale::{Autoscaler, ScaleDecision};
 use crate::batching::BatchPolicy;
 use crate::cache::{CacheManager, Evictor};
 use crate::config::{ClusterConfig, ConfigError};
-use crate::gpu_manager::{lru_key, status_key, GpuUnit, Phase, UnitState};
+use crate::gpu_manager::{GpuUnit, Phase, UnitState};
 use crate::metrics::{MetricsCollector, RunMetrics};
 use crate::policy::{PolicyRegistry, PolicySpec};
 use crate::request::Request;
@@ -138,7 +138,6 @@ pub struct Cluster {
     /// Clock, counters, RNG and arrival cursor: the plain state a pin
     /// copies whole and a checkpoint writes in one block.
     scalars: Scalars,
-    datastore: Option<Arc<Datastore>>,
     /// Elastic capacity policy; `None` is the paper's fixed testbed.
     autoscaler: Option<Box<dyn Autoscaler>>,
     /// Recycled invocation vectors: every dispatch carries its requests in
@@ -363,7 +362,6 @@ impl Cluster {
                 idle_online: initial_online,
                 ..Scalars::default()
             },
-            datastore: None,
             autoscaler,
             batch_pool: Vec::new(),
             local_aggs: PinnedVec::new(vec![LocalAgg::default(); total_units]),
@@ -384,10 +382,11 @@ impl Cluster {
         })
     }
 
-    /// Attaches an externally constructed [`Recorder`], replacing any
-    /// recorder built from `config.record`. The open path for custom
-    /// sinks; the built-in handle accessors ([`Cluster::ledger`] etc.)
-    /// return `None` afterwards.
+    /// Attaches an externally constructed [`Recorder`], replacing every
+    /// sink: the recorders built from `config.record` and a datastore
+    /// mirror alike, so call [`Cluster::with_datastore`] afterwards. The
+    /// open path for custom sinks; the built-in handle accessors
+    /// ([`Cluster::ledger`] etc.) return `None` afterwards.
     pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
         self.obs_cadence = recorder.sample_cadence();
         self.recorder = Some(recorder);
@@ -436,11 +435,20 @@ impl Cluster {
         }
     }
 
-    /// Attaches a datastore; the cluster then mirrors GPU status, LRU
-    /// lists, and completion latencies into it like the paper's components
-    /// do through etcd. Requires `config.report_to_datastore`.
+    /// Attaches a datastore: with `config.report_to_datastore` set, a
+    /// [`DatastoreMirror`] joins the recorder slot after any recorder
+    /// already there and mirrors GPU status, LRU lists and completion
+    /// latencies into it, like the paper's components do through etcd.
     pub fn with_datastore(mut self, ds: Arc<Datastore>) -> Self {
-        self.datastore = Some(ds);
+        if self.config.report_to_datastore {
+            let mut sinks = MultiRecorder::default();
+            if let Some(r) = self.recorder.take() {
+                sinks.push(r);
+            }
+            sinks.push(Box::new(DatastoreMirror(ds)));
+            // The mirror takes no samples, so the cadence stands.
+            self.recorder = sinks.into_recorder();
+        }
         self
     }
 
@@ -956,7 +964,6 @@ impl Cluster {
                 for r in &inflight.requests {
                     let latency = now.duration_since(r.arrival);
                     self.metrics.record_completion(latency);
-                    self.report_latency(r, latency);
                     self.emit_with(|_| ObsEvent::Completion {
                         req: r.id,
                         gpu: g,
@@ -1027,7 +1034,6 @@ impl Cluster {
             self.scalars.idle_online += 1;
             self.emit_with(|_| ObsEvent::UnitIdle { gpu: g });
         }
-        self.report_status(g, "idle");
     }
 
     /// Failure injection: the GPU process serving the in-flight request
@@ -1062,11 +1068,15 @@ impl Cluster {
             .as_secs_f64();
         self.cache.remove(g, model);
         self.on_residency_change(model);
-        self.emit_with(|_| ObsEvent::Crash {
-            gpu: g,
-            model,
-            requeued: inflight.requests.len(),
-        });
+        if self.recorder.is_some() {
+            let resident = self.cache.resident(g);
+            self.emit_with(|_| ObsEvent::Crash {
+                gpu: g,
+                model,
+                requeued: inflight.requests.len(),
+                resident: &resident,
+            });
+        }
         self.unit_idle(gi);
         self.scalars.crashes += 1;
         // Retry: the crashed invocation's requests (the whole coalesced
@@ -1134,47 +1144,6 @@ impl Cluster {
             let replicas = self.cache.replica_count(model);
             self.metrics.record_hot_replicas(self.scalars.now, replicas);
             self.emit_with(|_| ObsEvent::HotReplicas { replicas });
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Datastore mirroring (paper Fig 2: components coordinate via etcd)
-    // ------------------------------------------------------------------
-
-    fn report_status(&self, g: GpuId, status: &str) {
-        if !self.config.report_to_datastore {
-            return;
-        }
-        if let Some(ds) = &self.datastore {
-            ds.put(status_key(g), status.to_string());
-        }
-    }
-
-    fn report_lru(&self, g: GpuId) {
-        if !self.config.report_to_datastore {
-            return;
-        }
-        if let Some(ds) = &self.datastore {
-            let list = self
-                .cache
-                .resident(g)
-                .iter()
-                .map(|m| m.0.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            ds.put(lru_key(g), list);
-        }
-    }
-
-    fn report_latency(&self, r: &Request, latency: SimDuration) {
-        if !self.config.report_to_datastore {
-            return;
-        }
-        if let Some(ds) = &self.datastore {
-            ds.put(
-                format!("/latency/{}", r.id),
-                format!("{:.6}", latency.as_secs_f64()),
-            );
         }
     }
 }

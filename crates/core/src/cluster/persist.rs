@@ -49,10 +49,10 @@ impl Cluster {
     /// happened since — metrics, RNG, queues, residency, pending events,
     /// the arrival cursor, all of it — and closing every younger pin. The
     /// pin survives, so the same snapshot can be rolled back to again.
-    /// Returns false for a dead or foreign id. Attached recorders and
-    /// datastores are *not* rewound: rolling back mid-recording leaves
-    /// already-emitted telemetry in the sinks (the lookahead forks stash
-    /// the recorder first for exactly that reason).
+    /// Returns false for a dead or foreign id. Attached recorders, a
+    /// datastore mirror among them, are *not* rewound: rolling back
+    /// mid-recording leaves already-emitted telemetry in the sinks (the
+    /// lookahead forks stash the recorder first for exactly that reason).
     pub fn rollback(&mut self, id: SnapId) -> bool {
         let Some(at) = self.pins.find(id) else {
             return false;
@@ -450,9 +450,9 @@ impl Cluster {
 /// their own write sets for the same pin. Policy objects (scheduler,
 /// batcher, store, evictor inside the cache, autoscaler) contribute their
 /// state through the save/load hooks the on-disk checkpoint uses.
-/// Scratch buffers and attached sinks (recorder, datastore) are
-/// deliberately not pinned. Frames are recycled, so every buffer here is
-/// reused by the next pin.
+/// Scratch buffers and the attached recorder (with any datastore
+/// mirror in it) are deliberately not pinned. Frames are recycled, so
+/// every buffer here is reused by the next pin.
 #[derive(Default)]
 pub(super) struct PinFrame {
     scalars: Scalars,

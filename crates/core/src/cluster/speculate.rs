@@ -25,12 +25,12 @@ impl Cluster {
     /// Forks the world, performs one candidate placement for the queued
     /// request at `queue_index`, replays up to `horizon` pending runtime
     /// events under a plain greedy LALBO3 scheduler, scores the outcome,
-    /// and rolls everything back. The fork is invisible: recorder and
-    /// datastore are stashed for its duration, and every other mutable
-    /// bit — metrics, RNG, residency, queues, the event heap — is pinned
-    /// and restored byte-identically. Debug builds check that on every
-    /// fork by encoding the whole state before the pin and after the
-    /// restore.
+    /// and rolls everything back. The fork is invisible: the recorder
+    /// (a datastore mirror included) is stashed for its duration, and
+    /// every other mutable bit — metrics, RNG, residency, queues, the
+    /// event heap — is pinned and restored byte-identically. Debug builds
+    /// check that on every fork by encoding the whole state before the
+    /// pin and after the restore.
     pub(crate) fn speculate_placement(
         &mut self,
         events: &mut EventQueue<Event>,
@@ -39,7 +39,6 @@ impl Cluster {
         horizon: usize,
     ) -> SpecScore {
         let recorder = self.recorder.take();
-        let datastore = self.datastore.take();
         #[cfg(debug_assertions)]
         let before = self.fork_oracle(events);
         self.pin(events);
@@ -131,7 +130,6 @@ impl Cluster {
             "fork restore diverged from the pinned state"
         );
         self.recorder = recorder;
-        self.datastore = datastore;
         score
     }
 }

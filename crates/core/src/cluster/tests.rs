@@ -393,6 +393,42 @@ fn crash_latency_includes_the_retry() {
 }
 
 #[test]
+fn crash_remirrors_the_lru_list() {
+    // A crash drops the dead model from the cache; the mirrored LRU
+    // list must follow, so at the end of the run every `/gpu/N/lru`
+    // names exactly the models resident on GPU N.
+    let reqs: Vec<(f64, u32)> = (0..60)
+        .map(|i| (i as f64 * 0.4, (i * 7 % 5) as u32))
+        .collect();
+    let trace = trace_of(&reqs);
+    let mut crashes = 0;
+    for seed in 0..10 {
+        let mut cfg = ClusterConfig::test(3, 300, spec("lalbo3"));
+        cfg.crash_rate = 0.3;
+        cfg.seed = seed;
+        cfg.report_to_datastore = true;
+        let ds = Arc::new(Datastore::new());
+        let mut c = Cluster::new(cfg, toy_registry(5)).with_datastore(Arc::clone(&ds));
+        assert_eq!(c.run(&trace).completed, 60);
+        crashes += c.crashes();
+        for gi in 0..3u16 {
+            let kv = ds.get(format!("/gpu/{gi}/lru")).expect("LRU list mirrored");
+            let value = String::from_utf8(kv.value.to_vec()).unwrap();
+            let mut mirrored: Vec<u32> = value
+                .split(',')
+                .filter(|m| !m.is_empty())
+                .map(|m| m.parse().unwrap())
+                .collect();
+            let mut actual: Vec<u32> = c.cache.resident(GpuId(gi)).iter().map(|m| m.0).collect();
+            mirrored.sort_unstable();
+            actual.sort_unstable();
+            assert_eq!(mirrored, actual, "seed {seed} gpu {gi}");
+        }
+    }
+    assert!(crashes > 0, "a 30% crash rate must fire");
+}
+
+#[test]
 fn sm_utilization_counts_inference_only() {
     // One request: load 1 s + infer 1 s → SM busy 1 of 2 s.
     let mut c = cluster(1, 1000, "lalb", 1);

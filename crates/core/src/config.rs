@@ -4,6 +4,7 @@ use std::fmt;
 
 use gfaas_gpu::GpuSpec;
 use gfaas_obs::RecordSpec;
+use gfaas_sim::time::SimDuration;
 use gfaas_store::{StoreError, StoreSpec};
 
 use crate::autoscale::{AutoscaleError, AutoscaleSpec};
@@ -23,6 +24,18 @@ pub enum BusyWaitPolicy {
     /// Always wait: blindly queue at the least-loaded busy holder
     /// (locality without load balance).
     Always,
+}
+
+impl BusyWaitPolicy {
+    /// Whether a request queues at a busy holder expected to serve it
+    /// after `wait` instead of cold-loading its model in `load_time`.
+    pub fn joins(self, wait: SimDuration, load_time: SimDuration) -> bool {
+        match self {
+            BusyWaitPolicy::Estimate => wait < load_time,
+            BusyWaitPolicy::Never => false,
+            BusyWaitPolicy::Always => true,
+        }
+    }
 }
 
 /// Default Cache-Manager OOM headroom on the paper testbed, MiB.
@@ -185,9 +198,10 @@ pub struct ClusterConfig {
     pub store: StoreSpec,
     /// RNG seed (random replacement, tie-breaking, crash injection).
     pub seed: u64,
-    /// Mirror GPU status / LRU lists / latencies into the Datastore, as the
-    /// paper's components do through etcd. Off by default in benchmarks —
-    /// it is observability, not behaviour.
+    /// Mirror GPU status / LRU lists / latencies into the datastore given
+    /// to [`Cluster::with_datastore`](crate::Cluster::with_datastore), the
+    /// one reader of this flag. Off by default in benchmarks — it is
+    /// observability, not behaviour.
     pub report_to_datastore: bool,
     /// Event recording: which [`gfaas_obs`] recorders to attach
     /// (lifecycle ledger, Perfetto trace export, time-series sampler)

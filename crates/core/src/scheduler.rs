@@ -30,7 +30,6 @@
 //! [`crate::policy::PolicyRegistry`].
 
 use crate::cluster::{SchedCtx, SpecPlacement, SpecScore};
-use crate::config::BusyWaitPolicy;
 use crate::request::Request;
 use gfaas_gpu::GpuId;
 use gfaas_sim::time::SimDuration;
@@ -178,16 +177,9 @@ impl LalbScheduler {
             .iter()
             .map(|&j| (ctx.estimated_wait_for(j, r.model), j))
             .min_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        if let Some((wait, j)) = best {
-            let join_queue = match ctx.busy_wait() {
-                BusyWaitPolicy::Estimate => wait < load_time,
-                BusyWaitPolicy::Never => false,
-                BusyWaitPolicy::Always => true,
-            };
-            if join_queue {
-                ctx.enqueue_local(j, r);
-                return None;
-            }
+        if let Some((_, j)) = best.filter(|&(wait, _)| ctx.busy_wait().joins(wait, load_time)) {
+            ctx.enqueue_local(j, r);
+            return None;
         }
         // Lines 16–18: the busy hit would be slower → allow the miss here.
         Some(Dispatch::Miss(r))
@@ -374,21 +366,13 @@ impl LookaheadScheduler {
             .map(|&j| (ctx.estimated_wait_for(j, model), j))
             .collect();
         waits.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        let greedy = if let Some(j) = idle_hit {
-            SpecPlacement::HitOn(j)
-        } else {
-            let join = waits
-                .first()
-                .is_some_and(|&(wait, _)| match ctx.busy_wait() {
-                    BusyWaitPolicy::Estimate => wait < ctx.load_time(gpu, model),
-                    BusyWaitPolicy::Never => false,
-                    BusyWaitPolicy::Always => true,
-                });
-            if join {
-                SpecPlacement::WaitOn(waits[0].1)
-            } else {
-                SpecPlacement::MissOn(gpu)
+        let load_time = ctx.load_time(gpu, model);
+        let greedy = match (idle_hit, waits.first()) {
+            (Some(j), _) => SpecPlacement::HitOn(j),
+            (None, Some(&(wait, j))) if ctx.busy_wait().joins(wait, load_time) => {
+                SpecPlacement::WaitOn(j)
             }
+            _ => SpecPlacement::MissOn(gpu),
         };
         // Alternatives, deterministic order: the remaining idle hits (id
         // order), waits at busy holders (cheapest estimate first), then

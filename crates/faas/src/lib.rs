@@ -18,6 +18,8 @@
 //! * [`watchdog`] — runs the function body in its container and records
 //!   execution metrics to the datastore.
 //! * [`container`] — container lifecycle and per-function scaling.
+//! * [`mirror`] — a recorder publishing GPU status, LRU lists and
+//!   latencies to the datastore, as the paper's GPU Managers do.
 
 #![warn(missing_docs)]
 
@@ -25,6 +27,7 @@ pub mod container;
 pub mod datastore;
 pub mod function;
 pub mod gateway;
+pub mod mirror;
 pub mod watchdog;
 
 pub use datastore::{Datastore, Revision, WatchEvent};

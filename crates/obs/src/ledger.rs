@@ -457,6 +457,7 @@ mod tests {
                 model: m,
                 batch: 7,
                 tier: Tier::ORIGIN,
+                resident: &[m],
             },
         );
         ev(
@@ -628,6 +629,7 @@ mod tests {
                 gpu: g0,
                 model: m,
                 requeued: 1,
+                resident: &[],
             },
         );
         ev(&mut l, 60, ObsEvent::Requeued { req: 0 });
@@ -695,6 +697,7 @@ mod tests {
                 model: m,
                 batch: 3,
                 tier: Tier::HOST,
+                resident: &[m],
             },
         );
         // Rider arrives and joins while the load is in flight.

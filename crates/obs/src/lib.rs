@@ -206,6 +206,8 @@ pub enum ObsEvent<'a> {
         /// Storage tier the bytes are served from ([`Tier::ORIGIN`]
         /// under the flat store, host or origin under a tiered one).
         tier: Tier,
+        /// The GPU's resident models after the insert, coldest first.
+        resident: &'a [ModelId],
     },
     /// A model upload finished.
     LoadComplete {
@@ -282,6 +284,8 @@ pub enum ObsEvent<'a> {
         model: ModelId,
         /// Requests pushed back to the global queue.
         requeued: usize,
+        /// The GPU's resident models after the loss, coldest first.
+        resident: &'a [ModelId],
     },
     /// A request went back to the global queue after a crash.
     Requeued {
@@ -302,6 +306,8 @@ pub enum ObsEvent<'a> {
     Offline {
         /// Deprovisioned GPU.
         gpu: GpuId,
+        /// Its resident models, coldest first (none once drained).
+        resident: &'a [ModelId],
     },
     /// A GPU became (or started) idle and schedulable.
     UnitIdle {

@@ -178,7 +178,7 @@ impl TraceBuilder {
             ObsEvent::DrainStart { gpu } => {
                 self.begin_state(t, gpu.0, "draining");
             }
-            ObsEvent::Offline { gpu } => {
+            ObsEvent::Offline { gpu, .. } => {
                 self.end_state(t, gpu.0);
                 self.provisioned -= 1;
                 self.counter(t, COUNTER_PROVISIONED, self.provisioned as f64);
@@ -448,6 +448,7 @@ mod tests {
                 model: m,
                 batch: 1,
                 tier: gfaas_gpu::Tier::ORIGIN,
+                resident: &[m],
             },
         );
         rec.record(
@@ -480,7 +481,13 @@ mod tests {
         rec.record(t(1000), &ObsEvent::ScaleUp { gpu: GpuId(1) });
         rec.record(t(1000), &ObsEvent::UnitIdle { gpu: GpuId(1) });
         rec.record(t(2000), &ObsEvent::DrainStart { gpu: GpuId(1) });
-        rec.record(t(2500), &ObsEvent::Offline { gpu: GpuId(1) });
+        rec.record(
+            t(2500),
+            &ObsEvent::Offline {
+                gpu: GpuId(1),
+                resident: &[],
+            },
+        );
         rec.record(
             t(2500),
             &ObsEvent::Eviction {
@@ -552,6 +559,7 @@ mod tests {
                 gpu: g,
                 model: m,
                 requeued: 1,
+                resident: &[],
             },
         );
         rec.finish(t(100));
