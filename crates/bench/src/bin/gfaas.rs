@@ -250,16 +250,6 @@ fn cmd_run(flags: BTreeMap<String, String>) {
         let trace = tc.generate();
         let mut cfg = ClusterConfig::paper_testbed(policy.clone());
         cfg.num_gpus = get(&flags, "gpus", cfg.num_gpus);
-        if !cfg.num_gpus.is_multiple_of(cfg.gpus_per_node) {
-            // Keep the node shape valid when --gpus overrides the testbed;
-            // grouping is reporting-only today, but say so out loud.
-            cfg.gpus_per_node = cfg.num_gpus.max(1);
-            eprintln!(
-                "note: --gpus {} does not tile the testbed's 4-GPU nodes; \
-                 treating the cluster as one {}-GPU node",
-                cfg.num_gpus, cfg.gpus_per_node
-            );
-        }
         cfg.mem_headroom_mib = get(&flags, "headroom", cfg.mem_headroom_mib);
         cfg.num_tenants = get(&flags, "tenants", cfg.num_tenants);
         if let Some(cap) = flags.get("tenant-cap") {

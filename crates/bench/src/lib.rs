@@ -595,8 +595,6 @@ pub enum SpecKind {
     Evictor,
     /// A request-batching spec (`none`, `coalesce:max=8,wait=0.05`, …).
     Batcher,
-    /// A model-store spec (`flat`, `tiered:host=64G,origin_bw=2G`, …).
-    Store,
 }
 
 /// Parses a CLI-facing policy spec and validates it against the builtin
@@ -619,19 +617,14 @@ pub fn parse_cli_spec(s: &str, kind: SpecKind) -> Result<PolicySpec, String> {
             .batcher(&spec)
             .map(drop)
             .map_err(|e| format!("{e} (known: {:?})", reg.batcher_keys()))?,
-        SpecKind::Store => reg
-            .store(&spec)
-            .map(drop)
-            .map_err(|e| format!("{e} (known: {:?})", reg.store_keys()))?,
     }
     Ok(spec)
 }
 
-/// Parses and validates a CLI-facing `--store` spec, returning the
-/// typed [`StoreSpec`] the cluster config carries. Validation runs
-/// through the builtin registry so diagnostics list the known backends.
+/// Parses and validates a CLI-facing `--store` spec into the typed
+/// [`StoreSpec`] the cluster config carries; an unknown backend's
+/// diagnostic lists the known ones.
 pub fn parse_cli_store(s: &str) -> Result<StoreSpec, String> {
-    parse_cli_spec(s, SpecKind::Store)?;
     s.parse::<StoreSpec>().map_err(|e| e.to_string())
 }
 
@@ -734,11 +727,12 @@ mod tests {
     fn parallel_sweep_matches_single_thread_exactly() {
         // The crossbeam fan-out must be invisible in the output: cells
         // are compared field-for-field (bit-equal metrics), not
-        // approximately. Together with the debug_assert oracle inside
-        // `estimated_wait_fast` (incremental aggregate vs naive
-        // recompute, checked on every query in debug builds), this pins
-        // the refactor's two invariants — worker count never changes a
-        // byte, and the indexed state never drifts from the ground truth.
+        // approximately. Together with the debug_assert inside
+        // `Cluster::estimated_wait_fast` (the incremental aggregate vs
+        // the naive `GpuUnit::estimated_wait_for` walk, checked on every
+        // query in debug builds), this pins two invariants — worker
+        // count never changes a byte, and the indexed state never drifts
+        // from the ground truth.
         let single = ScenarioSuite::smoke();
         let mut multi = ScenarioSuite::smoke();
         multi.threads = 4;

@@ -68,7 +68,7 @@ impl Cluster {
                     .local_queue
                     .remove(i)
                     .expect("index in bounds");
-                self.agg_remove(gi, &r);
+                self.agg_remove(gi, i, &r);
                 self.emit_with(|_| ObsEvent::Join { req: r.id, gpu: g });
                 out.push(r);
             } else {

@@ -1,9 +1,11 @@
 //! Scheduling (paper §IV) and dispatch execution: the schedule pass,
-//! the hit and miss launches, the incremental finish-time estimators
-//! they and the policies consult, and the [`SchedCtx`] view a
+//! the hit and miss launches, the incremental wait estimator the
+//! policies consult, and the [`SchedCtx`] view a
 //! [`SchedulerPolicy`](crate::scheduler::SchedulerPolicy) works
 //! through. The algorithms themselves live in the policy impls
 //! ([`crate::scheduler`]).
+
+use std::ops::ControlFlow;
 
 use gfaas_gpu::{GpuId, ModelId, Tier};
 use gfaas_obs::{Arm, ObsEvent};
@@ -40,11 +42,21 @@ impl Cluster {
         }
     }
 
-    /// Accounts `r` leaving `gi`'s local queue (dispatch, coalescing
-    /// collection). The inference charge is recomputed from the same
-    /// immutable profile it was added from, so the subtraction is exact.
-    pub(super) fn agg_remove(&mut self, gi: usize, r: &Request) {
+    /// Accounts `r` leaving index `at` of `gi`'s local queue (dispatch,
+    /// coalescing collection); `r` must have been its model's first queued
+    /// entry, as both callers take entries front to back. The inference
+    /// charge is recomputed from the same immutable profile it was added
+    /// from, so the subtraction is exact. When entries of `r`'s model
+    /// remain, its group moves past exactly the groups whose first entries
+    /// now lie ahead of the model's new first entry, which keeps `groups`
+    /// in first-entry order.
+    pub(super) fn agg_remove(&mut self, gi: usize, at: usize, r: &Request) {
         let dur = self.infer_time_on(gi, r.model, r.batch);
+        let queue = &self.units[gi].local_queue;
+        debug_assert!(
+            !queue.range(..at).any(|q| q.model == r.model),
+            "removed entry was not its model's first"
+        );
         let agg = self.local_aggs.write(gi);
         agg.infer_sum -= dur;
         let pos = agg
@@ -57,7 +69,14 @@ impl Cluster {
         g.2 -= 1;
         if g.2 == 0 {
             agg.groups.remove(pos);
+            return;
         }
+        let ahead = || queue.range(at..).take_while(|q| q.model != r.model);
+        let passed = agg.groups[pos + 1..]
+            .iter()
+            .take_while(|g| ahead().any(|q| q.model == g.0))
+            .count();
+        agg.groups[pos..=pos + passed].rotate_left(1);
     }
 
     /// Pops the head of `gi`'s local queue and accounts it with
@@ -68,7 +87,7 @@ impl Cluster {
             return None;
         }
         let r = self.units.write(gi).local_queue.pop_front()?;
-        self.agg_remove(gi, &r);
+        self.agg_remove(gi, 0, &r);
         Some(r)
     }
 
@@ -83,59 +102,46 @@ impl Cluster {
         }
     }
 
-    /// [`GpuUnit::estimated_wait`] evaluated from the incremental
-    /// aggregate in O(distinct queued models) instead of O(queue).
-    /// Byte-identical by construction (see [`LocalAgg`]); debug builds
-    /// assert equality against the naive walk on every call, which is
-    /// also the oracle the property tests lean on.
-    fn estimated_wait_fast(&self, gi: usize) -> SimDuration {
+    /// [`GpuUnit::estimated_wait_for`] evaluated from the incremental
+    /// aggregate in O(distinct queued models) instead of O(queue): the
+    /// per-request inference sum and per-model group sums of [`LocalAgg`]
+    /// stand in for the queue walk. Byte-identical by construction; debug
+    /// builds assert equality against the naive walk on every call, which
+    /// is also the oracle the property tests lean on.
+    fn estimated_wait_fast(&self, gi: usize, model: ModelId) -> SimDuration {
         self.estimator_calls.set(self.estimator_calls.get() + 1);
         let coalesced = !self.batcher.is_passthrough();
-        let unit = &self.units[gi];
-        let mut wait = unit
-            .device
-            .busy_until()
-            .map(|t| t.duration_since(self.scalars.now))
-            .unwrap_or(SimDuration::ZERO);
-        if let Some(f) = &unit.in_flight {
-            if f.phase == Phase::Loading {
-                wait += self.infer_time_on(gi, f.model(), f.items());
-            }
-        }
-        if let Some(h) = &unit.holding {
-            wait += h
-                .release_at
-                .duration_since(self.scalars.now.min(h.release_at));
-            if !unit.device.has_model(h.model()) {
-                wait += self.load_time_on(gi, h.model());
-            }
-            wait += self.infer_time_on(gi, h.model(), h.items());
-        }
-        let agg = &self.local_aggs[gi];
-        if coalesced {
-            for &(m, items, _) in &agg.groups {
-                if !unit.device.has_model(m) {
-                    wait += self.load_time_on(gi, m);
-                }
-                wait += self.infer_time_on(gi, m, items);
-            }
-        } else {
-            for &(m, _, _) in &agg.groups {
-                if !unit.device.has_model(m) {
-                    wait += self.load_time_on(gi, m);
-                }
-            }
-            wait += agg.infer_sum;
-        }
+        let (unit, now) = (&self.units[gi], self.scalars.now);
         let infer = |m, b| self.infer_time_on(gi, m, b);
-        let naive = || {
-            unit.estimated_wait(self.scalars.now, coalesced, infer, |m| {
-                self.load_time_on(gi, m)
-            })
+        let load = |m| self.load_time_on(gi, m);
+        let wait = match unit.wait_before_queue(now, model, coalesced, infer, load) {
+            ControlFlow::Break(wait) => wait,
+            ControlFlow::Continue(mut wait) => {
+                let agg = &self.local_aggs[gi];
+                let upload = |m| {
+                    if unit.device.has_model(m) {
+                        SimDuration::ZERO
+                    } else {
+                        load(m)
+                    }
+                };
+                if coalesced {
+                    // Groups ahead of the request's own, which it shares.
+                    for &(m, items, _) in agg.groups.iter().take_while(|g| g.0 != model) {
+                        wait += upload(m) + infer(m, items);
+                    }
+                } else {
+                    for &(m, ..) in &agg.groups {
+                        wait += upload(m);
+                    }
+                    wait += agg.infer_sum;
+                }
+                wait
+            }
         };
         debug_assert_eq!(
             wait,
-            naive(),
+            unit.estimated_wait_for(now, model, coalesced, infer, load),
             "local-queue aggregate out of sync on GPU {gi}"
         );
         wait
@@ -453,61 +459,6 @@ impl Cluster {
         });
         events.schedule(ready, Event::GpuDone(g, seq));
     }
-
-    /// [`GpuUnit::estimated_join_wait`] evaluated from the incremental
-    /// aggregate: the preceding coalesced groups are charged from
-    /// [`LocalAgg`]'s first-push-ordered sums and the walk early-returns
-    /// at the request's own group, so the estimate costs O(preceding
-    /// groups) instead of rebuilding a group list from the whole queue on
-    /// every call. Byte-identical to the naive walk (same group order,
-    /// same totals); debug builds assert that on every call, which is
-    /// also what the property tests lean on.
-    fn estimated_join_wait_fast(&self, gi: usize, model: ModelId) -> SimDuration {
-        self.estimator_calls.set(self.estimator_calls.get() + 1);
-        let unit = &self.units[gi];
-        let mut wait = unit
-            .device
-            .busy_until()
-            .map(|t| t.duration_since(self.scalars.now))
-            .unwrap_or(SimDuration::ZERO);
-        'done: {
-            if let Some(f) = &unit.in_flight {
-                if f.phase == Phase::Loading {
-                    if f.model() == model {
-                        break 'done; // joins the forming invocation
-                    }
-                    wait += self.infer_time_on(gi, f.model(), f.items());
-                }
-            }
-            if let Some(h) = &unit.holding {
-                wait += h
-                    .release_at
-                    .duration_since(self.scalars.now.min(h.release_at));
-                if h.model() == model {
-                    break 'done; // joins the held batch at its release
-                }
-                if !unit.device.has_model(h.model()) {
-                    wait += self.load_time_on(gi, h.model());
-                }
-                wait += self.infer_time_on(gi, h.model(), h.items());
-            }
-            for &(m, items, _) in &self.local_aggs[gi].groups {
-                if m == model {
-                    break 'done; // shares its own group's invocation
-                }
-                if !unit.device.has_model(m) {
-                    wait += self.load_time_on(gi, m);
-                }
-                wait += self.infer_time_on(gi, m, items);
-            }
-        }
-        let infer = |m, b| self.infer_time_on(gi, m, b);
-        let naive = || {
-            unit.estimated_join_wait(self.scalars.now, model, infer, |m| self.load_time_on(gi, m))
-        };
-        debug_assert_eq!(wait, naive(), "join-wait aggregate out of sync on GPU {gi}");
-        wait
-    }
 }
 
 /// The borrowed cluster view a
@@ -589,30 +540,17 @@ impl SchedCtx<'_> {
         self.cluster.units[gpu.0 as usize].idle_since
     }
 
-    /// Estimated time until `gpu` drains its in-flight request and local
-    /// queue (the paper's finish-time estimate), on this GPU's own
-    /// compute and PCIe profiles. Queued requests whose model is not
-    /// resident are charged their upload as well as their inference, so
-    /// the wait-vs-load comparison stays honest for policies that queue
-    /// non-resident work. When a batching policy is active, same-model
-    /// queued work is charged as one coalesced invocation — the time the
-    /// driver will actually spend — which makes waiting at a busy holder
+    /// The wait a request for `model` would see at busy `gpu` before
+    /// being served — what Algorithm 2 compares against the load time —
+    /// on this GPU's own compute and PCIe profiles (see
+    /// [`GpuUnit::estimated_wait_for`]). Per-request dispatch charges the
+    /// whole drain, including the upload of any non-resident queued
+    /// model; under batching the request shares its model's invocation (a
+    /// forming load, a held batch, or a local-queue group), so only the
+    /// work ahead of it counts, which makes waiting at a busy holder
     /// correctly cheaper than replicating the model.
-    pub fn estimated_wait(&self, gpu: GpuId) -> SimDuration {
-        self.cluster.estimated_wait_fast(gpu.0 as usize)
-    }
-
-    /// The wait a request for `model` would see before being *served* if
-    /// queued at busy `gpu` — what Algorithm 2 compares against the load
-    /// time. Under per-request dispatch this is exactly
-    /// [`SchedCtx::estimated_wait`]; under batching the request shares
-    /// its model's coalesced invocation (a forming load, a held batch,
-    /// or a local-queue group), so only preceding work counts.
     pub fn estimated_wait_for(&self, gpu: GpuId, model: ModelId) -> SimDuration {
-        if self.cluster.batcher.is_passthrough() {
-            return self.estimated_wait(gpu);
-        }
-        self.cluster.estimated_join_wait_fast(gpu.0 as usize, model)
+        self.cluster.estimated_wait_fast(gpu.0 as usize, model)
     }
 
     /// Time to upload `model` onto `gpu` (scaled by its PCIe profile).

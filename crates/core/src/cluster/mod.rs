@@ -31,7 +31,7 @@
 //!
 //! This root holds the event loop and its handlers. The subsystems it
 //! delegates to live next to it: `dispatch` (the schedule pass,
-//! dispatch execution, the finish-time estimators and [`SchedCtx`]),
+//! dispatch execution, the Algorithm-2 wait estimator and [`SchedCtx`]),
 //! `batch` (holds, coalescing, top-ups), `drain` (scale-up,
 //! scale-down, drain and [`ScaleView`]), `persist` (pins, rollback,
 //! checkpoints and their codecs) and `speculate` (the lookahead fork
@@ -61,7 +61,7 @@ use crate::cache::{CacheManager, Evictor};
 use crate::config::{ClusterConfig, ConfigError};
 use crate::gpu_manager::{GpuUnit, Phase, UnitState};
 use crate::metrics::{MetricsCollector, RunMetrics};
-use crate::policy::{PolicyRegistry, PolicySpec};
+use crate::policy::PolicyRegistry;
 use crate::request::Request;
 use crate::scheduler::SchedulerPolicy;
 #[cfg(feature = "simcheck")]
@@ -205,21 +205,24 @@ pub struct Cluster {
 /// the queue by [`Cluster::agg_push`] / [`Cluster::agg_remove`] /
 /// [`Cluster::agg_rebuild`].
 ///
-/// [`GpuUnit::estimated_wait`] charges queued work as order-independent
-/// sums over integer-tick durations — a per-request inference sum, or
-/// per-model coalesced group sums, plus one upload per distinct
-/// non-resident model — so the whole estimate folds into this constant
-/// -size state and stays *byte-identical* to the naive O(queue) walk
+/// [`GpuUnit::estimated_wait_for`] charges queued work as sums over
+/// integer-tick durations: a per-request inference sum, or per-model
+/// coalesced group sums up to the request's own group, plus one upload
+/// per distinct non-resident model. So the estimate folds into this
+/// small state and stays *byte-identical* to the naive O(queue) walk
 /// (addition of ticks is commutative and associative; residency is still
-/// read at query time). [`Cluster::estimated_wait_fast`] consumes it and
-/// carries a debug-build assertion against the naive recompute.
+/// read at query time). The batched charge stops at the request's own
+/// group, so the groups must stay in the order the queue serves them:
+/// first-entry order. [`Cluster::estimated_wait_fast`] consumes the
+/// summary and carries a debug-build assertion against the naive walk.
 #[derive(Debug, Default, Clone)]
 struct LocalAgg {
     /// Σ per-request inference time (on this unit's compute profile)
     /// over the local queue — the per-request-dispatch charge.
     infer_sum: SimDuration,
     /// Distinct queued models: `(model, Σ batch items, request count)`,
-    /// in first-push order. Entries leave when their count hits zero.
+    /// ordered by each model's first entry in the queue. Entries leave
+    /// when their count hits zero.
     groups: Vec<(ModelId, usize, usize)>,
 }
 
@@ -286,12 +289,9 @@ impl Cluster {
     ) -> Result<Self, ConfigError> {
         config.validate()?;
         // Batching always resolves through the builtin registry (use
-        // `set_batcher` for custom policies). The store spec resolves the
-        // same way — through its canonical display form, so a registry
-        // shadowing `tiered` would be honoured.
+        // `set_batcher` for custom policies).
         let batcher = PolicyRegistry::builtin().batcher(&config.batching)?;
-        let store_spec = PolicySpec::parse(&config.store.to_string())?;
-        let store = PolicyRegistry::builtin().store(&store_spec)?;
+        let store = config.store.build()?;
         let store_flat = store.is_flat();
         // An elastic cluster allocates every device it may ever bring
         // online; `num_gpus` (clamped into the autoscale band) of them

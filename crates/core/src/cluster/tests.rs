@@ -7,6 +7,7 @@ use gfaas_snap::SnapError;
 use gfaas_trace::TraceRequest;
 
 use super::*;
+use crate::policy::PolicySpec;
 use crate::scheduler::Dispatch;
 
 /// A registry of `n` identical small models: 100 MiB, 1 s load, 1 s
@@ -590,7 +591,7 @@ fn try_new_surfaces_bad_specs_and_configs() {
 #[should_panic(expected = "invalid cluster config")]
 fn new_panics_on_invalid_config() {
     let mut cfg = ClusterConfig::test(4, 1000, spec("lalb"));
-    cfg.gpus_per_node = 3; // does not divide 4
+    cfg.batch_size = 0;
     let _ = Cluster::new(cfg, toy_registry(1));
 }
 
@@ -667,6 +668,47 @@ fn coalesce_merges_a_same_model_backlog_into_one_invocation() {
     assert!((m.makespan_secs - 4.7).abs() < 1e-6, "{}", m.makespan_secs);
     // Busy time: 1 s load + 3.7 s inference.
     assert!((m.gpu_busy_seconds - 4.7).abs() < 1e-6);
+}
+
+/// `gi`'s local-queue aggregate groups, as model numbers.
+fn agg_order(c: &Cluster, gi: usize) -> Vec<u32> {
+    c.local_aggs[gi].groups.iter().map(|g| g.0 .0).collect()
+}
+
+/// A one-GPU coalescing cluster whose local queue holds `models`, in
+/// order.
+fn queued_cluster(models: &[u32]) -> Cluster {
+    let mut c = batched_cluster(1, 3, "coalesce:max=8");
+    for (id, &m) in models.iter().enumerate() {
+        c.push_local(0, Request::new(id as u64, 0, ModelId(m), 32, SimTime::ZERO));
+    }
+    c
+}
+
+#[test]
+fn local_aggregate_keeps_groups_in_first_entry_order() {
+    // Popping the head of [m0, m1, m0, m0] leaves m1 first in the queue;
+    // the batched wait charges groups ahead of the request's own, so the
+    // aggregate must follow.
+    let mut c = queued_cluster(&[0, 1, 0, 0]);
+    assert_eq!(agg_order(&c, 0), vec![0, 1]);
+    assert_eq!(c.pop_local(0).map(|r| r.model), Some(ModelId(0)));
+    assert_eq!(agg_order(&c, 0), vec![1, 0]);
+    // Cap-limited collection removes an m0 prefix and can leave later m0
+    // entries behind other groups. (queue, cap on collected m0s, groups
+    // after)
+    for (models, cap, after) in [
+        (&[0, 1, 0, 0][..], 1, &[1, 0][..]),
+        (&[0, 1, 2, 0, 1], 1, &[1, 2, 0]),
+        (&[0, 1, 0, 2, 0], 2, &[1, 2, 0]),
+        (&[0, 1, 0, 2, 0], 8, &[1, 2]),
+        (&[1, 0, 2, 0], 1, &[1, 2, 0]),
+    ] {
+        let mut c = queued_cluster(models);
+        let mut out = Vec::new();
+        c.collect_same_model(0, ModelId(0), cap, &mut out);
+        assert_eq!(agg_order(&c, 0), after, "{models:?} cap {cap}");
+    }
 }
 
 #[test]

@@ -61,13 +61,6 @@ pub enum ConfigError {
         /// `hetero_specs.len()`.
         got: usize,
     },
-    /// `gpus_per_node` is zero or does not divide `num_gpus` evenly.
-    BadNodeShape {
-        /// `num_gpus`.
-        num_gpus: usize,
-        /// `gpus_per_node`.
-        gpus_per_node: usize,
-    },
     /// `batch_size` is zero.
     ZeroBatch,
     /// The scheduler or replacement spec failed to resolve.
@@ -92,13 +85,6 @@ impl fmt::Display for ConfigError {
                     "hetero_specs length {got} must equal num_gpus {expected}"
                 )
             }
-            ConfigError::BadNodeShape {
-                num_gpus,
-                gpus_per_node,
-            } => write!(
-                f,
-                "gpus_per_node {gpus_per_node} must be positive and divide num_gpus {num_gpus}"
-            ),
             ConfigError::ZeroBatch => write!(f, "batch_size must be positive"),
             ConfigError::Policy(e) => write!(f, "{e}"),
             ConfigError::Autoscale(e) => write!(f, "{e}"),
@@ -135,8 +121,6 @@ impl From<StoreError> for ConfigError {
 pub struct ClusterConfig {
     /// Number of GPUs (the paper's testbed has 12: 3 nodes × 4).
     pub num_gpus: usize,
-    /// GPUs per node (for GPU-Manager grouping and reports).
-    pub gpus_per_node: usize,
     /// The GPU model (homogeneous clusters).
     pub gpu_spec: GpuSpec,
     /// Per-GPU spec overrides for heterogeneous clusters (§VI). When set,
@@ -189,10 +173,10 @@ pub struct ClusterConfig {
     /// paper's fixed testbed; every published number is produced with
     /// autoscaling off.
     pub autoscale: Option<AutoscaleSpec>,
-    /// The model-storage hierarchy behind the load path, resolved
-    /// through [`crate::policy::PolicyRegistry::store`] (`"flat"` — the
-    /// paper's single-cost infinite store and the default everywhere —
-    /// or `"tiered:host=64G,origin_bw=2G,…"`; see [`gfaas_store`]).
+    /// The model-storage hierarchy behind the load path, built with
+    /// [`StoreSpec::build`] (`"flat"` — the paper's single-cost infinite
+    /// store and the default everywhere — or
+    /// `"tiered:host=64G,origin_bw=2G,…"`; see [`gfaas_store`]).
     /// With `flat` the cluster's load path is byte-identical to the
     /// pre-store simulator; every published number uses `flat`.
     pub store: StoreSpec,
@@ -223,7 +207,6 @@ impl ClusterConfig {
     pub fn paper_testbed(policy: PolicySpec) -> Self {
         ClusterConfig {
             num_gpus: 12,
-            gpus_per_node: 4,
             gpu_spec: GpuSpec::rtx2080(),
             policy,
             hetero_specs: None,
@@ -247,7 +230,6 @@ impl ClusterConfig {
     pub fn test(num_gpus: usize, mem_mib: u64, policy: PolicySpec) -> Self {
         ClusterConfig {
             num_gpus,
-            gpus_per_node: num_gpus.max(1),
             gpu_spec: GpuSpec::test(mem_mib),
             policy,
             hetero_specs: None,
@@ -268,10 +250,9 @@ impl ClusterConfig {
     }
 
     /// Checks structural consistency: a cluster with GPUs, hetero specs
-    /// matching the GPU count, a node shape that tiles the cluster, and a
-    /// non-zero batch size. Policy *specs* are resolved separately (by
-    /// [`Cluster::try_new`]) so a config validated here can still carry
-    /// keys only a custom registry knows.
+    /// matching the GPU count, and a non-zero batch size. Policy *specs*
+    /// are resolved separately (by [`Cluster::try_new`]) so a config
+    /// validated here can still carry keys only a custom registry knows.
     ///
     /// [`Cluster::try_new`]: crate::cluster::Cluster::try_new
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -285,12 +266,6 @@ impl ClusterConfig {
                     got: specs.len(),
                 });
             }
-        }
-        if self.gpus_per_node == 0 || !self.num_gpus.is_multiple_of(self.gpus_per_node) {
-            return Err(ConfigError::BadNodeShape {
-                num_gpus: self.num_gpus,
-                gpus_per_node: self.gpus_per_node,
-            });
         }
         if self.batch_size == 0 {
             return Err(ConfigError::ZeroBatch);
@@ -314,7 +289,6 @@ mod tests {
     fn paper_testbed_matches_evaluation_setup() {
         let c = ClusterConfig::paper_testbed(PolicySpec::bare("lb"));
         assert_eq!(c.num_gpus, 12);
-        assert_eq!(c.gpus_per_node, 4);
         assert_eq!(c.gpu_spec.name, "GeForce RTX 2080");
         assert_eq!(c.replacement, PolicySpec::bare("lru"));
         assert_eq!(c.policy, PolicySpec::bare("lb"));
@@ -332,23 +306,6 @@ mod tests {
                 got: 2
             })
         );
-    }
-
-    #[test]
-    fn validate_rejects_bad_node_shape() {
-        let mut c = ClusterConfig::test(4, 1000, PolicySpec::bare("lalb"));
-        c.gpus_per_node = 0;
-        assert!(matches!(
-            c.validate(),
-            Err(ConfigError::BadNodeShape { .. })
-        ));
-        c.gpus_per_node = 3; // 4 % 3 != 0
-        assert!(matches!(
-            c.validate(),
-            Err(ConfigError::BadNodeShape { .. })
-        ));
-        c.gpus_per_node = 2;
-        assert!(c.validate().is_ok());
     }
 
     #[test]
@@ -394,11 +351,11 @@ mod tests {
 
     #[test]
     fn errors_display_helpfully() {
-        let e = ConfigError::BadNodeShape {
-            num_gpus: 5,
-            gpus_per_node: 2,
+        let e = ConfigError::HeteroSpecLen {
+            expected: 5,
+            got: 2,
         };
-        assert!(e.to_string().contains("divide num_gpus 5"));
+        assert!(e.to_string().contains("must equal num_gpus 5"));
         assert!(ConfigError::ZeroBatch.to_string().contains("batch_size"));
     }
 }

@@ -1,10 +1,11 @@
-//! Per-GPU execution state and finish-time estimation (paper §III-C).
+//! Per-GPU execution state and wait estimation (paper §III-C).
 //!
 //! The paper runs one GPU Manager per node; each manages its GPUs'
 //! processes, enforces one-request-at-a-time, reports busy/idle status, and
-//! estimates the finish time of a GPU's queued work — the quantity
-//! Algorithm 2 compares against a model's load time when deciding between
-//! a hit on a busy GPU and a miss on an idle one.
+//! estimates how long a request would wait at a GPU before being served —
+//! the quantity Algorithm 2 compares against a model's load time when
+//! deciding between a hit on a busy GPU and a miss on an idle one
+//! ([`GpuUnit::estimated_wait_for`]).
 //!
 //! [`GpuUnit`] is that per-GPU state: the simulated device, the local
 //! queue of requests scheduled to it while busy, the in-flight request, and
@@ -12,6 +13,7 @@
 //! input ordering).
 
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 
 use gfaas_gpu::{DeviceState, GpuDevice, GpuId, ModelId, Tier};
 use gfaas_sim::time::{SimDuration, SimTime};
@@ -341,62 +343,51 @@ impl GpuUnit {
         self.in_flight.is_none() && self.holding.is_none()
     }
 
-    /// Estimated time from `now` until this GPU has drained its current
-    /// request and local queue (paper: "the time to wait for the busy GPU
-    /// to finish its current request and requests already queued in its
-    /// local queue"). If the in-flight request is still uploading its
-    /// model, its own inference is still ahead and counts too.
+    /// Estimated wait, from `now`, before a request for `model` placed
+    /// in this GPU's local queue starts being served — the quantity
+    /// Algorithm 2 compares against `model`'s load time when choosing
+    /// between a hit on a busy GPU and a miss on an idle one. This walk
+    /// over the queue is the reference; the driver evaluates the same
+    /// value from an incremental aggregate and asserts it against this in
+    /// debug builds.
     ///
-    /// Local-queue entries are charged their inference time plus — for any
-    /// queued request whose model is *not* resident on this device — one
-    /// model upload (`load_time`), counted once per distinct missing
-    /// model. Algorithm 2 only queues residents locally, so under the
-    /// paper's scheduler the load term is zero and the estimate is
-    /// unchanged; the term matters for custom policies (and crash/drain
-    /// races) that leave non-resident work queued, where the old
-    /// infer-only sum biased the wait-vs-load comparison toward waiting.
+    /// Both modes charge the remaining busy time first, then the work
+    /// ahead of the local queue: the inference of an in-flight upload, and
+    /// a held batch's hold remainder, upload when missing and inference.
+    ///
+    /// Per-request dispatch (`coalesced` false) then charges the whole
+    /// local queue, as the paper does ("the time to wait for the busy GPU
+    /// to finish its current request and requests already queued in its
+    /// local queue"): every queued request's inference, plus one upload
+    /// (`load_time`) per distinct non-resident queued model. Algorithm 2
+    /// only queues residents locally, so the load term matters only for
+    /// custom policies and crash/drain races that leave non-resident work
+    /// queued. `model` is unused in this mode.
+    ///
+    /// Under batching (`coalesced` set) the request rides its own model's
+    /// invocation — an in-flight upload of `model`, a held batch of
+    /// `model`, or `model`'s local-queue group — so the charge stops
+    /// there. Each group ahead of it, in first-entry order, is charged as
+    /// one affine inference over its combined inputs plus its upload when
+    /// missing.
+    ///
     /// `infer_time` maps (model, batch) to latency; `load_time` maps a
     /// model to its upload time on this GPU.
-    ///
-    /// With `coalesced` set (a [`crate::batching::BatchPolicy`] other
-    /// than `none` is active), same-model local-queue entries are charged
-    /// as *one* invocation over their combined inputs — the affine
-    /// latency model's batch time, not a per-request sum — since that is
-    /// how the driver will actually run them. Per-request dispatch keeps
-    /// the paper's per-request sum, byte-identically.
-    pub fn estimated_wait(
+    pub fn estimated_wait_for(
         &self,
         now: SimTime,
+        model: ModelId,
         coalesced: bool,
         infer_time: impl Fn(ModelId, usize) -> SimDuration,
         load_time: impl Fn(ModelId) -> SimDuration,
     ) -> SimDuration {
-        let mut wait = self
-            .device
-            .busy_until()
-            .map(|t| t.duration_since(now))
-            .unwrap_or(SimDuration::ZERO);
-        if let Some(f) = &self.in_flight {
-            if f.phase == Phase::Loading {
-                // A coalesced invocation is charged its whole batch, not
-                // one request's worth.
-                wait += infer_time(f.model(), f.items());
-            }
-        }
-        if let Some(h) = &self.holding {
-            // A held batch still has its hold remainder, its upload when
-            // the model is not resident, and its coalesced inference
-            // ahead of it.
-            wait += h.release_at.duration_since(now.min(h.release_at));
-            if !self.device.has_model(h.model()) {
-                wait += load_time(h.model());
-            }
-            wait += infer_time(h.model(), h.items());
-        }
+        let mut wait = match self.wait_before_queue(now, model, coalesced, &infer_time, &load_time)
+        {
+            ControlFlow::Break(wait) => return wait,
+            ControlFlow::Continue(wait) => wait,
+        };
         if coalesced {
-            // Same-model entries will run as one coalesced invocation:
-            // charge each distinct model one upload (when missing) and
-            // one affine inference over the group's combined inputs.
+            // Local-queue groups run in first-entry order.
             let mut groups: Vec<(ModelId, usize)> = Vec::new();
             for r in &self.local_queue {
                 match groups.iter_mut().find(|(m, _)| *m == r.model) {
@@ -404,11 +395,14 @@ impl GpuUnit {
                     None => groups.push((r.model, r.batch)),
                 }
             }
-            for (model, items) in groups {
-                if !self.device.has_model(model) {
-                    wait += load_time(model);
+            for (m, items) in groups {
+                if m == model {
+                    break;
                 }
-                wait += infer_time(model, items);
+                if !self.device.has_model(m) {
+                    wait += load_time(m);
+                }
+                wait += infer_time(m, items);
             }
         } else {
             let mut pending_loads: Vec<ModelId> = Vec::new();
@@ -423,24 +417,20 @@ impl GpuUnit {
         wait
     }
 
-    /// Estimated time from `now` until a request for `model` joining this
-    /// GPU's local queue would *start being served* under coalescing: it
-    /// rides the in-flight invocation if that is still uploading `model`,
-    /// joins a held batch of `model`, or shares its model's local-queue
-    /// group's invocation — so preceding work is charged, but never the
-    /// group it merges into. With no same-model work queued, this is the
-    /// full coalesced drain ([`GpuUnit::estimated_wait`] with
-    /// `coalesced`). Algorithm 2's wait-vs-load comparison uses this
-    /// under batching: joining a busy holder is cheaper than the
-    /// per-request drain suggests, which is what makes waiting beat
-    /// replicating the model.
-    pub fn estimated_join_wait(
+    /// The part of [`GpuUnit::estimated_wait_for`] ahead of the local
+    /// queue: the remaining busy time; the inference of an in-flight
+    /// upload; and a held batch's hold remainder, upload when missing and
+    /// inference. Under batching a request for `model` rides an in-flight
+    /// upload or a held batch of `model`, so the wait ends there
+    /// ([`ControlFlow::Break`]).
+    pub(crate) fn wait_before_queue(
         &self,
         now: SimTime,
         model: ModelId,
+        coalesced: bool,
         infer_time: impl Fn(ModelId, usize) -> SimDuration,
         load_time: impl Fn(ModelId) -> SimDuration,
-    ) -> SimDuration {
+    ) -> ControlFlow<SimDuration, SimDuration> {
         let mut wait = self
             .device
             .busy_until()
@@ -448,82 +438,23 @@ impl GpuUnit {
             .unwrap_or(SimDuration::ZERO);
         if let Some(f) = &self.in_flight {
             if f.phase == Phase::Loading {
-                if f.model() == model {
-                    // Joins the forming invocation when the upload ends.
-                    return wait;
+                if coalesced && f.model() == model {
+                    return ControlFlow::Break(wait); // joins the forming invocation
                 }
                 wait += infer_time(f.model(), f.items());
             }
         }
         if let Some(h) = &self.holding {
             wait += h.release_at.duration_since(now.min(h.release_at));
-            if h.model() == model {
-                return wait; // joins the held batch at its release
+            if coalesced && h.model() == model {
+                return ControlFlow::Break(wait); // joins the held batch at its release
             }
             if !self.device.has_model(h.model()) {
                 wait += load_time(h.model());
             }
             wait += infer_time(h.model(), h.items());
         }
-        // Local-queue groups run in first-entry order; the request shares
-        // its own model's group, so later groups never count.
-        let mut groups: Vec<(ModelId, usize)> = Vec::new();
-        for r in &self.local_queue {
-            match groups.iter_mut().find(|(m, _)| *m == r.model) {
-                Some(g) => g.1 += r.batch,
-                None => groups.push((r.model, r.batch)),
-            }
-        }
-        for (m, items) in groups {
-            if m == model {
-                return wait;
-            }
-            if !self.device.has_model(m) {
-                wait += load_time(m);
-            }
-            wait += infer_time(m, items);
-        }
-        wait
-    }
-
-    /// Estimated finish time of a *new* request appended after the queue:
-    /// the drain estimate, plus the request's own upload when its model is
-    /// not yet resident (and not already charged by a queued request),
-    /// plus its inference. With `coalesced` set, a request whose model
-    /// already has queued (or held) work joins that invocation and is
-    /// charged only the *marginal* affine cost of its inputs.
-    pub fn estimated_finish(
-        &self,
-        now: SimTime,
-        coalesced: bool,
-        request: &Request,
-        infer_time: impl Fn(ModelId, usize) -> SimDuration,
-        load_time: impl Fn(ModelId) -> SimDuration,
-    ) -> SimDuration {
-        let mut finish = self.estimated_wait(now, coalesced, &infer_time, &load_time);
-        let group_items: usize = self
-            .local_queue
-            .iter()
-            .filter(|r| r.model == request.model)
-            .map(|r| r.batch)
-            .sum::<usize>()
-            + self
-                .holding
-                .as_ref()
-                .filter(|h| h.model() == request.model)
-                .map_or(0, |h| h.items());
-        if !self.device.has_model(request.model) && group_items == 0 {
-            finish += load_time(request.model);
-        }
-        if coalesced && group_items > 0 {
-            // Marginal cost of joining the group's invocation: the base
-            // term is already charged by the drain estimate.
-            finish
-                + infer_time(request.model, group_items + request.batch)
-                    .saturating_sub(infer_time(request.model, group_items))
-        } else {
-            finish + infer_time(request.model, request.batch)
-        }
+        ControlFlow::Continue(wait)
     }
 }
 
@@ -558,10 +489,10 @@ mod tests {
     fn idle_unit_has_zero_wait() {
         let u = unit();
         assert!(u.is_idle());
-        assert_eq!(
-            u.estimated_wait(t(0), false, |_, _| d(1), no_load),
-            SimDuration::ZERO
-        );
+        for coalesced in [false, true] {
+            let wait = u.estimated_wait_for(t(0), ModelId(0), coalesced, |_, _| d(1), no_load);
+            assert_eq!(wait, SimDuration::ZERO);
+        }
     }
 
     #[test]
@@ -574,11 +505,9 @@ mod tests {
         u.in_flight = Some(InFlight::solo(req(1, 0), Phase::Running, true, ready, 0));
         u.local_queue.push_back(req(2, 0));
         u.local_queue.push_back(req(3, 0));
-        let wait = u.estimated_wait(ready, false, |_, _| d(2), no_load);
+        let wait = u.estimated_wait_for(ready, ModelId(0), false, |_, _| d(2), no_load);
         // Remaining inference (10 s) + 2 resident local hits × 2 s.
         assert_eq!(wait, d(14));
-        let finish = u.estimated_finish(ready, false, &req(4, 0), |_, _| d(2), no_load);
-        assert_eq!(finish, d(16));
         assert!(!u.is_idle());
     }
 
@@ -588,8 +517,8 @@ mod tests {
         let (_, ready) = u.device.start_load(t(0), ModelId(0), 100 * MIB).unwrap();
         u.device.complete_load(ready, ModelId(0)).unwrap();
         u.device.start_inference(ready, ModelId(0), d(10)).unwrap();
-        let early = u.estimated_wait(ready, false, |_, _| d(0), no_load);
-        let late = u.estimated_wait(ready + d(6), false, |_, _| d(0), no_load);
+        let early = u.estimated_wait_for(ready, ModelId(0), false, |_, _| d(0), no_load);
+        let late = u.estimated_wait_for(ready + d(6), ModelId(0), false, |_, _| d(0), no_load);
         assert_eq!(early, d(10));
         assert_eq!(late, d(4));
     }
@@ -608,31 +537,96 @@ mod tests {
         u.local_queue.push_back(req(3, 7));
         u.local_queue.push_back(req(4, 8));
         u.local_queue.push_back(req(5, 0));
-        let wait = u.estimated_wait(ready, false, |_, _| d(2), |_| d(3));
+        let wait = u.estimated_wait_for(ready, ModelId(0), false, |_, _| d(2), |_| d(3));
         // 10 (in flight) + 4 × 2 (inferences) + 2 × 3 (loads of 7 and 8,
         // each charged once).
         assert_eq!(wait, d(24));
     }
 
-    #[test]
-    fn finish_charges_the_new_request_load_only_when_missing_and_uncharged() {
+    /// A unit uploading m0 until t=5.
+    fn uploading() -> GpuUnit {
         let mut u = unit();
-        let (_, ready) = u.device.start_load(t(0), ModelId(0), 100 * MIB).unwrap();
-        u.device.complete_load(ready, ModelId(0)).unwrap();
-        u.device.start_inference(ready, ModelId(0), d(10)).unwrap();
-        u.in_flight = Some(InFlight::solo(req(1, 0), Phase::Running, true, ready, 0));
-        // Missing model, nothing queued for it: wait 10 + load 3 + infer 2.
-        let cold = u.estimated_finish(ready, false, &req(2, 7), |_, _| d(2), |_| d(3));
-        assert_eq!(cold, d(15));
-        // Resident model: no load term.
-        let hit = u.estimated_finish(ready, false, &req(3, 0), |_, _| d(2), |_| d(3));
-        assert_eq!(hit, d(12));
-        // Missing model already charged by a queued request: the new
-        // request rides the same upload (wait 10 + load 3 + infer 2,
-        // plus its own infer 2).
-        u.local_queue.push_back(req(4, 7));
-        let shared = u.estimated_finish(ready, false, &req(5, 7), |_, _| d(2), |_| d(3));
-        assert_eq!(shared, d(17));
+        u.device
+            .start_load_timed(t(0), ModelId(0), 100 * MIB, d(5))
+            .unwrap();
+        u.in_flight = Some(InFlight::solo(req(1, 0), Phase::Loading, false, t(0), 0));
+        u
+    }
+
+    /// Makes `model` resident on an idle `u` at t=0.
+    fn make_resident(u: &mut GpuUnit, model: u32) {
+        let m = ModelId(model);
+        u.device
+            .start_load_timed(t(0), m, 100 * MIB, SimDuration::ZERO)
+            .unwrap();
+        u.device.complete_load(t(0), m).unwrap();
+    }
+
+    /// An otherwise idle unit holding a batch of resident m0 until t=4.
+    fn holding() -> GpuUnit {
+        let mut u = unit();
+        make_resident(&mut u, 0);
+        u.holding = Some(HoldSlot {
+            requests: vec![req(1, 0)],
+            max_requests: 4,
+            hit: true,
+            release_at: t(4),
+            seq: 0,
+        });
+        u
+    }
+
+    /// A unit running resident m0 until t=10 with local queue
+    /// `[m1, m2, m1]`; m2 is never resident, m1 only when `m1_resident`.
+    fn queued(m1_resident: bool) -> GpuUnit {
+        let mut u = unit();
+        make_resident(&mut u, 0);
+        if m1_resident {
+            make_resident(&mut u, 1);
+        }
+        u.device.start_inference(t(0), ModelId(0), d(10)).unwrap();
+        u.in_flight = Some(InFlight::solo(req(1, 0), Phase::Running, true, t(0), 0));
+        for (id, m) in [(2, 1), (3, 2), (4, 1)] {
+            u.local_queue.push_back(req(id, m));
+        }
+        u
+    }
+
+    #[test]
+    fn batching_charges_only_the_work_ahead_of_the_request_invocation() {
+        // Affine inference: 1 s + 1 s per 32 items, so one request costs
+        // 2 s and a two-request group 3 s; every upload costs 3 s.
+        let infer = |_: ModelId, items: usize| d(1 + items as u64 / 32);
+        let load = |_: ModelId| d(3);
+        // (unit, request model, per-request wait, batched wait)
+        let cases = [
+            // An upload of m0 in flight: a batched m0 request joins it
+            // when the upload ends; per-request dispatch waits for its
+            // inference too, as does a batched request for another model.
+            (uploading(), 0, 5 + 2, 5),
+            (uploading(), 1, 5 + 2, 5 + 2),
+            // A held m0 batch: a batched m0 request joins it at release.
+            (holding(), 0, 4 + 2, 4),
+            (holding(), 1, 4 + 2, 4 + 2),
+            // Queue [m1, m2, m1] behind 10 s of work. Batched, an m2
+            // request waits for one m1 invocation over both m1 requests'
+            // inputs (plus m1's upload when missing) and then runs;
+            // per-request dispatch charges all three requests and one
+            // upload per missing model.
+            (queued(false), 2, 10 + 3 + 3 + 3 * 2, 10 + 3 + 3),
+            (queued(true), 2, 10 + 3 + 3 * 2, 10 + 3),
+            // A batched m1 request shares the head group's invocation.
+            (queued(false), 1, 10 + 3 + 3 + 3 * 2, 10),
+            // With no invocation of its own, the batched wait is the full
+            // coalesced drain.
+            (queued(false), 7, 10 + 3 + 3 + 3 * 2, 10 + 3 + 3 + 3 + 2),
+        ];
+        for (i, (u, model, per_request, batched)) in cases.into_iter().enumerate() {
+            let model = ModelId(model);
+            let wait = |coalesced| u.estimated_wait_for(t(0), model, coalesced, infer, load);
+            assert_eq!(wait(false), d(per_request), "case {i}: per-request");
+            assert_eq!(wait(true), d(batched), "case {i}: batched");
+        }
     }
 
     #[test]
@@ -651,7 +645,7 @@ mod tests {
         u.in_flight = Some(InFlight::solo(req(1, 0), Phase::Running, true, ready, 0));
         u.local_queue.push_back(req(2, 0));
         u.local_queue.push_back(req(3, 7));
-        let estimate = u.estimated_wait(ready, false, infer, load);
+        let estimate = u.estimated_wait_for(ready, ModelId(0), false, infer, load);
 
         // Replay the actual schedule.
         let end_inflight = ready + d(10);

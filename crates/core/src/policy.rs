@@ -24,7 +24,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use gfaas_sim::time::SimDuration;
-use gfaas_store::{ModelStore, StoreSpec};
 
 use crate::batching::{AdaptiveBatch, BatchPolicy, CoalesceBatch, NoBatch};
 use crate::cache::{Evictor, FifoEvictor, LruEvictor, RandomEvictor};
@@ -45,8 +44,6 @@ pub enum PolicyError {
     UnknownEvictor(String),
     /// No batching policy is registered under this key.
     UnknownBatcher(String),
-    /// No store backend is registered under this key.
-    UnknownStore(String),
     /// The key takes no argument but one was given.
     UnexpectedArg {
         /// The offending key.
@@ -72,7 +69,6 @@ impl fmt::Display for PolicyError {
             PolicyError::UnknownScheduler(k) => write!(f, "unknown scheduler policy {k:?}"),
             PolicyError::UnknownEvictor(k) => write!(f, "unknown replacement policy {k:?}"),
             PolicyError::UnknownBatcher(k) => write!(f, "unknown batching policy {k:?}"),
-            PolicyError::UnknownStore(k) => write!(f, "unknown store backend {k:?}"),
             PolicyError::UnexpectedArg { key, arg } => {
                 write!(f, "policy {key:?} takes no argument (got {arg:?})")
             }
@@ -200,17 +196,11 @@ pub type EvictorFactory =
 pub type BatcherFactory =
     Box<dyn Fn(&PolicySpec) -> Result<Box<dyn BatchPolicy>, PolicyError> + Send + Sync>;
 
-/// Factory producing a model-storage backend from its spec.
-pub type StoreFactory =
-    Box<dyn Fn(&PolicySpec) -> Result<Box<dyn ModelStore>, PolicyError> + Send + Sync>;
-
-/// A string-keyed registry of scheduler, evictor, batcher, and store
-/// factories.
+/// A string-keyed registry of scheduler, evictor and batcher factories.
 pub struct PolicyRegistry {
     schedulers: BTreeMap<String, SchedulerFactory>,
     evictors: BTreeMap<String, EvictorFactory>,
     batchers: BTreeMap<String, BatcherFactory>,
-    stores: BTreeMap<String, StoreFactory>,
 }
 
 impl fmt::Debug for PolicyRegistry {
@@ -219,7 +209,6 @@ impl fmt::Debug for PolicyRegistry {
             .field("schedulers", &self.scheduler_keys())
             .field("evictors", &self.evictor_keys())
             .field("batchers", &self.batcher_keys())
-            .field("stores", &self.store_keys())
             .finish()
     }
 }
@@ -290,15 +279,13 @@ impl PolicyRegistry {
             schedulers: BTreeMap::new(),
             evictors: BTreeMap::new(),
             batchers: BTreeMap::new(),
-            stores: BTreeMap::new(),
         }
     }
 
     /// The builtin registry: schedulers `lb`, `lalb`, `lalbo3[:limit]`;
     /// evictors `lru`, `fifo`, `random`,
     /// `tinylfu[:auto | decay[,window][,front=k]]`; batchers `none`,
-    /// `coalesce[:max=8,wait=0.05]`, `adaptive[:slo=30,max=32,wait=0.05]`;
-    /// stores `flat`, `tiered[:host=64G,origin_bw=2G,…]`.
+    /// `coalesce[:max=8,wait=0.05]`, `adaptive[:slo=30,max=32,wait=0.05]`.
     pub fn builtin() -> Self {
         let mut reg = PolicyRegistry::empty();
         reg.register_scheduler("lb", |spec| {
@@ -434,30 +421,6 @@ impl PolicyRegistry {
                 SimDuration::from_secs_f64(wait.unwrap_or(crate::batching::DEFAULT_HOLD_WAIT_SECS)),
             )))
         });
-        reg.register_store("flat", |spec| {
-            spec.expect_no_arg()?;
-            Ok(gfaas_store::StoreSpec::default()
-                .build()
-                .expect("flat builds"))
-        });
-        reg.register_store("tiered", |spec| {
-            // Delegate the field grammar to StoreSpec so the registry key
-            // and the typed `ClusterConfig::store` spec stay in lockstep.
-            let full = match spec.arg() {
-                Some(a) => format!("tiered:{a}"),
-                None => "tiered".to_string(),
-            };
-            let parsed = StoreSpec::parse(&full).map_err(|_| PolicyError::BadArg {
-                key: spec.key().to_string(),
-                arg: spec.arg().unwrap_or_default().to_string(),
-                expected: "`host=B,origin_bw=R,origin_lat=S,pcie_bw=R,pcie_lat=S,prefetch=X,hot=K`",
-            })?;
-            parsed.build().map_err(|_| PolicyError::BadArg {
-                key: spec.key().to_string(),
-                arg: spec.arg().unwrap_or_default().to_string(),
-                expected: "positive link rates and nonnegative latencies",
-            })
-        });
         reg
     }
 
@@ -483,14 +446,6 @@ impl PolicyRegistry {
         F: Fn(&PolicySpec) -> Result<Box<dyn BatchPolicy>, PolicyError> + Send + Sync + 'static,
     {
         self.batchers.insert(key.to_string(), Box::new(factory));
-    }
-
-    /// Registers (or replaces) a store-backend factory under `key`.
-    pub fn register_store<F>(&mut self, key: &str, factory: F)
-    where
-        F: Fn(&PolicySpec) -> Result<Box<dyn ModelStore>, PolicyError> + Send + Sync + 'static,
-    {
-        self.stores.insert(key.to_string(), Box::new(factory));
     }
 
     /// Instantiates the scheduler `spec` names.
@@ -521,15 +476,6 @@ impl PolicyRegistry {
         factory(spec)
     }
 
-    /// Instantiates the storage backend `spec` names.
-    pub fn store(&self, spec: &PolicySpec) -> Result<Box<dyn ModelStore>, PolicyError> {
-        let factory = self
-            .stores
-            .get(spec.key())
-            .ok_or_else(|| PolicyError::UnknownStore(spec.key().to_string()))?;
-        factory(spec)
-    }
-
     /// The display name of the scheduler `spec` names (instantiates it).
     pub fn scheduler_name(&self, spec: &PolicySpec) -> Result<String, PolicyError> {
         Ok(self.scheduler(spec)?.name())
@@ -553,11 +499,6 @@ impl PolicyRegistry {
     /// Registered batcher keys, sorted.
     pub fn batcher_keys(&self) -> Vec<&str> {
         self.batchers.keys().map(String::as_str).collect()
-    }
-
-    /// Registered store keys, sorted.
-    pub fn store_keys(&self) -> Vec<&str> {
-        self.stores.keys().map(String::as_str).collect()
     }
 }
 
@@ -676,42 +617,6 @@ mod tests {
         });
         let b = reg.batcher(&PolicySpec::bare("pairs")).unwrap();
         assert_eq!(b.name(), "coalesce(max=2)");
-    }
-
-    #[test]
-    fn builtin_store_resolution() {
-        let reg = PolicyRegistry::builtin();
-        assert_eq!(reg.store_keys(), vec!["flat", "tiered"]);
-        let s = reg.store(&PolicySpec::bare("flat")).unwrap();
-        assert!(s.is_flat());
-        let s = reg
-            .store(&PolicySpec::parse("tiered:host=8G,origin_bw=2G").unwrap())
-            .unwrap();
-        assert!(!s.is_flat());
-        assert_eq!(s.stats().host_capacity, 8 * (1u64 << 30));
-        for bad in [
-            "flat:1",
-            "tiered:host=x",
-            "tiered:wat=1",
-            "tiered:origin_bw=0",
-        ] {
-            let spec = PolicySpec::parse(bad).unwrap();
-            assert!(reg.store(&spec).is_err(), "{bad:?} should be rejected");
-        }
-        assert_eq!(
-            reg.store(&PolicySpec::bare("s3")).unwrap_err(),
-            PolicyError::UnknownStore("s3".to_string())
-        );
-        // The namespace is open: custom backends register like policies.
-        let mut reg = PolicyRegistry::builtin();
-        reg.register_store("tiered", |_spec| {
-            Ok(gfaas_store::StoreSpec::parse("tiered:host=1G")
-                .unwrap()
-                .build()
-                .unwrap())
-        });
-        let s = reg.store(&PolicySpec::bare("tiered")).unwrap();
-        assert_eq!(s.stats().host_capacity, 1 << 30, "shadowed factory wins");
     }
 
     #[test]

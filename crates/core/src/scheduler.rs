@@ -351,7 +351,7 @@ impl LookaheadScheduler {
         }
         // Candidate 0 is greedy LALBO3's own arm (Algorithm 2 verbatim):
         // first idle holder with an empty backlog, else the cheapest
-        // estimated join-wait when it beats a cold load, else the miss
+        // estimated wait when it beats a cold load, else the miss
         // here. Anchoring the greedy arm first means a score tie — and
         // the strict comparison below — keeps the estimate's arm; this
         // decision deviates only when a fork *measured* a strictly

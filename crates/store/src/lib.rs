@@ -74,7 +74,7 @@ const HOT_SCORE_FLOOR: f64 = 0.5;
 pub enum StoreError {
     /// The spec string was syntactically malformed.
     BadSpec(String),
-    /// No store backend is registered under this key.
+    /// No store backend has this key.
     UnknownKey(String),
     /// A `field=value` pair failed to parse.
     BadField {
@@ -253,7 +253,7 @@ impl StoreSpec {
         Ok(spec)
     }
 
-    /// The registry key (`"flat"` or `"tiered"` for the builtins).
+    /// The backend key (`"flat"` or `"tiered"`).
     pub fn key(&self) -> &str {
         &self.key
     }
@@ -975,6 +975,7 @@ mod tests {
             "tiered:wat=1",
             "tiered:origin_bw=inf",
             "flat:host=1G", // flat takes no fields
+            "flat:1",
         ] {
             assert!(StoreSpec::parse(bad).is_err(), "{bad:?} should fail");
         }

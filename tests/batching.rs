@@ -166,3 +166,22 @@ fn burst_coalescing_lifts_throughput_without_hurting_p95() {
     );
     assert!(adaptive.p95_latency_secs <= none.p95_latency_secs);
 }
+
+/// A coalescing cap can leave later same-model requests in a GPU's local
+/// queue behind other models' requests, and the wait estimator's
+/// per-model groups must follow that order or the batched wait charges
+/// the wrong groups. This cell reaches that case early in the run;
+/// debug builds assert the incremental estimate against the naive queue
+/// walk on every call, so the run itself is the check.
+#[test]
+fn capped_coalescing_keeps_the_wait_estimate_in_sync() {
+    let trace = find("paper").unwrap().trace(&Scale::paper(), 11);
+    let m = run_batched_on_trace(
+        &"lalbo3:25".parse().unwrap(),
+        &PolicySpec::bare("lru"),
+        &"coalesce:max=2".parse().unwrap(),
+        None,
+        &trace,
+    );
+    assert_eq!(m.completed as usize, trace.len());
+}

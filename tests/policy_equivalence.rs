@@ -258,7 +258,5 @@ proptest! {
         prop_assert!(reg.evictor_keys().contains(&key) || matches!(evictor, Err(PolicyError::UnknownEvictor(_))));
         let batcher = reg.batcher(&spec);
         prop_assert!(reg.batcher_keys().contains(&key) || matches!(batcher, Err(PolicyError::UnknownBatcher(_))));
-        let store = reg.store(&spec);
-        prop_assert!(reg.store_keys().contains(&key) || matches!(store, Err(PolicyError::UnknownStore(_))));
     }
 }
