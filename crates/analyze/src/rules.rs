@@ -489,7 +489,7 @@ mod tests {
     fn wall_clock_allowlists_bench_live_and_examples() {
         let src = "let t = std::time::Instant::now();";
         assert_eq!(
-            run("wall-clock", "crates/sim/src/engine.rs", "sim", src),
+            run("wall-clock", "crates/sim/src/event.rs", "sim", src),
             [1]
         );
         assert_eq!(

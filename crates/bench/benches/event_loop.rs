@@ -9,8 +9,8 @@
 //! measurements to `BENCH_*.json` for the committed perf trajectory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gfaas_bench::run_batched_on_trace;
-use gfaas_core::PolicySpec;
+use gfaas_bench::run;
+use gfaas_core::ClusterConfig;
 use gfaas_trace::Trace;
 use gfaas_workload::scenario::find;
 use gfaas_workload::Scale;
@@ -66,17 +66,18 @@ fn event_loop(c: &mut Criterion) {
     // One full 10^6-request run per sample is already heavyweight; scale
     // the measurement budget down accordingly.
     group.sample_size(10);
-    let lru = PolicySpec::bare("lru");
     for (label, scale) in &scales() {
         let trace = bench_trace(scale);
         for policy in ["lb", "lalbo3:25"] {
-            let policy: PolicySpec = policy.parse().expect("valid policy spec");
             for batching in ["none", "coalesce"] {
-                let batching: PolicySpec = batching.parse().expect("valid batching spec");
+                let cfg = ClusterConfig {
+                    batching: batching.parse().expect("valid batching spec"),
+                    ..ClusterConfig::paper_testbed(policy.parse().expect("valid policy spec"))
+                };
                 group.bench_with_input(
                     BenchmarkId::new(format!("{policy}/{batching}"), label),
                     &trace,
-                    |b, t| b.iter(|| run_batched_on_trace(&policy, &lru, &batching, None, t)),
+                    |b, t| b.iter(|| run(cfg.clone(), t).0),
                 );
             }
         }

@@ -4,8 +4,8 @@
 //! `fig4_comparison` report binary).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gfaas_bench::{paper_trace, run_on_trace};
-use gfaas_core::PolicySpec;
+use gfaas_bench::{paper_trace, run};
+use gfaas_core::{ClusterConfig, PolicySpec};
 use std::hint::black_box;
 
 fn bench_fig4(c: &mut Criterion) {
@@ -16,7 +16,10 @@ fn bench_fig4(c: &mut Criterion) {
         for ws in [15usize, 35] {
             let trace = paper_trace(ws, 11);
             group.bench_with_input(BenchmarkId::new(name, ws), &trace, |b, trace| {
-                b.iter(|| black_box(run_on_trace(&policy, black_box(trace))))
+                b.iter(|| {
+                    let cfg = ClusterConfig::paper_testbed(policy.clone());
+                    black_box(run(cfg, black_box(trace)).0)
+                })
             });
         }
     }

@@ -4,8 +4,8 @@
 //! so this doubles as a regression guard on scheduling cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gfaas_bench::{paper_trace, run_on_trace};
-use gfaas_core::PolicySpec;
+use gfaas_bench::{paper_trace, run};
+use gfaas_core::{ClusterConfig, PolicySpec};
 use std::hint::black_box;
 
 fn bench_fig7(c: &mut Criterion) {
@@ -15,7 +15,7 @@ fn bench_fig7(c: &mut Criterion) {
     for limit in [0u32, 25, 45] {
         let policy = PolicySpec::parse(&format!("lalbo3:{limit}")).expect("valid limit");
         group.bench_with_input(BenchmarkId::new("o3_limit", limit), &policy, |b, p| {
-            b.iter(|| black_box(run_on_trace(p, black_box(&trace))))
+            b.iter(|| black_box(run(ClusterConfig::paper_testbed(p.clone()), black_box(&trace)).0))
         });
     }
     group.finish();

@@ -14,19 +14,18 @@
 //! cargo run --release -p gfaas-bench --bin ablation_estimation
 //! ```
 
-use gfaas_bench::{paper_trace, TablePrinter, REPORT_SEEDS, WORKING_SETS};
+use gfaas_bench::{paper_trace, run, TablePrinter, REPORT_SEEDS, WORKING_SETS};
 use gfaas_core::config::BusyWaitPolicy;
-use gfaas_core::{Cluster, ClusterConfig, PolicySpec};
-use gfaas_models::ModelRegistry;
+use gfaas_core::{ClusterConfig, PolicySpec};
 
-fn run(busy_wait: BusyWaitPolicy, ws: usize) -> (f64, f64, f64) {
+fn averaged(busy_wait: BusyWaitPolicy, ws: usize) -> (f64, f64, f64) {
     let mut lat = 0.0;
     let mut miss = 0.0;
     let mut dup = 0.0;
     for &s in &REPORT_SEEDS {
         let mut cfg = ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"));
         cfg.busy_wait = busy_wait;
-        let m = Cluster::new(cfg, ModelRegistry::table1()).run(&paper_trace(ws, s));
+        let m = run(cfg, &paper_trace(ws, s)).0;
         lat += m.avg_latency_secs;
         miss += m.miss_ratio;
         dup += m.avg_duplicates;
@@ -48,7 +47,7 @@ fn main() {
             BusyWaitPolicy::Never,
             BusyWaitPolicy::Always,
         ] {
-            let (lat, miss, dup) = run(bw, ws);
+            let (lat, miss, dup) = averaged(bw, ws);
             println!(
                 "{}",
                 t.row(&[

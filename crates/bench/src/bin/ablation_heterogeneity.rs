@@ -9,10 +9,9 @@
 //! cargo run --release -p gfaas-bench --bin ablation_heterogeneity
 //! ```
 
-use gfaas_bench::{paper_trace, policy_name, TablePrinter, REPORT_SEEDS};
-use gfaas_core::{Cluster, ClusterConfig, PolicySpec};
+use gfaas_bench::{paper_trace, policy_name, run, TablePrinter, REPORT_SEEDS};
+use gfaas_core::{ClusterConfig, PolicySpec};
 use gfaas_gpu::GpuSpec;
-use gfaas_models::ModelRegistry;
 
 fn fleet(name: &str, specs: Vec<GpuSpec>) -> (&str, Vec<GpuSpec>) {
     (name, specs)
@@ -43,7 +42,7 @@ fn main() {
             for &s in &REPORT_SEEDS {
                 let mut cfg = ClusterConfig::paper_testbed(policy.clone());
                 cfg.hetero_specs = Some(specs.clone());
-                let m = Cluster::new(cfg, ModelRegistry::table1()).run(&paper_trace(25, s));
+                let m = run(cfg, &paper_trace(25, s)).0;
                 lat += m.avg_latency_secs;
                 miss += m.miss_ratio;
                 util += m.sm_utilization;

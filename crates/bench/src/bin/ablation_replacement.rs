@@ -13,14 +13,18 @@
 //! cargo run --release -p gfaas-bench --bin ablation_replacement
 //! ```
 
-use gfaas_bench::{paper_trace, run_spec_on_trace, TablePrinter, REPORT_SEEDS, WORKING_SETS};
-use gfaas_core::PolicySpec;
+use gfaas_bench::{paper_trace, run, TablePrinter, REPORT_SEEDS, WORKING_SETS};
+use gfaas_core::{ClusterConfig, PolicySpec};
 
-fn run(policy: &PolicySpec, replacement: &PolicySpec, ws: usize) -> (f64, f64) {
+fn averaged(policy: &PolicySpec, replacement: &PolicySpec, ws: usize) -> (f64, f64) {
     let mut lat = 0.0;
     let mut miss = 0.0;
     for &s in &REPORT_SEEDS {
-        let m = run_spec_on_trace(policy, replacement, &paper_trace(ws, s));
+        let cfg = ClusterConfig {
+            replacement: replacement.clone(),
+            ..ClusterConfig::paper_testbed(policy.clone())
+        };
+        let m = run(cfg, &paper_trace(ws, s)).0;
         lat += m.avg_latency_secs;
         miss += m.miss_ratio;
     }
@@ -39,7 +43,7 @@ fn main() {
     for ws in WORKING_SETS {
         for (policy, pname) in [(spec("lb"), "LB"), (spec("lalbo3"), "LALBO3")] {
             for repl in ["lru", "fifo", "random", "tinylfu"] {
-                let (lat, miss) = run(&policy, &spec(repl), ws);
+                let (lat, miss) = averaged(&policy, &spec(repl), ws);
                 println!(
                     "{}",
                     t.row(&[

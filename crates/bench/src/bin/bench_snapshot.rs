@@ -18,8 +18,8 @@
 
 use std::time::Instant;
 
-use gfaas_bench::{run_batched_on_trace, run_stored_on_trace, ScenarioSuite, REPORT_SEEDS};
-use gfaas_core::{PolicySpec, StoreSpec};
+use gfaas_bench::{run, ScenarioSuite, REPORT_SEEDS};
+use gfaas_core::ClusterConfig;
 use gfaas_workload::scenario::find;
 use gfaas_workload::Scale;
 
@@ -35,15 +35,13 @@ fn measure_event_loop(label: &'static str, scale: &Scale, runs: usize) -> EventL
     let trace = find("paper")
         .expect("paper scenario is registered")
         .trace(scale, 11);
-    let policy: PolicySpec = "lalbo3:25".parse().unwrap();
-    let lru = PolicySpec::bare("lru");
-    let none = PolicySpec::bare("none");
+    let cfg = ClusterConfig::paper_testbed("lalbo3:25".parse().unwrap());
     let mut best_ns = f64::INFINITY;
     let mut queue_peak = 0;
     let mut requests = 0;
     for _ in 0..runs.max(1) {
         let start = Instant::now();
-        let metrics = run_batched_on_trace(&policy, &lru, &none, None, &trace);
+        let metrics = run(cfg.clone(), &trace).0;
         let elapsed = start.elapsed();
         let ns = elapsed.as_nanos() as f64 / trace.len().max(1) as f64;
         best_ns = best_ns.min(ns);
@@ -67,14 +65,14 @@ fn measure_tiered_event_loop(scale: &Scale, runs: usize) -> f64 {
     let trace = find("paper")
         .expect("paper scenario is registered")
         .trace(scale, 11);
-    let policy: PolicySpec = "lalbo3:25".parse().unwrap();
-    let lru = PolicySpec::bare("lru");
-    let none = PolicySpec::bare("none");
-    let tiered: StoreSpec = "tiered".parse().unwrap();
+    let cfg = ClusterConfig {
+        store: "tiered".parse().unwrap(),
+        ..ClusterConfig::paper_testbed("lalbo3:25".parse().unwrap())
+    };
     let mut best_ns = f64::INFINITY;
     for _ in 0..runs.max(1) {
         let start = Instant::now();
-        let _ = run_stored_on_trace(&policy, &lru, &none, None, &tiered, &trace);
+        let _ = run(cfg.clone(), &trace);
         let ns = start.elapsed().as_nanos() as f64 / trace.len().max(1) as f64;
         best_ns = best_ns.min(ns);
     }

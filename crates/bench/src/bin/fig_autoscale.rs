@@ -14,8 +14,8 @@
 //! provisioned GPU-seconds, and scale events — the claim under test being
 //! that elastic capacity cuts GPU-seconds at equal-or-better latency.
 
-use gfaas_bench::{run_configured_on_trace, AveragedMetrics, TablePrinter, REPORT_SEEDS};
-use gfaas_core::{AutoscaleSpec, PolicySpec, RunMetrics};
+use gfaas_bench::{run, AveragedMetrics, TablePrinter, REPORT_SEEDS};
+use gfaas_core::{AutoscaleSpec, ClusterConfig, RunMetrics};
 use gfaas_workload::scenario::find;
 use gfaas_workload::Scale;
 
@@ -62,8 +62,6 @@ fn main() {
         vec![Scale::paper(), Scale::production()]
     };
 
-    let policy = PolicySpec::bare("lalbo3");
-    let replacement = PolicySpec::bare("lru");
     let scenario = find("diurnal").expect("diurnal scenario registered");
 
     println!(
@@ -88,10 +86,16 @@ fn main() {
     );
     for scale in scales {
         let traces: Vec<_> = seeds.iter().map(|&s| scenario.trace(&scale, s)).collect();
-        let mode = |auto: Option<&AutoscaleSpec>| -> AveragedMetrics {
+        let mode = |autoscale: Option<&AutoscaleSpec>| -> AveragedMetrics {
             let runs: Vec<RunMetrics> = traces
                 .iter()
-                .map(|tr| run_configured_on_trace(&policy, &replacement, auto, tr))
+                .map(|tr| {
+                    let cfg = ClusterConfig {
+                        autoscale: autoscale.cloned(),
+                        ..ClusterConfig::default()
+                    };
+                    run(cfg, tr).0
+                })
                 .collect();
             AveragedMetrics::from_runs(&runs)
         };

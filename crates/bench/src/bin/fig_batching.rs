@@ -16,10 +16,8 @@
 //! coalescing lifts throughput per GPU-second without hurting tail
 //! latency.
 
-use gfaas_bench::{
-    parse_cli_spec, run_batched_on_trace, AveragedMetrics, SpecKind, TablePrinter, REPORT_SEEDS,
-};
-use gfaas_core::{PolicySpec, RunMetrics};
+use gfaas_bench::{parse_cli_spec, run, AveragedMetrics, SpecKind, TablePrinter, REPORT_SEEDS};
+use gfaas_core::{ClusterConfig, PolicySpec, RunMetrics};
 use gfaas_workload::scenario::find;
 use gfaas_workload::Scale;
 
@@ -86,9 +84,6 @@ fn main() {
         vec![Scale::paper(), Scale::production()]
     };
 
-    let policy = PolicySpec::bare("lalbo3");
-    let replacement = PolicySpec::bare("lru");
-
     println!(
         "Batching study — {} under LALBO3, {} seed(s)\n\
          Modes: {}\n",
@@ -126,7 +121,13 @@ fn main() {
             for batching in &batchings {
                 let runs: Vec<RunMetrics> = traces
                     .iter()
-                    .map(|tr| run_batched_on_trace(&policy, &replacement, batching, None, tr))
+                    .map(|tr| {
+                        let cfg = ClusterConfig {
+                            batching: batching.clone(),
+                            ..ClusterConfig::default()
+                        };
+                        run(cfg, tr).0
+                    })
                     .collect();
                 let m = AveragedMetrics::from_runs(&runs);
                 let gain = baseline.as_ref().map(|b| {

@@ -24,11 +24,8 @@
 //! storm run never touches its host cache — the wiring gate CI runs in
 //! smoke mode.
 
-use gfaas_bench::{AveragedMetrics, TablePrinter, REPORT_SEEDS};
-use gfaas_core::{
-    AutoscaleSpec, Cluster, ClusterConfig, PolicySpec, RunMetrics, StoreSpec, StoreStats,
-};
-use gfaas_models::ModelRegistry;
+use gfaas_bench::{run, AveragedMetrics, TablePrinter, REPORT_SEEDS};
+use gfaas_core::{AutoscaleSpec, ClusterConfig, PolicySpec, StoreSpec, StoreStats};
 use gfaas_trace::Trace;
 use gfaas_workload::scenario::find;
 use gfaas_workload::Scale;
@@ -36,21 +33,6 @@ use gfaas_workload::Scale;
 fn usage() -> ! {
     eprintln!("usage: fig_store [--smoke]");
     std::process::exit(2);
-}
-
-fn run_cell(
-    policy: &PolicySpec,
-    autoscale: Option<&AutoscaleSpec>,
-    store: &StoreSpec,
-    trace: &Trace,
-) -> (RunMetrics, StoreStats) {
-    let mut cfg = ClusterConfig::paper_testbed(policy.clone());
-    cfg.autoscale = autoscale.cloned();
-    cfg.store = store.clone();
-    let mut cluster = Cluster::new(cfg, ModelRegistry::table1());
-    let metrics = cluster.run(trace);
-    let stats = cluster.store_stats();
-    (metrics, stats)
 }
 
 /// Per-store row of one sweep table: seed-averaged metrics plus the
@@ -73,7 +55,13 @@ fn sweep(
             let mut runs = Vec::with_capacity(traces.len());
             let mut stats = StoreStats::default();
             for trace in traces {
-                let (m, s) = run_cell(policy, autoscale, store, trace);
+                let cfg = ClusterConfig {
+                    autoscale: autoscale.cloned(),
+                    store: store.clone(),
+                    ..ClusterConfig::paper_testbed(policy.clone())
+                };
+                let (m, cluster) = run(cfg, trace);
+                let s = cluster.store_stats();
                 runs.push(m);
                 stats.host_hits += s.host_hits;
                 stats.origin_loads += s.origin_loads;

@@ -19,11 +19,9 @@
 //! *is* the telemetry smoke test. `--out` keeps the JSON for
 //! `ui.perfetto.dev`.
 
-use gfaas_bench::{
-    parse_cli_spec, parse_cli_store, run_recorded_stored_on_trace, SpecKind, TablePrinter,
-};
+use gfaas_bench::{parse_cli_spec, parse_cli_store, run, SpecKind, TablePrinter};
 use gfaas_core::obs::perfetto::validate_chrome_trace;
-use gfaas_core::{PolicySpec, RecordSpec, StoreSpec};
+use gfaas_core::{ClusterConfig, RecordSpec};
 use gfaas_workload::scenario::find;
 use gfaas_workload::Scale;
 
@@ -48,9 +46,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
     let mut scenario = "flash_crowd".to_string();
-    let mut policy: Option<PolicySpec> = None;
-    let mut batching = PolicySpec::bare("none");
-    let mut store = StoreSpec::default();
+    let mut cfg = ClusterConfig::default();
     let mut seed: u64 = 11;
     let mut sample_secs: f64 = RecordSpec::DEFAULT_SAMPLE_SECS;
     let mut slo_secs: f64 = 10.0;
@@ -67,21 +63,21 @@ fn main() {
             }
             "--policy" => {
                 let Some(v) = it.next() else { usage() };
-                policy = Some(parse_cli_spec(v, SpecKind::Scheduler).unwrap_or_else(|e| {
+                cfg.policy = parse_cli_spec(v, SpecKind::Scheduler).unwrap_or_else(|e| {
                     eprintln!("{e}");
                     usage();
-                }));
+                });
             }
             "--batching" => {
                 let Some(v) = it.next() else { usage() };
-                batching = parse_cli_spec(v, SpecKind::Batcher).unwrap_or_else(|e| {
+                cfg.batching = parse_cli_spec(v, SpecKind::Batcher).unwrap_or_else(|e| {
                     eprintln!("{e}");
                     usage();
                 });
             }
             "--store" => {
                 let Some(v) = it.next() else { usage() };
-                store = parse_cli_store(v).unwrap_or_else(|e| {
+                cfg.store = parse_cli_store(v).unwrap_or_else(|e| {
                     eprintln!("{e}");
                     usage();
                 });
@@ -122,7 +118,6 @@ fn main() {
             _ => usage(),
         }
     }
-    let policy = policy.unwrap_or_else(|| "lalbo3".parse().expect("builtin spec"));
     let scale = if smoke {
         Scale::smoke()
     } else {
@@ -136,7 +131,7 @@ fn main() {
     if smoke && sample_secs >= RecordSpec::DEFAULT_SAMPLE_SECS {
         sample_secs = 10.0;
     }
-    let record = RecordSpec {
+    cfg.record = RecordSpec {
         ledger: true,
         perfetto: true,
         sample_secs: Some(sample_secs),
@@ -144,29 +139,22 @@ fn main() {
     };
     let trace = sc.trace(&scale, seed);
     println!(
-        "Timeline — {scenario} / {policy} / batching {} / seed {seed} ({} scale, --record {record})\n",
-        batching.key(),
-        scale.name
+        "Timeline — {scenario} / {} / batching {} / seed {seed} ({} scale, --record {})\n",
+        cfg.policy,
+        cfg.batching.key(),
+        scale.name,
+        cfg.record
     );
 
-    let run = run_recorded_stored_on_trace(
-        &policy,
-        &PolicySpec::bare("lru"),
-        &batching,
-        None,
-        &store,
-        &record,
-        &trace,
-    );
-    let m = &run.metrics;
+    let (m, cluster) = run(cfg, &trace);
     println!(
         "metrics: {} completed, avg {:.3} s, p95 {:.3} s, miss {:.3}, queue avg {:.2}",
         m.completed, m.avg_latency_secs, m.p95_latency_secs, m.miss_ratio, m.avg_queue_depth
     );
-    println!("profile: {}\n", run.profile);
+    println!("profile: {}\n", cluster.self_profile());
 
     // --- Per-request latency decomposition -----------------------------
-    let ledger = run.ledger.expect("ledger recorder attached");
+    let ledger = cluster.ledger().expect("ledger recorder attached");
     let seg = ledger.segment_summary();
     println!(
         "lifecycle ledger — {} rows, {} completed, {} SLO misses (slo={slo_secs}s)",
@@ -225,7 +213,7 @@ fn main() {
     println!();
 
     // --- Sampled time series -------------------------------------------
-    let series = run.series.expect("sampler recorder attached");
+    let series = cluster.time_series().expect("sampler recorder attached");
     println!(
         "time series — {} windows at {sample_secs}s cadence",
         series.rows().len()
@@ -265,7 +253,7 @@ fn main() {
     println!();
 
     // --- Perfetto trace: always validated; this binary is the CI gate --
-    let json = run.perfetto_json.expect("perfetto recorder attached");
+    let json = cluster.perfetto_json().expect("perfetto recorder attached");
     match validate_chrome_trace(&json) {
         Ok(check) => {
             println!(

@@ -23,10 +23,9 @@
 //! forks don't all retire, or (b) no lookahead config beats LALBO3 on
 //! p95 latency or makespan-throughput on at least one scenario.
 
-use gfaas_bench::{AveragedMetrics, TablePrinter, REPORT_SEEDS};
+use gfaas_bench::{run, AveragedMetrics, TablePrinter, REPORT_SEEDS};
 use gfaas_core::snap::JournalStats;
-use gfaas_core::{Cluster, ClusterConfig, PolicySpec, RunMetrics};
-use gfaas_models::ModelRegistry;
+use gfaas_core::{ClusterConfig, PolicySpec};
 use gfaas_trace::Trace;
 use gfaas_workload::scenario::find;
 use gfaas_workload::Scale;
@@ -34,13 +33,6 @@ use gfaas_workload::Scale;
 fn usage() -> ! {
     eprintln!("usage: fig_whatif [--smoke]");
     std::process::exit(2);
-}
-
-fn run_cell(policy: &PolicySpec, trace: &Trace) -> (RunMetrics, JournalStats) {
-    let cfg = ClusterConfig::paper_testbed(policy.clone());
-    let mut cluster = Cluster::new(cfg, ModelRegistry::table1());
-    let metrics = cluster.run(trace);
-    (metrics, cluster.journal_stats())
 }
 
 /// One policy row of a scenario table: seed-averaged metrics plus the
@@ -58,7 +50,8 @@ fn sweep(policies: &[(String, PolicySpec)], traces: &[Trace]) -> Vec<Row> {
             let mut runs = Vec::with_capacity(traces.len());
             let mut journal = JournalStats::default();
             for trace in traces {
-                let (m, j) = run_cell(policy, trace);
+                let (m, cluster) = run(ClusterConfig::paper_testbed(policy.clone()), trace);
+                let j = cluster.journal_stats();
                 runs.push(m);
                 journal.snapshots += j.snapshots;
                 journal.rollbacks += j.rollbacks;

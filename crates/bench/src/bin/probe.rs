@@ -1,9 +1,8 @@
 //! Scratch probe: sensitivity of the Fig 4 shapes to trace burstiness.
 //! Not part of the documented experiment set; used for calibration.
 
-use gfaas_bench::{paper_policies, policy_name, WORKING_SETS};
-use gfaas_core::{Cluster, ClusterConfig};
-use gfaas_models::ModelRegistry;
+use gfaas_bench::{paper_policies, policy_name, run, WORKING_SETS};
+use gfaas_core::ClusterConfig;
 use gfaas_trace::AzureTraceConfig;
 
 fn main() {
@@ -20,7 +19,7 @@ fn main() {
                     let cfg = AzureTraceConfig::paper(ws, s);
                     let mut cc = ClusterConfig::paper_testbed(policy.clone());
                     cc.mem_headroom_mib = headroom;
-                    let m = Cluster::new(cc, ModelRegistry::table1()).run(&cfg.generate());
+                    let m = run(cc, &cfg.generate()).0;
                     lat += m.avg_latency_secs;
                     miss += m.miss_ratio;
                     fm += m.false_miss_ratio;

@@ -22,11 +22,8 @@
 //! paper scale with default policies reproduce `fig4_comparison`'s WS 25
 //! numbers exactly (same traces, same seeds, same cluster).
 
-use gfaas_bench::{
-    parse_cli_spec, parse_cli_store, run_recorded_stored_on_trace, ScenarioSuite, SpecKind,
-    TablePrinter,
-};
-use gfaas_core::{AutoscaleSpec, PolicySpec, RecordSpec, StoreSpec};
+use gfaas_bench::{parse_cli_spec, parse_cli_store, run, ScenarioSuite, SpecKind, TablePrinter};
+use gfaas_core::{AutoscaleSpec, ClusterConfig, PolicySpec, RecordSpec};
 use gfaas_workload::Scale;
 
 fn usage() -> ! {
@@ -71,10 +68,7 @@ fn parse_suite(args: &[String]) -> Cli {
     let mut seeds: Option<Vec<u64>> = None;
     let mut policies: Option<Vec<PolicySpec>> = None;
     let mut scenarios: Option<Vec<String>> = None;
-    let mut replacement: Option<PolicySpec> = None;
-    let mut batching: Option<PolicySpec> = None;
-    let mut autoscale: Option<AutoscaleSpec> = None;
-    let mut store: Option<StoreSpec> = None;
+    let mut config = ClusterConfig::default();
     let mut azure_real: Option<gfaas_trace::AzureFunctionsDataset> = None;
     let mut threads: Option<usize> = None;
     let mut record: Option<RecordSpec> = None;
@@ -128,25 +122,25 @@ fn parse_suite(args: &[String]) -> Cli {
             }
             "--replacement" => {
                 let Some(spec) = it.next() else { usage() };
-                replacement = Some(cli_spec(spec, SpecKind::Evictor));
+                config.replacement = cli_spec(spec, SpecKind::Evictor);
             }
             "--batching" => {
                 let Some(spec) = it.next() else { usage() };
-                batching = Some(cli_spec(spec, SpecKind::Batcher));
+                config.batching = cli_spec(spec, SpecKind::Batcher);
             }
             "--autoscale" => {
                 let Some(spec) = it.next() else { usage() };
-                autoscale = Some(spec.parse::<AutoscaleSpec>().unwrap_or_else(|e| {
+                config.autoscale = Some(spec.parse::<AutoscaleSpec>().unwrap_or_else(|e| {
                     eprintln!("{e}");
                     usage();
                 }));
             }
             "--store" => {
                 let Some(spec) = it.next() else { usage() };
-                store = Some(parse_cli_store(spec).unwrap_or_else(|e| {
+                config.store = parse_cli_store(spec).unwrap_or_else(|e| {
                     eprintln!("{e}");
                     usage();
-                }));
+                });
             }
             "--azure-data" => {
                 // Registers the `azure_real` replay scenario from a real
@@ -192,16 +186,7 @@ fn parse_suite(args: &[String]) -> Cli {
     if let Some(policies) = policies {
         suite.policies = policies;
     }
-    if let Some(replacement) = replacement {
-        suite.replacement = replacement;
-    }
-    if let Some(batching) = batching {
-        suite.batching = batching;
-    }
-    suite.autoscale = autoscale;
-    if let Some(store) = store {
-        suite.store = store;
-    }
+    suite.config = config;
     suite.azure_real = azure_real;
     if let Some(threads) = threads {
         suite.threads = threads;
@@ -274,19 +259,20 @@ fn main() {
         scale.working_set,
         suite.seeds.len()
     );
-    if suite.replacement != PolicySpec::bare("lru") {
-        println!("Replacement policy: {}\n", suite.replacement);
+    let config = &suite.config;
+    if config.replacement != PolicySpec::bare("lru") {
+        println!("Replacement policy: {}\n", config.replacement);
     }
-    let batched = suite.batching != PolicySpec::bare("none");
+    let batched = config.batching != PolicySpec::bare("none");
     if batched {
-        println!("Batching: {}\n", suite.batching);
+        println!("Batching: {}\n", config.batching);
     }
-    let autoscaled = suite.autoscale.is_some();
-    if let Some(autoscale) = &suite.autoscale {
+    let autoscaled = config.autoscale.is_some();
+    if let Some(autoscale) = &config.autoscale {
         println!("Autoscale: {autoscale}\n");
     }
-    if !suite.store.is_flat() {
-        println!("Store: {}\n", suite.store);
+    if !config.store.is_flat() {
+        println!("Store: {}\n", config.store);
     }
 
     let report = suite.run();
@@ -382,21 +368,17 @@ fn main() {
         let scenario = &suite.scenarios[0];
         let seed = suite.seeds[0];
         let trace = scenario.trace(&suite.scale, seed);
-        let run = run_recorded_stored_on_trace(
-            &suite.policies[0],
-            &suite.replacement,
-            &suite.batching,
-            suite.autoscale.as_ref(),
-            &suite.store,
-            &record,
-            &trace,
-        );
+        let cfg = ClusterConfig {
+            policy: suite.policies[0].clone(),
+            record,
+            ..suite.config.clone()
+        };
+        let (metrics, cluster) = run(cfg, &trace);
         println!(
             "\nRecorded cell {}/{} seed {} (--record {record}):",
             scenario.name, suite.policies[0], seed
         );
-        let recorded_avg =
-            gfaas_bench::AveragedMetrics::from_runs(std::slice::from_ref(&run.metrics));
+        let recorded_avg = gfaas_bench::AveragedMetrics::from_runs(std::slice::from_ref(&metrics));
         if let Some(expected) = matrix_metrics {
             assert_eq!(
                 recorded_avg, expected,
@@ -404,7 +386,7 @@ fn main() {
             );
             println!("  metrics: byte-identical to the matrix cell above");
         }
-        if let Some(ledger) = &run.ledger {
+        if let Some(ledger) = cluster.ledger() {
             println!(
                 "  ledger:  {} completed, {} SLO misses; mean segments (s): {}",
                 ledger.completed(),
@@ -412,13 +394,13 @@ fn main() {
                 ledger.segment_summary()
             );
         }
-        if let Some(series) = &run.series {
+        if let Some(series) = cluster.time_series() {
             println!("  sampler: {} windows", series.rows().len());
         }
-        if let Some(json) = &run.perfetto_json {
+        if let Some(json) = cluster.perfetto_json() {
             println!("  perfetto: {} trace bytes", json.len());
             if let Some(path) = &cli.trace_out {
-                if let Err(e) = std::fs::write(path, json) {
+                if let Err(e) = std::fs::write(path, &json) {
                     eprintln!("cannot write {path}: {e}");
                     std::process::exit(2);
                 }
@@ -428,6 +410,6 @@ fn main() {
             eprintln!("--trace-out given but --record did not include perfetto");
             std::process::exit(2);
         }
-        println!("  profile: {}", run.profile);
+        println!("  profile: {}", cluster.self_profile());
     }
 }

@@ -18,7 +18,8 @@
 //! and full-experiment wall time.
 //!
 //! This library holds the shared experiment-running and table-formatting
-//! code those binaries use. Policies are named by `gfaas-core` policy
+//! code those binaries use. Every run is named by its `ClusterConfig`
+//! and goes through [`run`]. Policies are named by `gfaas-core` policy
 //! specs (`"lalbo3:25"`, `"tinylfu:0.9"`), so anything in the
 //! [`PolicyRegistry`] — including evictors beyond the paper's LRU — can
 //! be swept without touching this crate. [`counters`] holds the
@@ -26,11 +27,8 @@
 
 pub mod counters;
 
-use gfaas_core::obs::ledger::Ledger;
-use gfaas_core::obs::sampler::TimeSeries;
 use gfaas_core::{
-    AutoscaleSpec, Cluster, ClusterConfig, PolicyRegistry, PolicySpec, RecordSpec, RunMetrics,
-    SelfProfile, StoreSpec,
+    Cluster, ClusterConfig, PolicyRegistry, PolicySpec, RunMetrics, SelfProfile, StoreSpec,
 };
 use gfaas_models::ModelRegistry;
 use gfaas_trace::{AzureFunctionsDataset, AzureTraceConfig, Trace, TraceStats};
@@ -67,166 +65,23 @@ pub fn paper_trace(working_set: usize, seed: u64) -> Trace {
 /// working set of `working_set`, with the trace generated from `seed`.
 pub fn run_experiment(policy: &PolicySpec, working_set: usize, seed: u64) -> RunMetrics {
     let trace = paper_trace(working_set, seed);
-    run_on_trace(policy, &trace)
+    run(ClusterConfig::paper_testbed(policy.clone()), &trace).0
 }
 
-/// Runs one experiment on a pre-generated trace under the paper's LRU
-/// replacement.
-pub fn run_on_trace(policy: &PolicySpec, trace: &Trace) -> RunMetrics {
-    run_spec_on_trace(policy, &PolicySpec::bare("lru"), trace)
-}
-
-/// Runs one experiment on a pre-generated trace with explicit scheduler
-/// and replacement specs.
-pub fn run_spec_on_trace(
-    policy: &PolicySpec,
-    replacement: &PolicySpec,
-    trace: &Trace,
-) -> RunMetrics {
-    run_configured_on_trace(policy, replacement, None, trace)
-}
-
-/// Runs one experiment on the paper testbed with explicit scheduler and
-/// replacement specs plus an optional autoscale spec. With
-/// `autoscale: None` the run is the fixed 12-GPU configuration every
-/// published number uses; with a spec, the cluster starts at 12 online
-/// GPUs (clamped into the spec's band) and scales on queue pressure.
-pub fn run_configured_on_trace(
-    policy: &PolicySpec,
-    replacement: &PolicySpec,
-    autoscale: Option<&AutoscaleSpec>,
-    trace: &Trace,
-) -> RunMetrics {
-    run_batched_on_trace(
-        policy,
-        replacement,
-        &PolicySpec::bare("none"),
-        autoscale,
-        trace,
-    )
-}
-
-/// The fully configured paper-testbed run: scheduler, replacement, and
-/// request-batching specs plus an optional autoscale spec. Batching
-/// `none` is the per-request dispatch every published number uses;
-/// `coalesce`/`adaptive` engage the `gfaas-core::batching` subsystem.
-pub fn run_batched_on_trace(
-    policy: &PolicySpec,
-    replacement: &PolicySpec,
-    batching: &PolicySpec,
-    autoscale: Option<&AutoscaleSpec>,
-    trace: &Trace,
-) -> RunMetrics {
-    run_profiled_on_trace(policy, replacement, batching, autoscale, trace).0
-}
-
-/// Like [`run_batched_on_trace`], additionally returning the event
-/// loop's [`SelfProfile`] (schedule passes, estimator calls, heap peak).
-/// The profile counters are always-on integer bumps, so the metrics are
-/// byte-identical to the plain entry points.
-pub fn run_profiled_on_trace(
-    policy: &PolicySpec,
-    replacement: &PolicySpec,
-    batching: &PolicySpec,
-    autoscale: Option<&AutoscaleSpec>,
-    trace: &Trace,
-) -> (RunMetrics, SelfProfile) {
-    run_stored_on_trace(
-        policy,
-        replacement,
-        batching,
-        autoscale,
-        &StoreSpec::default(),
-        trace,
-    )
-}
-
-/// Like [`run_profiled_on_trace`] with an explicit model-store spec (the
-/// `--store` CLI axis). The `flat` default keeps every published number
-/// byte-identical; `tiered:…` prices cache-miss loads through the
-/// HBM ↔ host ↔ origin hierarchy.
-pub fn run_stored_on_trace(
-    policy: &PolicySpec,
-    replacement: &PolicySpec,
-    batching: &PolicySpec,
-    autoscale: Option<&AutoscaleSpec>,
-    store: &StoreSpec,
-    trace: &Trace,
-) -> (RunMetrics, SelfProfile) {
-    let mut cfg = ClusterConfig::paper_testbed(policy.clone());
-    cfg.replacement = replacement.clone();
-    cfg.batching = batching.clone();
-    cfg.autoscale = autoscale.cloned();
-    cfg.store = store.clone();
+/// Runs `cfg` over `trace` on the Table I model registry: the one way
+/// the harness names a run. Returns the metrics and the finished
+/// cluster, off which callers read whatever else the run produced
+/// ([`Cluster::self_profile`], [`Cluster::ledger`],
+/// [`Cluster::perfetto_json`], [`Cluster::time_series`],
+/// [`Cluster::store_stats`], [`Cluster::journal_stats`]).
+///
+/// # Panics
+/// If `cfg` does not validate or a spec does not resolve in the builtin
+/// registry (the binaries validate specs before building a config).
+pub fn run(cfg: ClusterConfig, trace: &Trace) -> (RunMetrics, Cluster) {
     let mut cluster = Cluster::new(cfg, ModelRegistry::table1());
     let metrics = cluster.run(trace);
-    let profile = cluster.self_profile();
-    (metrics, profile)
-}
-
-/// Everything one recorded run produces: the usual metrics plus whatever
-/// sinks the [`RecordSpec`] attached.
-#[derive(Debug, Clone)]
-pub struct RecordedRun {
-    /// The run's metrics — byte-identical to an unrecorded run on the
-    /// same trace and specs.
-    pub metrics: RunMetrics,
-    /// Per-request lifecycle ledger (`record.ledger`).
-    pub ledger: Option<Ledger>,
-    /// Perfetto/Chrome trace-event JSON (`record.perfetto`).
-    pub perfetto_json: Option<String>,
-    /// Sampled time series (`record.sample_secs`).
-    pub series: Option<TimeSeries>,
-    /// The event loop's self-profile.
-    pub profile: SelfProfile,
-}
-
-/// Runs one fully configured paper-testbed experiment with the given
-/// recorders attached, returning the metrics and every recorded sink.
-pub fn run_recorded_on_trace(
-    policy: &PolicySpec,
-    replacement: &PolicySpec,
-    batching: &PolicySpec,
-    autoscale: Option<&AutoscaleSpec>,
-    record: &RecordSpec,
-    trace: &Trace,
-) -> RecordedRun {
-    run_recorded_stored_on_trace(
-        policy,
-        replacement,
-        batching,
-        autoscale,
-        &StoreSpec::default(),
-        record,
-        trace,
-    )
-}
-
-/// Like [`run_recorded_on_trace`] with an explicit model-store spec.
-pub fn run_recorded_stored_on_trace(
-    policy: &PolicySpec,
-    replacement: &PolicySpec,
-    batching: &PolicySpec,
-    autoscale: Option<&AutoscaleSpec>,
-    store: &StoreSpec,
-    record: &RecordSpec,
-    trace: &Trace,
-) -> RecordedRun {
-    let mut cfg = ClusterConfig::paper_testbed(policy.clone());
-    cfg.replacement = replacement.clone();
-    cfg.batching = batching.clone();
-    cfg.autoscale = autoscale.cloned();
-    cfg.store = store.clone();
-    cfg.record = *record;
-    let mut cluster = Cluster::new(cfg, ModelRegistry::table1());
-    let metrics = cluster.run(trace);
-    RecordedRun {
-        metrics,
-        ledger: cluster.ledger(),
-        perfetto_json: cluster.perfetto_json(),
-        series: cluster.time_series(),
-        profile: cluster.self_profile(),
-    }
+    (metrics, cluster)
 }
 
 /// Averages metrics across `seeds` trace realisations (reduces the
@@ -341,7 +196,7 @@ impl AveragedMetrics {
 /// A policy × scenario sweep: every registered scenario's trace is
 /// generated once per seed, every policy runs on the identical traces,
 /// and each cell reports seed-averaged metrics. The whole sweep is a pure
-/// function of (scale, policies, replacement, autoscale, seeds).
+/// function of (scale, policies, config, seeds).
 #[derive(Debug, Clone)]
 pub struct ScenarioSuite {
     /// Workload volume (paper / production / smoke).
@@ -350,20 +205,11 @@ pub struct ScenarioSuite {
     pub scenarios: Vec<Scenario>,
     /// Scheduler specs to compare (defaults to the paper's three).
     pub policies: Vec<PolicySpec>,
-    /// Replacement spec every cell runs under (default `lru`; set
-    /// `"tinylfu"` etc. to sweep a different evictor).
-    pub replacement: PolicySpec,
-    /// Request-batching spec every cell runs under (default `none`, the
-    /// per-request dispatch of every published number; `coalesce` /
-    /// `adaptive` engage dynamic batching).
-    pub batching: PolicySpec,
-    /// Elastic-capacity spec every cell runs under (`None`, the default,
-    /// is the paper's fixed 12-GPU testbed).
-    pub autoscale: Option<AutoscaleSpec>,
-    /// Model-store spec every cell runs under (default `flat`, the
-    /// uniform load times of every published number; `tiered:…` prices
-    /// loads through the HBM ↔ host ↔ origin hierarchy).
-    pub store: StoreSpec,
+    /// The cluster every cell runs: each cell clones it and sets only
+    /// `policy` (the template's own `policy` is never run). Defaults to
+    /// the paper testbed; set `replacement`, `batching`, `autoscale` or
+    /// `store` on it to sweep another configuration.
+    pub config: ClusterConfig,
     /// A real Azure Functions per-minute dataset: when set, the sweep
     /// registers an extra `azure_real` scenario replaying the dataset's
     /// top `scale.working_set` functions verbatim (the `scenarios` CLI
@@ -412,10 +258,7 @@ impl ScenarioSuite {
             scale,
             scenarios: registry(),
             policies: paper_policies(),
-            replacement: PolicySpec::bare("lru"),
-            batching: PolicySpec::bare("none"),
-            autoscale: None,
-            store: StoreSpec::default(),
+            config: ClusterConfig::default(),
             azure_real: None,
             seeds,
             threads: 1,
@@ -440,10 +283,7 @@ impl ScenarioSuite {
         self.scale == Scale::paper()
             && self.seeds == REPORT_SEEDS
             && self.policies == paper_policies()
-            && self.replacement == PolicySpec::bare("lru")
-            && self.batching == PolicySpec::bare("none")
-            && self.autoscale.is_none()
-            && self.store.is_flat()
+            && self.config == ClusterConfig::paper_testbed(self.config.policy.clone())
             && self.azure_real.is_none()
             && self.scenarios.len() == registry().len()
     }
@@ -453,7 +293,7 @@ impl ScenarioSuite {
     /// all cells of a row see identical workloads.
     ///
     /// # Panics
-    /// If a policy or replacement spec does not resolve in the builtin
+    /// If a policy or template spec does not resolve in the builtin
     /// registry (the binaries validate specs before building a suite).
     pub fn run(&self) -> SuiteReport {
         let policy_names: Vec<String> = {
@@ -522,15 +362,12 @@ impl ScenarioSuite {
             let runs: Vec<RunMetrics> = traces
                 .iter()
                 .map(|t| {
-                    let (m, p) = run_stored_on_trace(
-                        policy,
-                        &self.replacement,
-                        &self.batching,
-                        self.autoscale.as_ref(),
-                        &self.store,
-                        t,
-                    );
-                    profile.merge(&p);
+                    let cfg = ClusterConfig {
+                        policy: policy.clone(),
+                        ..self.config.clone()
+                    };
+                    let (m, cluster) = run(cfg, t);
+                    profile.merge(&cluster.self_profile());
                     m
                 })
                 .collect();
@@ -672,6 +509,7 @@ impl TablePrinter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gfaas_core::AutoscaleSpec;
 
     #[test]
     fn reduction_pct_matches_paper_convention() {
@@ -752,18 +590,44 @@ mod tests {
     fn paper_default_detection() {
         assert!(ScenarioSuite::paper_default().is_paper_default());
         let mut s = ScenarioSuite::paper_default();
-        s.replacement = PolicySpec::bare("tinylfu");
+        s.config.replacement = PolicySpec::bare("tinylfu");
         assert!(!s.is_paper_default());
         let mut s = ScenarioSuite::paper_default();
-        s.autoscale = Some(AutoscaleSpec::default());
+        s.config.autoscale = Some(AutoscaleSpec::default());
         assert!(!s.is_paper_default());
         let mut s = ScenarioSuite::paper_default();
         s.policies = vec![PolicySpec::bare("lalbo3")];
         assert!(!s.is_paper_default());
         let mut s = ScenarioSuite::paper_default();
-        s.store = "tiered:host=8G".parse().unwrap();
+        s.config.store = "tiered:host=8G".parse().unwrap();
         assert!(!s.is_paper_default());
         assert!(!ScenarioSuite::smoke().is_paper_default());
+    }
+
+    #[test]
+    fn suite_template_reaches_its_cells() {
+        // Each non-default template field must reach the cell's cluster:
+        // the cell equals a direct `run` of the same config.
+        let tweaks: [fn(&mut ClusterConfig); 4] = [
+            |c| c.replacement = PolicySpec::bare("tinylfu"),
+            |c| c.batching = PolicySpec::bare("coalesce"),
+            |c| c.store = "tiered:host=8G".parse().unwrap(),
+            |c| c.autoscale = Some("queue:min=2,max=8,up=6,down=1,cadence=2".parse().unwrap()),
+        ];
+        let lalbo3 = || ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"));
+        for tweak in tweaks {
+            let mut suite = ScenarioSuite::smoke();
+            suite.scenarios.retain(|s| s.name == "burst");
+            suite.policies = vec![PolicySpec::bare("lalbo3")];
+            tweak(&mut suite.config);
+            let trace = suite.scenarios[0].trace(&suite.scale, suite.seeds[0]);
+            let mut cfg = lalbo3();
+            tweak(&mut cfg);
+            let direct = AveragedMetrics::from_runs(&[run(cfg, &trace).0]);
+            assert_eq!(suite.run().cells[0].metrics, direct, "{:?}", suite.config);
+            let untweaked = AveragedMetrics::from_runs(&[run(lalbo3(), &trace).0]);
+            assert_ne!(direct, untweaked, "no-op tweak: {:?}", suite.config);
+        }
     }
 
     #[test]
@@ -785,7 +649,7 @@ mod tests {
         let mut suite = ScenarioSuite::smoke();
         suite.scenarios.retain(|s| s.name == "diurnal");
         suite.policies = vec![PolicySpec::bare("lalbo3")];
-        suite.autoscale = Some("queue:min=2,max=8,up=6,down=1,cadence=2".parse().unwrap());
+        suite.config.autoscale = Some("queue:min=2,max=8,up=6,down=1,cadence=2".parse().unwrap());
         let a = suite.run();
         let b = suite.run();
         assert_eq!(a.cells.len(), 1);
@@ -799,16 +663,23 @@ mod tests {
     }
 
     #[test]
-    fn run_on_trace_is_the_explicit_lru_spec_path() {
-        // `run_on_trace` defaults replacement to LRU, and `lalbo3` is
+    fn paper_testbed_is_the_explicit_lru_spec_config() {
+        // The paper testbed defaults replacement to LRU, and `lalbo3` is
         // `lalbo3:25`: both spellings name one policy pair.
         let trace = paper_trace(15, 7);
-        let shorthand = run_on_trace(&PolicySpec::bare("lalbo3"), &trace);
-        let explicit = run_spec_on_trace(
-            &"lalbo3:25".parse().unwrap(),
-            &"lru".parse().unwrap(),
+        let shorthand = run(
+            ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3")),
             &trace,
-        );
+        )
+        .0;
+        let explicit = run(
+            ClusterConfig {
+                replacement: "lru".parse().unwrap(),
+                ..ClusterConfig::paper_testbed("lalbo3:25".parse().unwrap())
+            },
+            &trace,
+        )
+        .0;
         assert_eq!(shorthand, explicit);
         assert_eq!(policy_name(&PolicySpec::bare("lalbo3")), "LALBO3");
     }

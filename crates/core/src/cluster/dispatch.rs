@@ -354,10 +354,8 @@ impl Cluster {
             .evict(model)
             .expect("evicted model is a ready resident");
         self.on_residency_change(model);
-        if !self.store_flat {
-            let bytes = self.registry.occupancy_bytes(model);
-            self.store.demote(self.scalars.now, model, bytes);
-        }
+        let bytes = self.registry.occupancy_bytes(model);
+        self.store.demote(self.scalars.now, model, bytes);
         let gpu = self.units[gi].id();
         self.emit_with(|_| ObsEvent::Eviction { gpu, model });
     }
@@ -418,12 +416,9 @@ impl Cluster {
             .registry
             .load_time(model)
             .mul_f64(self.units[gi].device.spec().load_scale);
-        let (tier, load_time) = if self.store_flat {
-            (Tier::ORIGIN, flat_load)
-        } else {
+        let (tier, load_time) =
             self.store
-                .begin_load(self.scalars.now, model, occupancy, flat_load)
-        };
+                .begin_load(self.scalars.now, model, occupancy, flat_load);
         let (_pid, ready) = self
             .units
             .write(gi)

@@ -42,9 +42,7 @@ impl Cluster {
         // Cold devices mean a burst of compulsory misses is coming: let a
         // tiered store stage its hottest absent models toward the host
         // cache before the cold-start storm hits the origin link.
-        if !self.store_flat {
-            self.store.note_scale_up(self.scalars.now);
-        }
+        self.store.note_scale_up(self.scalars.now);
         for g in provisioned {
             self.emit_with(|_| ObsEvent::ScaleUp { gpu: g });
             self.emit_with(|_| ObsEvent::UnitIdle { gpu: g });

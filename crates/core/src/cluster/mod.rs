@@ -127,10 +127,6 @@ pub struct Cluster {
     /// ([`gfaas_store`]); the builtin `flat` keeps the paper's uniform
     /// load times.
     store: Box<dyn ModelStore>,
-    /// Cached `store.is_flat()` so the hot load path (estimators run per
-    /// scheduling decision) gates on one predictable branch and the flat
-    /// default stays byte-identical to a build without the store hooks.
-    store_flat: bool,
     /// The global queue. Mutations under a live pin log their positional
     /// inverse; the queue also keeps Σ arrival ticks for fork scoring.
     global_queue: PinnedDeque<Request>,
@@ -177,8 +173,6 @@ pub struct Cluster {
     obs_series: Option<SeriesHandle>,
     /// Sampling cadence requested by the recorder (min over children).
     obs_cadence: Option<SimDuration>,
-    /// SLO threshold for `ObsEvent::SloMiss` emission.
-    obs_slo: Option<SimDuration>,
     /// Self-profiler counters for the event loop (always-on: plain
     /// integer bumps, no allocation). See [`SelfProfile`].
     profile: SelfProfile,
@@ -272,7 +266,8 @@ impl Cluster {
     }
 
     /// The store backend's counters (host hits, origin loads, prefetches,
-    /// demotions, …). All-zero under the flat default.
+    /// demotions, …). Under the flat default only `origin_loads` moves:
+    /// every demand load is an origin load.
     pub fn store_stats(&self) -> StoreStats {
         self.store.stats()
     }
@@ -292,7 +287,6 @@ impl Cluster {
         // `set_batcher` for custom policies).
         let batcher = PolicyRegistry::builtin().batcher(&config.batching)?;
         let store = config.store.build()?;
-        let store_flat = store.is_flat();
         // An elastic cluster allocates every device it may ever bring
         // online; `num_gpus` (clamped into the autoscale band) of them
         // start online, the rest wait offline for a scale-up.
@@ -322,13 +316,13 @@ impl Cluster {
         let rng = DetRng::new(config.seed ^ 0xc4a5);
         // Build the recorder stack from the config's record spec. Off by
         // default: `recorder` stays `None` and every hook is a dead branch.
-        let obs_slo = config.record.slo_secs.map(SimDuration::from_secs_f64);
         let mut multi = MultiRecorder::default();
         let mut obs_ledger = None;
         let mut obs_perfetto = None;
         let mut obs_series = None;
         if config.record.ledger {
-            let (rec, handle) = LedgerRecorder::new(obs_slo);
+            let slo = config.record.slo_secs.map(SimDuration::from_secs_f64);
+            let (rec, handle) = LedgerRecorder::new(slo);
             multi.push(Box::new(rec));
             obs_ledger = Some(handle);
         }
@@ -352,7 +346,6 @@ impl Cluster {
             sched: Some(sched),
             batcher,
             store,
-            store_flat,
             global_queue: PinnedDeque::new(),
             metrics: MetricsCollector::new(),
             scalars: Scalars {
@@ -373,7 +366,6 @@ impl Cluster {
             obs_perfetto,
             obs_series,
             obs_cadence,
-            obs_slo,
             profile: SelfProfile::default(),
             estimator_calls: Cell::new(0),
             obs_scratch: Vec::new(),
@@ -550,16 +542,12 @@ impl Cluster {
     fn load_time_on(&self, gi: usize, model: ModelId) -> SimDuration {
         let load_scale = self.units[gi].device.spec().load_scale;
         let flat = self.registry.load_time(model).mul_f64(load_scale);
-        if self.store_flat {
-            flat
-        } else {
-            self.store.load_cost(
-                self.scalars.now,
-                model,
-                self.registry.occupancy_bytes(model),
-                flat,
-            )
-        }
+        self.store.load_cost(
+            self.scalars.now,
+            model,
+            self.registry.occupancy_bytes(model),
+            flat,
+        )
     }
 
     /// Feeds one queue-depth observation to the metrics integral and,
@@ -717,10 +705,8 @@ impl Cluster {
                 });
                 // Feed the store's arrival-rate tracker; a tiered backend
                 // may start an async prefetch on its origin link here.
-                if !self.store_flat {
-                    let bytes = self.registry.occupancy_bytes(req_model);
-                    self.store.note_arrival(self.scalars.now, req_model, bytes);
-                }
+                let bytes = self.registry.occupancy_bytes(req_model);
+                self.store.note_arrival(self.scalars.now, req_model, bytes);
                 self.schedule_pass(&mut events);
             } else {
                 let (t, ev) = events.pop().expect("peeked event exists");
@@ -971,13 +957,6 @@ impl Cluster {
                         model: b_model,
                         latency,
                     });
-                    if let Some(slo) = self.obs_slo.filter(|&slo| latency > slo) {
-                        self.emit_with(|_| ObsEvent::SloMiss {
-                            req: r.id,
-                            latency,
-                            slo,
-                        });
-                    }
                 }
                 self.metrics.record_invocation(inflight.requests.len());
                 self.emit_with(|_| ObsEvent::InvocationDone {

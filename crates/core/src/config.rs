@@ -117,7 +117,7 @@ impl From<StoreError> for ConfigError {
 }
 
 /// Configuration of one experiment run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Number of GPUs (the paper's testbed has 12: 3 nodes × 4).
     pub num_gpus: usize,

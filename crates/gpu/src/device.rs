@@ -21,7 +21,7 @@ use crate::{GpuId, ModelId, MIB};
 /// the profiling procedure runs once per GPU *type*, and the scheduler uses
 /// per-type load/inference times. A type's times are its reference
 /// (RTX 2080) times multiplied by these factors.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name, for reports.
     pub name: String,

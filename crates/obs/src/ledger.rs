@@ -204,6 +204,7 @@ impl Ledger {
                 req, gpu, latency, ..
             } => {
                 let span = *self.span_mut(gpu);
+                let slo_miss = self.slo.is_some_and(|slo| latency > slo);
                 if let Some(row) = self.row_mut(req) {
                     let join = row.join.unwrap_or(row.arrival);
                     let infer_start = span.infer_start.unwrap_or(t);
@@ -225,13 +226,9 @@ impl Ledger {
                     row.batch = span.batch;
                     row.hit = span.hit;
                     row.tier = span.tier;
+                    row.slo_miss = slo_miss;
                     row.completed = true;
                     self.completed += 1;
-                }
-            }
-            ObsEvent::SloMiss { req, .. } => {
-                if let Some(row) = self.row_mut(req) {
-                    row.slo_miss = true;
                 }
             }
             ObsEvent::InvocationDone { gpu, .. } | ObsEvent::Crash { gpu, .. } => {
@@ -357,9 +354,7 @@ pub struct LedgerRecorder {
 
 impl LedgerRecorder {
     /// Create a recorder/handle pair. `slo` flags completions slower
-    /// than the given duration (the cluster emits [`ObsEvent::SloMiss`]
-    /// from its own config; the ledger also stores the target here for
-    /// post-run reporting).
+    /// than the given duration (and is kept for post-run reporting).
     pub fn new(slo: Option<SimDuration>) -> (Self, LedgerHandle) {
         let ledger = Arc::new(Mutex::new(Ledger {
             slo,

@@ -260,15 +260,6 @@ pub enum ObsEvent<'a> {
         /// End-to-end latency (completion − arrival).
         latency: SimDuration,
     },
-    /// A completed request exceeded the configured SLO.
-    SloMiss {
-        /// Request id.
-        req: u64,
-        /// Its end-to-end latency.
-        latency: SimDuration,
-        /// The SLO it missed.
-        slo: SimDuration,
-    },
     /// A resident model was evicted from a GPU.
     Eviction {
         /// GPU evicting.
@@ -441,7 +432,8 @@ pub struct RecordSpec {
     pub perfetto: bool,
     /// Attach the time-series sampler at this cadence (seconds).
     pub sample_secs: Option<f64>,
-    /// Latency SLO (seconds) for `SloMiss` events and ledger flags.
+    /// Latency SLO (seconds): the attached ledger flags each completion
+    /// slower than this (`slo_miss`).
     pub slo_secs: Option<f64>,
 }
 

@@ -12,7 +12,6 @@
 //!   clock with saturating arithmetic and float conversions.
 //! * [`event`] — a generic, deterministic event queue. Ties at equal
 //!   timestamps are broken by insertion sequence so replays are stable.
-//! * [`engine`] — a minimal run loop driving a user-supplied [`engine::Handler`].
 //! * [`rng`] — a seedable SplitMix64/xoshiro256** RNG with the samplers the
 //!   workloads need (uniform, Zipf, exponential, shuffle).
 //! * [`stats`] — numerically stable accumulators (Welford mean/variance,
@@ -34,13 +33,11 @@
 
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod event;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Engine, Handler};
 pub use event::EventQueue;
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};

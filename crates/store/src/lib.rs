@@ -18,8 +18,8 @@
 //!   drives async **prefetch** into the host tier.
 //! * [`FlatStore`] — the paper's model: one flat cost from an infinite
 //!   origin. Byte-identical to the pre-store simulator by construction
-//!   (it returns the caller's flat cost verbatim), and additionally
-//!   gated out of the cluster hot path entirely.
+//!   (it returns the caller's flat cost verbatim and ignores every
+//!   other hook); it counts each demand load as an origin load.
 //! * [`TieredStore`] — the default three-tier stack. A bounded host
 //!   cache with LRU replacement sits between HBM and the origin;
 //!   demotions and demand fetches populate it; an arrival-rate EWMA and
@@ -383,13 +383,6 @@ pub trait ModelStore: fmt::Debug + Send {
     /// Display name for reports.
     fn name(&self) -> String;
 
-    /// True for the flat (paper-identical) store. The cluster gates the
-    /// store out of its hot paths entirely when this holds, preserving
-    /// byte-identity with the pre-store simulator.
-    fn is_flat(&self) -> bool {
-        false
-    }
-
     /// The tier a demand load for `model` would be served from right
     /// now (HBM residency is the cluster's knowledge, so this is never
     /// [`Tier::HBM`]).
@@ -458,9 +451,10 @@ pub trait ModelStore: fmt::Debug + Send {
 
 /// The paper's storage model: an infinite origin, one flat upload cost.
 ///
-/// [`FlatStore::load_cost`] returns the caller's `flat_cost` verbatim,
-/// so simulation output is byte-identical to the pre-store simulator
-/// even without the cluster's hot-path gate.
+/// [`FlatStore::load_cost`] and [`FlatStore::begin_load`] return the
+/// caller's `flat_cost` verbatim and its other hooks are no-ops, so
+/// simulation output is byte-identical to the pre-store simulator; it
+/// counts every demand load as an origin load.
 #[derive(Debug, Default)]
 pub struct FlatStore {
     loads: u64,
@@ -476,10 +470,6 @@ impl FlatStore {
 impl ModelStore for FlatStore {
     fn name(&self) -> String {
         "flat".to_string()
-    }
-
-    fn is_flat(&self) -> bool {
-        true
     }
 
     fn serving_tier(&self, _model: ModelId) -> Tier {
@@ -998,10 +988,8 @@ mod tests {
     #[test]
     fn build_names_the_backend() {
         let s = StoreSpec::parse("flat").unwrap().build().unwrap();
-        assert!(s.is_flat());
         assert_eq!(s.name(), "flat");
         let s = StoreSpec::parse("tiered:host=1G").unwrap().build().unwrap();
-        assert!(!s.is_flat());
         assert!(s.name().starts_with("tiered("));
     }
 

@@ -10,8 +10,8 @@
 //! composable pieces, and shows what it does to LALB+O3. Part 2 replays
 //! every registered scenario under the paper's three schedulers.
 
-use gfaas_bench::{policy_name, run_on_trace, ScenarioSuite};
-use gfaas_core::PolicySpec;
+use gfaas_bench::{policy_name, run, ScenarioSuite};
+use gfaas_core::{ClusterConfig, PolicySpec};
 use gfaas_workload::{registry, Arrival, ModelMapping, Popularity, Scale, WorkloadSpec};
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
         s.top15_share * 100.0
     );
     for policy in ["lb", "lalbo3"].map(PolicySpec::bare) {
-        let m = run_on_trace(&policy, &trace);
+        let m = run(ClusterConfig::paper_testbed(policy.clone()), &trace).0;
         println!(
             "  {:<7} avg {:6.2} s   p95 {:6.2} s   miss {:.3}",
             policy_name(&policy),

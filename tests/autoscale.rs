@@ -11,7 +11,7 @@
 //!   average and p95 latency — the elasticity claim `fig_autoscale`
 //!   reports.
 
-use gfaas_bench::{paper_policies, run_configured_on_trace, REPORT_SEEDS};
+use gfaas_bench::{paper_policies, run, REPORT_SEEDS};
 use gfaas_core::{AutoscaleSpec, Cluster, ClusterConfig, PolicySpec};
 use gfaas_models::ModelRegistry;
 use gfaas_workload::{registry, scenario::find, Scale};
@@ -72,16 +72,18 @@ proptest! {
 fn diurnal_autoscaling_cuts_gpu_seconds_at_equal_or_better_latency() {
     let scale = Scale::paper();
     let scenario = find("diurnal").expect("diurnal scenario registered");
-    let policy = PolicySpec::bare("lalbo3");
-    let replacement = PolicySpec::bare("lru");
-    let autoscale = AutoscaleSpec::default();
+    let fixed_cfg = ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"));
+    let auto_cfg = ClusterConfig {
+        autoscale: Some(AutoscaleSpec::default()),
+        ..fixed_cfg.clone()
+    };
 
     let (mut fixed_gpu_s, mut auto_gpu_s) = (0.0f64, 0.0f64);
     let mut scale_events = 0u64;
     for &seed in &REPORT_SEEDS {
         let trace = scenario.trace(&scale, seed);
-        let fixed = run_configured_on_trace(&policy, &replacement, None, &trace);
-        let auto = run_configured_on_trace(&policy, &replacement, Some(&autoscale), &trace);
+        let fixed = run(fixed_cfg.clone(), &trace).0;
+        let auto = run(auto_cfg.clone(), &trace).0;
         assert_eq!(auto.completed, fixed.completed, "seed {seed}");
         assert!(
             auto.avg_latency_secs <= fixed.avg_latency_secs,

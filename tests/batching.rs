@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use gfaas_bench::{run_batched_on_trace, AveragedMetrics, REPORT_SEEDS};
+use gfaas_bench::{run, AveragedMetrics, REPORT_SEEDS};
 use gfaas_core::{Cluster, ClusterConfig, PolicySpec, RunMetrics};
 use gfaas_faas::Datastore;
 use gfaas_models::ModelRegistry;
@@ -22,11 +22,18 @@ use gfaas_trace::Trace;
 use gfaas_workload::{registry, scenario::find, Scale};
 use proptest::prelude::*;
 
+/// The paper testbed under LALBO3 with the given batching spec.
+fn batched(batching: &str) -> ClusterConfig {
+    ClusterConfig {
+        batching: batching.parse().unwrap(),
+        ..ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"))
+    }
+}
+
 /// Runs a paper-testbed cluster on `trace` with the datastore mirror on,
 /// returning the metrics and the datastore.
 fn run_mirrored(batching: &str, trace: &Trace, crash_rate: f64) -> (RunMetrics, Arc<Datastore>) {
-    let mut cfg = ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"));
-    cfg.batching = batching.parse().unwrap();
+    let mut cfg = batched(batching);
     cfg.report_to_datastore = true;
     cfg.crash_rate = crash_rate;
     let ds = Arc::new(Datastore::new());
@@ -99,11 +106,8 @@ proptest! {
     #[test]
     fn coalescing_never_lowers_smoke_burst_throughput(seed in any::<u64>()) {
         let trace = find("burst").unwrap().trace(&Scale::smoke(), seed);
-        let policy = PolicySpec::bare("lalbo3");
-        let lru = PolicySpec::bare("lru");
-        let none = run_batched_on_trace(&policy, &lru, &"none".parse().unwrap(), None, &trace);
-        let coalesce =
-            run_batched_on_trace(&policy, &lru, &"coalesce".parse().unwrap(), None, &trace);
+        let none = run(batched("none"), &trace).0;
+        let coalesce = run(batched("coalesce"), &trace).0;
         prop_assert_eq!(coalesce.completed, none.completed);
         let thr = |m: &RunMetrics| m.completed as f64 / m.gpu_busy_seconds.max(1e-9);
         prop_assert!(
@@ -124,14 +128,11 @@ proptest! {
 fn burst_coalescing_lifts_throughput_without_hurting_p95() {
     let scale = Scale::paper();
     let scenario = find("burst").expect("burst scenario registered");
-    let policy = PolicySpec::bare("lalbo3");
-    let lru = PolicySpec::bare("lru");
 
     let mode = |batching: &str| -> AveragedMetrics {
-        let spec: PolicySpec = batching.parse().unwrap();
         let runs: Vec<RunMetrics> = REPORT_SEEDS
             .iter()
-            .map(|&s| run_batched_on_trace(&policy, &lru, &spec, None, &scenario.trace(&scale, s)))
+            .map(|&s| run(batched(batching), &scenario.trace(&scale, s)).0)
             .collect();
         AveragedMetrics::from_runs(&runs)
     };
@@ -176,12 +177,6 @@ fn burst_coalescing_lifts_throughput_without_hurting_p95() {
 #[test]
 fn capped_coalescing_keeps_the_wait_estimate_in_sync() {
     let trace = find("paper").unwrap().trace(&Scale::paper(), 11);
-    let m = run_batched_on_trace(
-        &"lalbo3:25".parse().unwrap(),
-        &PolicySpec::bare("lru"),
-        &"coalesce:max=2".parse().unwrap(),
-        None,
-        &trace,
-    );
+    let m = run(batched("coalesce:max=2"), &trace).0;
     assert_eq!(m.completed as usize, trace.len());
 }

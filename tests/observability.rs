@@ -16,9 +16,12 @@
 //! * **Sampler cadence** — time-series rows land on the configured
 //!   cadence with sequential window ids.
 
-use gfaas_bench::{run_batched_on_trace, run_recorded_on_trace, RecordedRun};
+use gfaas_bench::run;
+use gfaas_core::obs::ledger::LedgerRecorder;
 use gfaas_core::obs::perfetto::validate_chrome_trace;
-use gfaas_core::{AutoscaleSpec, PolicySpec, RecordSpec};
+use gfaas_core::{AutoscaleSpec, Cluster, ClusterConfig, PolicySpec, RecordSpec, RunMetrics};
+use gfaas_models::ModelRegistry;
+use gfaas_sim::time::SimDuration;
 use gfaas_workload::scenario::{find, registry};
 use gfaas_workload::Scale;
 
@@ -31,24 +34,19 @@ fn record_all() -> RecordSpec {
     }
 }
 
-fn recorded_flash_crowd(seed: u64) -> RecordedRun {
+fn recorded_flash_crowd(seed: u64) -> (RunMetrics, Cluster) {
     let trace = find("flash_crowd")
         .expect("flash_crowd scenario registered")
         .trace(&Scale::smoke(), seed);
-    run_recorded_on_trace(
-        &"lalbo3".parse::<PolicySpec>().unwrap(),
-        &PolicySpec::bare("lru"),
-        &PolicySpec::bare("none"),
-        None,
-        &record_all(),
-        &trace,
-    )
+    let cfg = ClusterConfig {
+        record: record_all(),
+        ..ClusterConfig::paper_testbed("lalbo3".parse().unwrap())
+    };
+    run(cfg, &trace)
 }
 
 #[test]
 fn recorders_are_metric_neutral_across_smoke_registry() {
-    let policy: PolicySpec = "lalbo3".parse().unwrap();
-    let replacement = PolicySpec::bare("lru");
     let batchings = ["none", "coalesce", "adaptive"];
     let autoscale = AutoscaleSpec::default();
     for (i, sc) in registry().iter().enumerate() {
@@ -56,34 +54,34 @@ fn recorders_are_metric_neutral_across_smoke_registry() {
         // Rotate batching policies and alternate the autoscaler across
         // scenarios so every subsystem gets a recorded cell without
         // running the full cross product.
-        let batching = PolicySpec::bare(batchings[i % batchings.len()]);
-        let scaling = if i % 2 == 1 { Some(&autoscale) } else { None };
-        let plain = run_batched_on_trace(&policy, &replacement, &batching, scaling, &trace);
-        let recorded = run_recorded_on_trace(
-            &policy,
-            &replacement,
-            &batching,
-            scaling,
-            &record_all(),
-            &trace,
-        );
+        let plain_cfg = ClusterConfig {
+            batching: PolicySpec::bare(batchings[i % batchings.len()]),
+            autoscale: (i % 2 == 1).then(|| autoscale.clone()),
+            ..ClusterConfig::paper_testbed("lalbo3".parse().unwrap())
+        };
+        let recorded_cfg = ClusterConfig {
+            record: record_all(),
+            ..plain_cfg.clone()
+        };
+        let plain = run(plain_cfg.clone(), &trace).0;
+        let recorded = run(recorded_cfg, &trace).0;
         assert_eq!(
             plain,
-            recorded.metrics,
+            recorded,
             "{}/{}/autoscale={}: recording changed the metrics",
             sc.name,
-            batching.key(),
-            scaling.is_some(),
+            plain_cfg.batching.key(),
+            plain_cfg.autoscale.is_some(),
         );
         // Byte-for-byte, not just PartialEq.
-        assert_eq!(format!("{plain:?}"), format!("{:?}", recorded.metrics));
+        assert_eq!(format!("{plain:?}"), format!("{recorded:?}"));
     }
 }
 
 #[test]
 fn perfetto_export_is_valid_chrome_trace() {
-    let run = recorded_flash_crowd(11);
-    let json = run.perfetto_json.expect("perfetto recorder attached");
+    let (_, cluster) = recorded_flash_crowd(11);
+    let json = cluster.perfetto_json().expect("perfetto recorder attached");
     let check = validate_chrome_trace(&json)
         .unwrap_or_else(|e| panic!("flash_crowd trace failed validation: {e}"));
     assert!(check.events > 0, "empty trace");
@@ -103,11 +101,11 @@ fn perfetto_export_is_valid_chrome_trace() {
 
 #[test]
 fn ledger_segments_sum_exactly_to_latency() {
-    let run = recorded_flash_crowd(23);
-    let ledger = run.ledger.expect("ledger recorder attached");
+    let (metrics, cluster) = recorded_flash_crowd(23);
+    let ledger = cluster.ledger().expect("ledger recorder attached");
     assert_eq!(
         ledger.completed() as u64,
-        run.metrics.completed,
+        metrics.completed,
         "ledger row count disagrees with the metrics pipeline"
     );
     assert!(ledger.completed() > 0, "smoke run completed nothing");
@@ -138,9 +136,25 @@ fn ledger_segments_sum_exactly_to_latency() {
 }
 
 #[test]
+fn hand_attached_ledger_flags_its_own_slo() {
+    // The ledger judges misses against its own SLO, so one attached
+    // through `set_recorder` flags them without `record.slo_secs`.
+    let trace = find("flash_crowd").unwrap().trace(&Scale::smoke(), 11);
+    let slo = SimDuration::from_secs_f64(3.0);
+    let (rec, handle) = LedgerRecorder::new(Some(slo));
+    let mut cluster = Cluster::new(ClusterConfig::default(), ModelRegistry::table1());
+    cluster.set_recorder(Box::new(rec));
+    cluster.run(&trace);
+    let ledger = handle.snapshot();
+    let slower = ledger.rows().iter().filter(|r| r.latency > slo).count();
+    assert!(slower > 0, "no request slower than {slo:?}");
+    assert_eq!(ledger.slo_misses(), slower);
+}
+
+#[test]
 fn sampler_rows_follow_cadence() {
-    let run = recorded_flash_crowd(47);
-    let series = run.series.expect("sampler recorder attached");
+    let (metrics, cluster) = recorded_flash_crowd(47);
+    let series = cluster.time_series().expect("sampler recorder attached");
     let rows = series.rows();
     assert!(
         rows.len() >= 2,
@@ -168,7 +182,7 @@ fn sampler_rows_follow_cadence() {
     // Window accumulators cover the whole run: every request completes
     // in this engine, so windowed arrivals can't exceed completions.
     let total_arrivals: u64 = rows.iter().map(|r| r.arrivals).sum();
-    assert!(total_arrivals <= run.metrics.completed);
+    assert!(total_arrivals <= metrics.completed);
     // Per-GPU detail exists for every window.
     assert!(!series.gpu_rows().is_empty());
     assert_eq!(

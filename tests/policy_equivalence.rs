@@ -4,7 +4,7 @@
 //! pinned metrics; the TinyLFU evictor must actually pay off on the
 //! drifting workload it was built for.
 
-use gfaas::bench::{run_spec_on_trace, ScenarioSuite, REPORT_SEEDS};
+use gfaas::bench::{run, ScenarioSuite, REPORT_SEEDS};
 use gfaas::core::{
     Cluster, ClusterConfig, Evictor, FifoEvictor, LalbScheduler, LbScheduler, LruEvictor,
     PolicyError, PolicyRegistry, PolicySpec, RandomEvictor, SchedulerPolicy,
@@ -37,6 +37,14 @@ const EVICTORS: [(&str, BuildEvictor); 3] = [
     ("fifo", |_| Box::new(FifoEvictor::default())),
     ("random", |seed| Box::new(RandomEvictor::new(seed))),
 ];
+
+/// The paper testbed under a scheduler and an evictor spec.
+fn paired(sched: &str, evictor: &str) -> ClusterConfig {
+    ClusterConfig {
+        replacement: evictor.parse().unwrap(),
+        ..ClusterConfig::paper_testbed(sched.parse().unwrap())
+    }
+}
 
 /// `(scenario, scheduler, evictor, avg latency s, miss ratio)` of the
 /// smoke scenarios where the evictor changes the outcome, at the first
@@ -89,7 +97,7 @@ fn spec_path_pins_names_and_metrics_for_every_policy_pair() {
             .find(|s| s.name == scenario)
             .expect("scenario registered");
         let trace = sc.trace(&scale, REPORT_SEEDS[0]);
-        let m = run_spec_on_trace(&sched.parse().unwrap(), &evictor.parse().unwrap(), &trace);
+        let m = run(paired(sched, evictor), &trace).0;
         assert_eq!(
             (m.avg_latency_secs, m.miss_ratio),
             (avg_latency, miss),
@@ -118,8 +126,7 @@ fn injected_trait_objects_equal_the_registry_path() {
                 )
                 .unwrap();
                 let via_injection = injected.run(&trace);
-                let via_spec =
-                    run_spec_on_trace(&sched.parse().unwrap(), &evictor.parse().unwrap(), &trace);
+                let via_spec = run(paired(sched, evictor), &trace).0;
                 assert_eq!(via_injection, via_spec, "{}: {sched} x {evictor}", sc.name);
             }
         }
@@ -135,7 +142,7 @@ fn suite_replacement_axis_threads_through_to_cells() {
     lru.policies = vec!["lalbo3".parse().unwrap()];
     lru.scenarios.retain(|s| s.name == "paper");
     let mut fifo = lru.clone();
-    fifo.replacement = PolicySpec::bare("fifo");
+    fifo.config.replacement = PolicySpec::bare("fifo");
     let lru_cells = lru.run().cells;
     let fifo_cells = fifo.run().cells;
     assert_eq!(lru_cells.len(), fifo_cells.len());
@@ -159,15 +166,12 @@ fn tinylfu_beats_lru_on_the_drift_scenario() {
         .into_iter()
         .find(|s| s.name == "drift")
         .expect("drift scenario registered");
-    let lalbo3: PolicySpec = "lalbo3:25".parse().unwrap();
-    let lru: PolicySpec = "lru".parse().unwrap();
-    let tinylfu: PolicySpec = "tinylfu:0.3".parse().unwrap();
     let mut lru_miss = 0.0;
     let mut tinylfu_miss = 0.0;
     for &seed in &REPORT_SEEDS {
         let trace = drift.trace(&Scale::paper(), seed);
-        let l = run_spec_on_trace(&lalbo3, &lru, &trace);
-        let t = run_spec_on_trace(&lalbo3, &tinylfu, &trace);
+        let l = run(paired("lalbo3:25", "lru"), &trace).0;
+        let t = run(paired("lalbo3:25", "tinylfu:0.3"), &trace).0;
         assert!(
             t.miss_ratio <= l.miss_ratio,
             "seed {seed}: tinylfu {:.4} vs lru {:.4}",
@@ -191,9 +195,8 @@ fn tinylfu_keeps_the_static_paper_scenario_close_to_lru() {
     // on: stay within 10% relative miss ratio of LRU there.
     let paper = registry()[0];
     let trace = paper.trace(&Scale::paper(), REPORT_SEEDS[0]);
-    let lalbo3: PolicySpec = "lalbo3:25".parse().unwrap();
-    let l = run_spec_on_trace(&lalbo3, &"lru".parse().unwrap(), &trace);
-    let t = run_spec_on_trace(&lalbo3, &"tinylfu".parse().unwrap(), &trace);
+    let l = run(paired("lalbo3:25", "lru"), &trace).0;
+    let t = run(paired("lalbo3:25", "tinylfu"), &trace).0;
     assert!(
         t.miss_ratio <= l.miss_ratio * 1.10,
         "tinylfu {:.4} vs lru {:.4}",

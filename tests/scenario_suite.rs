@@ -2,8 +2,8 @@
 //! crate: the suite runner is deterministic, its `paper` cells agree with
 //! the fig4 pipeline, and composed specs drive the cluster directly.
 
-use gfaas::bench::{run_replicated, ScenarioSuite, REPORT_SEEDS};
-use gfaas::core::PolicySpec;
+use gfaas::bench::{run, run_replicated, ScenarioSuite, REPORT_SEEDS};
+use gfaas::core::{ClusterConfig, PolicySpec};
 use gfaas::workload::{Arrival, ModelMapping, Popularity, WorkloadSpec};
 
 #[test]
@@ -49,7 +49,11 @@ fn composed_spec_feeds_cluster_run_unchanged() {
         seed: 5,
     };
     let trace = spec.generate();
-    let m = gfaas::bench::run_on_trace(&PolicySpec::bare("lalbo3"), &trace);
+    let m = run(
+        ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3")),
+        &trace,
+    )
+    .0;
     assert_eq!(m.completed, trace.len() as u64);
     assert!(m.avg_latency_secs > 0.0);
 }

@@ -5,8 +5,9 @@
 //!
 //! * **Byte identity** — `store=flat` (the default) must reproduce the
 //!   paper pipeline bit for bit, across scenarios, policies, autoscale
-//!   and batching cells. The flat gate is what lets every published
-//!   number survive this subsystem.
+//!   and batching cells. The flat backend prices every load at the
+//!   registry's flat cost, which is what lets every published number
+//!   survive this subsystem.
 //! * **Conservation & determinism** — the tiered store is a modelled
 //!   resource: host-tier bytes never exceed capacity, every counter is
 //!   a pure function of (config, seed), and demoted models actually
@@ -19,8 +20,7 @@ use gfaas_workload::Scale;
 use proptest::prelude::*;
 
 /// One fully configured smoke-scale cell, returning the run metrics and
-/// the store's own counters (which the `run_*_on_trace` helpers do not
-/// expose).
+/// the store's own counters.
 fn run_cell(
     scenario: &str,
     seed: u64,
@@ -51,7 +51,7 @@ const AUTOSCALE: &str = "queue:min=2,max=8,up=6,down=1,cadence=2";
 
 /// An explicit `store=flat` run is the default config, bit for bit —
 /// across scenarios and the autoscale/batching cells. A divergence here
-/// means the flat gate leaked a store call into the paper pipeline.
+/// means the flat backend priced a load differently from the paper.
 #[test]
 fn flat_store_is_byte_identical_to_the_default_config() {
     let cells: &[(&str, &str, Option<&str>)] = &[
@@ -84,11 +84,17 @@ fn flat_store_is_byte_identical_to_the_default_config() {
     }
 }
 
-/// The flat store never touches tier state: every counter stays zero.
+/// The flat store never touches tier state: every tier counter stays
+/// zero, and every miss is an origin load.
 #[test]
 fn flat_store_reports_no_tier_activity() {
-    let (_, stats) = run_cell("churn", 11, "lru", "none", Some(AUTOSCALE), "flat");
-    assert_eq!(stats, StoreStats::default());
+    let (metrics, stats) = run_cell("churn", 11, "lru", "none", Some(AUTOSCALE), "flat");
+    assert!(metrics.misses > 0, "the cell must load something");
+    let expected = StoreStats {
+        origin_loads: metrics.misses,
+        ..StoreStats::default()
+    };
+    assert_eq!(stats, expected);
 }
 
 // ---------------------------------------------------------------------
