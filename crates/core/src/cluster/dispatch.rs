@@ -12,11 +12,11 @@ use gfaas_obs::{Arm, ObsEvent};
 use gfaas_sim::event::EventQueue;
 use gfaas_sim::time::{SimDuration, SimTime};
 
-use super::{Cluster, Event, LocalAgg, SpecPlacement, SpecScore};
+use super::{Cluster, Event, LocalAgg, SpecScore};
 use crate::config::BusyWaitPolicy;
 use crate::gpu_manager::{GpuUnit, InFlight, Phase, UnitState};
 use crate::request::Request;
-use crate::scheduler::Dispatch;
+use crate::scheduler::{Dispatch, Placement};
 
 impl Cluster {
     /// Appends `r` to `gi`'s local queue (Algorithm 2's wait-on-busy
@@ -459,12 +459,13 @@ impl Cluster {
 /// The borrowed cluster view a
 /// [`SchedulerPolicy`](crate::scheduler::SchedulerPolicy) works through during a
 /// scheduling pass: read access to the global queue, GPU/cache/finish-time
-/// state, plus the two Algorithm 2 placement commands that execute on
-/// *other* GPUs ([`SchedCtx::dispatch_hit`], [`SchedCtx::enqueue_local`]).
+/// state, and four commands — [`SchedCtx::take_queued`],
+/// [`SchedCtx::note_skips`], [`SchedCtx::perform`] (Algorithm 2's arms on
+/// *other* GPUs) and [`SchedCtx::speculate`] (a what-if fork).
 pub struct SchedCtx<'a> {
-    cluster: &'a mut Cluster,
-    events: &'a mut EventQueue<Event>,
-    progress: bool,
+    pub(super) cluster: &'a mut Cluster,
+    pub(super) events: &'a mut EventQueue<Event>,
+    pub(super) progress: bool,
 }
 
 impl SchedCtx<'_> {
@@ -492,14 +493,9 @@ impl SchedCtx<'_> {
         r
     }
 
-    /// Records that the request at position `i` was passed over by
-    /// out-of-order dispatch (Algorithm 1's visit counter).
-    pub fn note_skip(&mut self, i: usize) {
-        self.note_skips(i..i + 1);
-    }
-
-    /// [`SchedCtx::note_skip`] for every request in `range`: one call
-    /// for a scan's run of consecutive skips.
+    /// Records that every request in `range` was passed over by
+    /// out-of-order dispatch (Algorithm 1's visit counter): one call for
+    /// a scan's run of consecutive skips.
     pub fn note_skips(&mut self, range: std::ops::Range<usize>) {
         if !range.is_empty() {
             self.cluster.global_queue.update(range, |r| r.visits += 1);
@@ -588,41 +584,18 @@ impl SchedCtx<'_> {
 
     // --- placement commands (execute immediately) ---------------------
 
-    /// Dispatches `r` as a cache hit on idle GPU `gpu` (Algorithm 2's
-    /// hit-elsewhere arm). Executes immediately so later decisions in the
-    /// same pass see `gpu` busy.
-    pub fn dispatch_hit(&mut self, gpu: GpuId, r: Request) {
-        debug_assert!(
-            self.cluster.units[gpu.0 as usize].local_queue.is_empty(),
-            "idle GPUs have drained local queues"
-        );
-        self.place(gpu, r, true, Arm::HitRemote);
-    }
-
-    /// Appends `r` to busy GPU `gpu`'s local queue (Algorithm 2's
-    /// wait-on-busy arm). Executes immediately so later finish-time
-    /// estimates in the same pass include `r`.
-    pub fn enqueue_local(&mut self, gpu: GpuId, r: Request) {
-        let gi = gpu.0 as usize;
-        self.cluster.emit_with(|_| ObsEvent::SchedArm {
-            req: r.id,
-            arm: Arm::WaitBusy,
-        });
-        self.cluster.emit_with(|_| ObsEvent::LocalEnqueue {
-            req: r.id,
-            gpu,
-            model: r.model,
-        });
-        self.cluster.push_local(gi, r);
-        self.progress = true;
-    }
-
-    /// Dispatches `r` as a cache miss (load, then inference) on idle GPU
-    /// `gpu` — completes the placement command set so a policy can
-    /// execute any [`SpecPlacement`] it scored, not just the arms
-    /// addressed at the GPU currently being served.
-    pub fn dispatch_miss(&mut self, gpu: GpuId, r: Request) {
-        self.place(gpu, r, false, Arm::Miss);
+    /// Performs `placement` for `r`, which must already be off the
+    /// global queue: a hit or a miss launches on its idle target, a wait
+    /// joins the busy holder's local queue. Executes immediately so later
+    /// decisions in the same pass see its effect. A policy's arms on
+    /// other GPUs and a what-if fork's candidate both come through here.
+    pub fn perform(&mut self, r: Request, placement: Placement) {
+        let arm = match placement {
+            Placement::HitOn(_) => Arm::HitRemote,
+            Placement::WaitOn(_) => Arm::WaitBusy,
+            Placement::MissOn(_) => Arm::Miss,
+        };
+        self.perform_as(r, placement, arm);
     }
 
     /// What-if fork: tries placing the queued request at `queue_index`
@@ -632,7 +605,7 @@ impl SchedCtx<'_> {
     pub fn speculate(
         &mut self,
         queue_index: usize,
-        placement: SpecPlacement,
+        placement: Placement,
         horizon: usize,
     ) -> SpecScore {
         self.cluster
@@ -643,18 +616,36 @@ impl SchedCtx<'_> {
     fn apply(&mut self, gpu: GpuId, dispatch: Dispatch) {
         match dispatch {
             Dispatch::None => {}
-            Dispatch::Hit(r) => self.place(gpu, r, true, Arm::HitLocal),
-            Dispatch::Miss(r) => self.place(gpu, r, false, Arm::Miss),
+            Dispatch::Hit(r) => self.perform_as(r, Placement::HitOn(gpu), Arm::HitLocal),
+            Dispatch::Miss(r) => self.perform_as(r, Placement::MissOn(gpu), Arm::Miss),
         }
     }
 
-    /// Records the Algorithm-2 `arm` that placed `r`, then dispatches it
-    /// on idle GPU `gpu` as a hit or a miss.
-    fn place(&mut self, gpu: GpuId, r: Request, hit: bool, arm: Arm) {
-        self.cluster
-            .emit_with(|_| ObsEvent::SchedArm { req: r.id, arm });
-        self.cluster
-            .dispatch_batched(gpu.0 as usize, r, hit, self.events);
+    /// The one per-arm path: records the Algorithm-2 `arm` that placed
+    /// `r`, then performs `placement`.
+    fn perform_as(&mut self, r: Request, placement: Placement, arm: Arm) {
+        let cluster = &mut *self.cluster;
+        cluster.emit_with(|_| ObsEvent::SchedArm { req: r.id, arm });
+        match placement {
+            Placement::HitOn(gpu) => {
+                debug_assert!(
+                    cluster.units[gpu.0 as usize].local_queue.is_empty(),
+                    "idle GPUs have drained local queues"
+                );
+                cluster.dispatch_batched(gpu.0 as usize, r, true, self.events);
+            }
+            Placement::MissOn(gpu) => {
+                cluster.dispatch_batched(gpu.0 as usize, r, false, self.events)
+            }
+            Placement::WaitOn(gpu) => {
+                cluster.emit_with(|_| ObsEvent::LocalEnqueue {
+                    req: r.id,
+                    gpu,
+                    model: r.model,
+                });
+                cluster.push_local(gpu.0 as usize, r);
+            }
+        }
         self.progress = true;
     }
 }

@@ -78,7 +78,7 @@ mod tests;
 pub use dispatch::SchedCtx;
 pub use drain::ScaleView;
 use persist::{PinFrame, Scalars};
-pub use speculate::{SpecPlacement, SpecScore};
+pub use speculate::SpecScore;
 
 /// Discrete events driving the cluster.
 ///

@@ -1,15 +1,14 @@
 //! Speculative what-if scheduling: the fork engine behind the
 //! lookahead policy, and the [`SpecScore`] it ranks forks by.
 
-use gfaas_gpu::GpuId;
 use gfaas_sim::event::EventQueue;
 #[cfg(debug_assertions)]
 use gfaas_snap::Enc;
 
-use super::{Cluster, Event};
+use super::{Cluster, Event, SchedCtx};
 use crate::gpu_manager::UnitState;
 use crate::request::Request;
-use crate::scheduler::{LalbScheduler, DEFAULT_O3_LIMIT};
+use crate::scheduler::{LalbScheduler, Placement, DEFAULT_O3_LIMIT};
 
 impl Cluster {
     /// The debug fork oracle's view of the whole state: the checkpoint
@@ -35,7 +34,7 @@ impl Cluster {
         &mut self,
         events: &mut EventQueue<Event>,
         queue_index: usize,
-        placement: SpecPlacement,
+        placement: Placement,
         horizon: usize,
     ) -> SpecScore {
         let recorder = self.recorder.take();
@@ -45,19 +44,16 @@ impl Cluster {
         let completed0 = self.metrics.completed();
         let lat0 = self.metrics.latency_sample_count();
 
-        // The candidate leaves the global queue before placement — the
-        // same bookkeeping as `SchedCtx::take_queued`, so conservation
-        // audits hold inside the fork.
-        let r = self
-            .global_queue
-            .remove(queue_index)
-            .expect("speculated index in bounds");
-        self.note_queue_depth(self.scalars.now, self.global_queue.len());
-        match placement {
-            SpecPlacement::HitOn(g) => self.dispatch_batched(g.0 as usize, r, true, events),
-            SpecPlacement::MissOn(g) => self.dispatch_batched(g.0 as usize, r, false, events),
-            SpecPlacement::WaitOn(g) => self.push_local(g.0 as usize, r),
-        }
+        // The candidate leaves the global queue and is placed through the
+        // live pass's own commands, so conservation audits hold inside
+        // the fork.
+        let mut ctx = SchedCtx {
+            cluster: self,
+            events,
+            progress: false,
+        };
+        let r = ctx.take_queued(queue_index);
+        ctx.perform(r, placement);
 
         // The fork starts mid-pass: idle GPUs *after* the served one in
         // the round's order still have undrained local queues, which the
@@ -132,18 +128,6 @@ impl Cluster {
         self.recorder = recorder;
         score
     }
-}
-
-/// A candidate placement a lookahead policy can fork on — the three §IV
-/// arms, addressed at an explicit GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpecPlacement {
-    /// Dispatch as a cache hit on this idle GPU.
-    HitOn(GpuId),
-    /// Join this busy GPU's local queue (Algorithm 2's wait arm).
-    WaitOn(GpuId),
-    /// Dispatch as a miss — load the model — on this idle GPU.
-    MissOn(GpuId),
 }
 
 /// What a speculative fork observed over its replay horizon. Compared

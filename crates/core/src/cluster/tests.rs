@@ -1093,7 +1093,7 @@ fn lookahead_cluster(gpus: usize, mem_mib: u64, nmodels: usize, k: usize) -> Clu
     Cluster::with_policies(
         cfg,
         toy_registry(nmodels),
-        Box::new(crate::scheduler::LookaheadScheduler::new(k, 8, 25)),
+        Box::new(crate::scheduler::LookaheadScheduler::new(k, 8)),
         Box::new(crate::cache::LruEvictor::default()),
     )
     .unwrap()

@@ -76,7 +76,7 @@ pub use autoscale::{
 };
 pub use batching::{AdaptiveBatch, BatchPlan, BatchPolicy, BatchView, CoalesceBatch, NoBatch};
 pub use cache::{CacheManager, Evictor, FifoEvictor, LruEvictor, RandomEvictor};
-pub use cluster::{Cluster, ScaleView, SchedCtx, SpecPlacement, SpecScore};
+pub use cluster::{Cluster, ScaleView, SchedCtx, SpecScore};
 pub use config::{ClusterConfig, ConfigError};
 pub use gfaas_obs::{NullRecorder, ObsEvent, RecordSpec, Recorder, SelfProfile};
 pub use gfaas_store::{FlatStore, ModelStore, StoreError, StoreSpec, StoreStats, TieredStore};
@@ -84,5 +84,7 @@ pub use live::{LiveResponse, LiveServer};
 pub use metrics::RunMetrics;
 pub use policy::{PolicyError, PolicyRegistry, PolicySpec};
 pub use request::Request;
-pub use scheduler::{Dispatch, LalbScheduler, LbScheduler, LookaheadScheduler, SchedulerPolicy};
+pub use scheduler::{
+    Dispatch, LalbScheduler, LbScheduler, LookaheadScheduler, Placement, SchedulerPolicy,
+};
 pub use tinylfu::TinyLfuEvictor;

@@ -116,18 +116,6 @@ impl LiveServer {
         std::mem::take(&mut self.results)
     }
 
-    /// Picks the serving GPU: prefer a resident copy (hit), else the GPU
-    /// with the most free memory (miss with the least eviction).
-    fn place(&self, model: ModelId) -> (usize, bool) {
-        if let Some(&g) = self.cache.gpus_with(model).first() {
-            return (g.0 as usize, true);
-        }
-        let gi = (0..self.gpus.len())
-            .max_by_key(|&i| (self.gpus[i].device.free_bytes(), usize::MAX - i))
-            .expect("at least one GPU");
-        (gi, false)
-    }
-
     /// Serves one inference for `model_name` on a synthetic batch of
     /// `batch` inputs derived from `input_seed`.
     pub fn serve(
@@ -141,7 +129,15 @@ impl LiveServer {
             .by_name(model_name)
             .ok_or_else(|| LiveError::UnknownModel(model_name.to_string()))?;
         let occupancy = self.registry.occupancy_bytes(model);
-        let (gi, hit) = self.place(model);
+        // The serving GPU: a resident copy (hit), else the GPU with the
+        // most free memory (miss with the least eviction).
+        let (gi, hit) = match self.cache.gpus_with(model).first() {
+            Some(&g) => (g.0 as usize, true),
+            None => (0..self.gpus.len())
+                .max_by_key(|&i| (self.gpus[i].device.free_bytes(), usize::MAX - i))
+                .map(|gi| (gi, false))
+                .expect("at least one GPU"),
+        };
         let gpu = self.gpus[gi].device.id();
 
         let mut virtual_latency = SimDuration::ZERO;

@@ -146,12 +146,51 @@ impl PolicySpec {
     ) -> Result<Option<T>, PolicyError> {
         match &self.arg {
             None => Ok(None),
-            Some(a) => a.parse().map(Some).map_err(|_| PolicyError::BadArg {
-                key: self.key.clone(),
-                arg: a.clone(),
-                expected,
-            }),
+            Some(a) => a.parse().map(Some).map_err(|_| self.bad_arg(expected)),
         }
+    }
+
+    /// A [`PolicyError::BadArg`] for this spec's argument.
+    fn bad_arg(&self, expected: &'static str) -> PolicyError {
+        PolicyError::BadArg {
+            key: self.key.clone(),
+            arg: self.arg.clone().unwrap_or_default(),
+            expected,
+        }
+    }
+
+    /// Walks a `field=value,…` argument (e.g. `max=8,wait=0.05`), handing
+    /// each pair to `set`, which answers `Ok(false)` for a field it does
+    /// not know. A pair without `=` is rejected as `pairs` expects, an
+    /// unknown field as `fields` expects.
+    fn fields(
+        &self,
+        pairs: &'static str,
+        fields: &'static str,
+        mut set: impl FnMut(&str, &str) -> Result<bool, PolicyError>,
+    ) -> Result<(), PolicyError> {
+        for pair in self.arg().into_iter().flat_map(|a| a.split(',')) {
+            let (field, value) = pair.split_once('=').ok_or_else(|| self.bad_arg(pairs))?;
+            if !set(field, value)? {
+                return Err(self.bad_arg(fields));
+            }
+        }
+        Ok(())
+    }
+
+    /// Parses one field's `value`, rejecting it as `expected` says unless
+    /// it parses and passes `valid`.
+    fn field<T: std::str::FromStr>(
+        &self,
+        value: &str,
+        valid: impl Fn(&T) -> bool,
+        expected: &'static str,
+    ) -> Result<T, PolicyError> {
+        value
+            .parse()
+            .ok()
+            .filter(valid)
+            .ok_or_else(|| self.bad_arg(expected))
     }
 
     /// Errors unless the spec is a bare key.
@@ -220,49 +259,28 @@ type BatchFields = (Option<f64>, Option<usize>, Option<f64>);
 /// into `(slo, max, wait)` overrides, rejecting unknown fields. `slo`
 /// is only accepted when `allow_slo` is set (the `adaptive` key).
 fn parse_batch_fields(spec: &PolicySpec, allow_slo: bool) -> Result<BatchFields, PolicyError> {
-    let bad = |expected: &'static str| PolicyError::BadArg {
-        key: spec.key().to_string(),
-        arg: spec.arg().unwrap_or_default().to_string(),
-        expected,
-    };
     let (mut slo, mut max, mut wait) = (None, None, None);
-    if let Some(arg) = spec.arg() {
-        for pair in arg.split(',') {
-            let Some((field, value)) = pair.split_once('=') else {
-                return Err(bad("field=value pairs (max=, wait=, slo=)"));
-            };
+    spec.fields(
+        "field=value pairs (max=, wait=, slo=)",
+        "fields max=, wait= (and slo= for adaptive)",
+        |field, value| {
             match field {
                 "max" => {
-                    max = Some(
-                        value
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&m| m > 0)
-                            .ok_or_else(|| bad("a positive max batch (requests)"))?,
-                    )
+                    max = Some(spec.field(value, |&m| m > 0, "a positive max batch (requests)")?)
                 }
                 "wait" => {
-                    wait = Some(
-                        value
-                            .parse::<f64>()
-                            .ok()
-                            .filter(|w| w.is_finite() && *w >= 0.0)
-                            .ok_or_else(|| bad("a nonnegative hold wait in seconds"))?,
-                    )
+                    let valid = |w: &f64| w.is_finite() && *w >= 0.0;
+                    wait = Some(spec.field(value, valid, "a nonnegative hold wait in seconds")?)
                 }
                 "slo" if allow_slo => {
-                    slo = Some(
-                        value
-                            .parse::<f64>()
-                            .ok()
-                            .filter(|s| s.is_finite() && *s > 0.0)
-                            .ok_or_else(|| bad("a positive SLO target in seconds"))?,
-                    )
+                    let valid = |s: &f64| s.is_finite() && *s > 0.0;
+                    slo = Some(spec.field(value, valid, "a positive SLO target in seconds")?)
                 }
-                _ => return Err(bad("fields max=, wait= (and slo= for adaptive)")),
+                _ => return Ok(false),
             }
-        }
-    }
+            Ok(true)
+        },
+    )?;
     Ok((slo, max, wait))
 }
 
@@ -282,8 +300,8 @@ impl PolicyRegistry {
         }
     }
 
-    /// The builtin registry: schedulers `lb`, `lalb`, `lalbo3[:limit]`;
-    /// evictors `lru`, `fifo`, `random`,
+    /// The builtin registry: schedulers `lb`, `lalb`, `lalbo3[:limit]`,
+    /// `lookahead[:k=4,horizon=8]`; evictors `lru`, `fifo`, `random`,
     /// `tinylfu[:auto | decay[,window][,front=k]]`; batchers `none`,
     /// `coalesce[:max=8,wait=0.05]`, `adaptive[:slo=30,max=32,wait=0.05]`.
     pub fn builtin() -> Self {
@@ -303,45 +321,24 @@ impl PolicyRegistry {
             Ok(Box::new(LalbScheduler::new(limit)))
         });
         reg.register_scheduler("lookahead", |spec| {
-            // Arg grammar: `k=4,horizon=8[,o3=25]` field=value pairs —
-            // candidate forks per decision, replay depth per fork, and
-            // the O3 starvation limit for the hit scan.
-            let bad = |expected: &'static str| PolicyError::BadArg {
-                key: spec.key().to_string(),
-                arg: spec.arg().unwrap_or_default().to_string(),
-                expected,
-            };
-            let mut k = DEFAULT_LOOKAHEAD_K;
-            let mut horizon = DEFAULT_LOOKAHEAD_HORIZON;
-            let mut o3 = DEFAULT_O3_LIMIT;
-            if let Some(arg) = spec.arg() {
-                for pair in arg.split(',') {
-                    let Some((field, value)) = pair.split_once('=') else {
-                        return Err(bad("field=value pairs (k=, horizon=, o3=)"));
-                    };
+            // Arg grammar: `k=4,horizon=8` field=value pairs — candidate
+            // forks per decision and replay depth per fork.
+            let (mut k, mut horizon) = (DEFAULT_LOOKAHEAD_K, DEFAULT_LOOKAHEAD_HORIZON);
+            spec.fields(
+                "field=value pairs (k=, horizon=)",
+                "fields k=, horizon=",
+                |field, value| {
                     match field {
-                        "k" => {
-                            k = value
-                                .parse::<usize>()
-                                .ok()
-                                .filter(|&v| v > 0)
-                                .ok_or_else(|| bad("a positive candidate count k"))?
-                        }
+                        "k" => k = spec.field(value, |&v| v > 0, "a positive candidate count k")?,
                         "horizon" => {
-                            horizon = value
-                                .parse::<usize>()
-                                .map_err(|_| bad("a replay horizon (events)"))?
+                            horizon = spec.field(value, |_| true, "a replay horizon (events)")?
                         }
-                        "o3" => {
-                            o3 = value
-                                .parse::<u32>()
-                                .map_err(|_| bad("a starvation limit (u32)"))?
-                        }
-                        _ => return Err(bad("fields k=, horizon=, o3=")),
+                        _ => return Ok(false),
                     }
-                }
-            }
-            Ok(Box::new(LookaheadScheduler::new(k, horizon, o3)))
+                    Ok(true)
+                },
+            )?;
+            Ok(Box::new(LookaheadScheduler::new(k, horizon)))
         });
         reg.register_evictor("lru", |spec, _seed| {
             spec.expect_no_arg()?;
@@ -359,11 +356,7 @@ impl PolicyRegistry {
             // Arg grammar: `decay[,window][,front=k]` — e.g. `tinylfu:0.9`,
             // `tinylfu:0.9,256`, or the W-TinyLFU admission window
             // `tinylfu:0.3,front=2`.
-            let bad = |expected: &'static str| PolicyError::BadArg {
-                key: spec.key().to_string(),
-                arg: spec.arg().unwrap_or_default().to_string(),
-                expected,
-            };
+            let bad = |expected| spec.bad_arg(expected);
             let mut decay = crate::tinylfu::DEFAULT_DECAY;
             let mut window = crate::tinylfu::DEFAULT_WINDOW;
             let mut front = crate::tinylfu::DEFAULT_FRONT;
@@ -629,6 +622,12 @@ mod tests {
             "lru:2",
             "tinylfu:1.5",
             "tinylfu:nan",
+            "lookahead:k=0",
+            "lookahead:k=x",
+            "lookahead:horizon=-1",
+            "lookahead:depth=3",
+            "lookahead:4",
+            "lookahead:o3=7",
         ] {
             let spec = PolicySpec::parse(bad).unwrap();
             let failed = reg.scheduler(&spec).is_err() && reg.evictor(&spec, 1).is_err();

@@ -16,6 +16,9 @@
 //!   whose counter reaches the limit (default 25) is dispatched immediately
 //!   via `LocalityLoadBalance` regardless of hit or miss (§IV-B's
 //!   starvation guard).
+//! * **Lookahead** — the fourth policy on the same Algorithm 1 scan
+//!   (LALB+O3 at the paper's limit), choosing each arm by forking the
+//!   open ones instead of by Algorithm 2's estimate alone.
 //!
 //! # The trait surface
 //!
@@ -24,14 +27,14 @@
 //! [`SchedCtx`] view of the queue, residency, and finish-time state, and
 //! the policy answers with a [`Dispatch`] for that GPU (placements on
 //! *other* GPUs — Algorithm 2's hit-elsewhere / wait-on-busy arms —
-//! execute immediately through the context). The paper's three policies
-//! are [`LbScheduler`] and [`LalbScheduler`], named by string specs
-//! (`"lb"`, `"lalb"`, `"lalbo3:25"`) that resolve through
+//! execute immediately through [`SchedCtx::perform`]). Policies are named
+//! by string specs (`"lb"`, `"lalb"`, `"lalbo3:25"`,
+//! `"lookahead:k=4,horizon=8"`) that resolve through
 //! [`crate::policy::PolicyRegistry`].
 
-use crate::cluster::{SchedCtx, SpecPlacement, SpecScore};
+use crate::cluster::SchedCtx;
 use crate::request::Request;
-use gfaas_gpu::GpuId;
+use gfaas_gpu::{GpuId, ModelId};
 use gfaas_sim::time::SimDuration;
 
 /// The paper's default starvation limit for out-of-order dispatch.
@@ -143,85 +146,6 @@ impl LalbScheduler {
     pub fn o3_limit(&self) -> u32 {
         self.o3_limit
     }
-
-    /// Algorithm 2. Places `r`, preferring (1) a miss on `gpu` if the model
-    /// is cached nowhere, (2) a hit on another idle GPU, (3) the local
-    /// queue of the busy holder with the smallest estimated wait when that
-    /// wait beats the model's load time, (4) otherwise a miss on `gpu`.
-    /// Returns `Some(Dispatch)` iff the request targets `gpu` itself.
-    fn locality_load_balance(gpu: GpuId, r: Request, ctx: &mut SchedCtx<'_>) -> Option<Dispatch> {
-        let holders = ctx.holders(r.model);
-        if holders.is_empty() {
-            // Lines 1–3: cached nowhere → allow the miss here.
-            return Some(Dispatch::Miss(r));
-        }
-        // Lines 4–6: cached on another idle GPU → hit there. An idle
-        // holder still carrying a local backlog is mid-pass (its queue
-        // drains under Algorithm 1's local priority before it can accept
-        // new work), so it is not an immediate-hit target.
-        if let Some(&j) = holders
-            .iter()
-            .find(|&&j| j != gpu && ctx.is_idle(j) && ctx.local_backlog(j) == 0)
-        {
-            ctx.dispatch_hit(j, r);
-            return None;
-        }
-        // Lines 8–15: cached only on busy GPUs. Compare the best holder's
-        // estimated finish time against the load time of a cold start.
-        // `busy_wait` ablates this decision (DESIGN.md §4). Under a
-        // batching policy the wait is join-aware (the request shares its
-        // model's coalesced invocation); per-request dispatch keeps the
-        // paper's drain estimate byte-identically.
-        let load_time = ctx.load_time(gpu, r.model);
-        let best = holders
-            .iter()
-            .map(|&j| (ctx.estimated_wait_for(j, r.model), j))
-            .min_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        if let Some((_, j)) = best.filter(|&(wait, _)| ctx.busy_wait().joins(wait, load_time)) {
-            ctx.enqueue_local(j, r);
-            return None;
-        }
-        // Lines 16–18: the busy hit would be slower → allow the miss here.
-        Some(Dispatch::Miss(r))
-    }
-}
-
-/// Why an out-of-order scan run stopped at its current request.
-enum Stop {
-    /// The request's tenant is at its §VI cap.
-    Blocked,
-    /// The request's model is cached on the scanning GPU.
-    Hit,
-    /// The request reached the O3 starvation limit.
-    Starved,
-}
-
-/// One run of Algorithm 1's out-of-order scan from `*i`: advances `*i`
-/// past requests the GPU skips and stops at the first one it must act
-/// on (`None` at the end of the queue). The run only reads; the skipped
-/// requests' visit counters are bumped in one call when it ends, before
-/// the caller acts — so a scan over a long queue stays a tight read loop.
-fn o3_run(gpu: GpuId, o3_limit: u32, i: &mut usize, ctx: &mut SchedCtx<'_>) -> Option<Stop> {
-    let start = *i;
-    let stop = loop {
-        if *i >= ctx.queue_len() {
-            break None;
-        }
-        let r = ctx.queued(*i);
-        let (tenant, model, visits) = (r.tenant, r.model, r.visits);
-        if ctx.tenant_blocked(tenant) {
-            break Some(Stop::Blocked);
-        }
-        if ctx.is_cached(gpu, model) {
-            break Some(Stop::Hit);
-        }
-        if visits >= o3_limit {
-            break Some(Stop::Starved);
-        }
-        *i += 1;
-    };
-    ctx.note_skips(start..*i);
-    stop
 }
 
 impl SchedulerPolicy for LalbScheduler {
@@ -235,82 +159,191 @@ impl SchedulerPolicy for LalbScheduler {
         }
     }
 
-    /// Algorithm 1 for one idle GPU.
     fn on_gpu_idle(&mut self, gpu: GpuId, ctx: &mut SchedCtx<'_>) -> Dispatch {
-        // Lines 6–16: scan the global queue in arrival order for a request
-        // whose model is cached on this GPU; skipped requests accumulate
-        // visits, and a request at the limit is placed immediately.
-        let mut i = 0;
-        while ctx.is_idle(gpu) {
-            match o3_run(gpu, self.o3_limit, &mut i, ctx) {
-                None => break,
-                // §VI isolation: capped tenants are passed over without O3
-                // visit accounting (they are blocked, not skipped).
-                Some(Stop::Blocked) => i += 1,
-                Some(Stop::Hit) => return Dispatch::Hit(ctx.take_queued(i)),
-                Some(Stop::Starved) => {
-                    let r = ctx.take_queued(i);
-                    if let Some(d) = Self::locality_load_balance(gpu, r, ctx) {
-                        return d;
-                    }
-                    // r went to another GPU or a local queue; the element
-                    // at index i is now the next request — do not advance.
-                }
-            }
-        }
+        algorithm1(gpu, self.o3_limit, ctx, |gpu, i, ctx| {
+            algorithm2(gpu, ctx.queued(i).model, ctx, &mut Waits::new())
+        })
+    }
+}
 
-        // Lines 17–21: no queued request has its model cached here; give
-        // each request (arrival order) its best placement until this GPU
-        // receives one. Capped tenants stay queued.
-        let mut i = 0;
-        while i < ctx.queue_len() {
-            if !ctx.is_idle(gpu) {
-                return Dispatch::None;
-            }
-            if ctx.tenant_blocked(ctx.queued(i).tenant) {
-                i += 1;
-                continue;
-            }
-            let r = ctx.take_queued(i);
-            if let Some(d) = Self::locality_load_balance(gpu, r, ctx) {
-                return d;
-            }
+/// Why an out-of-order scan run stopped at its current request.
+enum Stop {
+    /// The request's model is cached on the scanning GPU.
+    Hit,
+    /// The request reached the O3 starvation limit.
+    Starved,
+}
+
+/// Algorithm 1's out-of-order scan from `*i`: advances `*i` past the
+/// requests the GPU skips and stops at the first one it must act on
+/// (`None` at the end of the queue). §VI isolation passes capped
+/// tenants over without O3 visit accounting (they are blocked, not
+/// skipped). The scan only reads; each run of skipped requests has its
+/// visit counters bumped in one call, before the caller acts — so a scan
+/// over a long queue stays a tight read loop.
+fn o3_run(gpu: GpuId, o3_limit: u32, i: &mut usize, ctx: &mut SchedCtx<'_>) -> Option<Stop> {
+    let mut start = *i;
+    let stop = loop {
+        if *i >= ctx.queue_len() {
+            break None;
         }
-        Dispatch::None
+        let r = ctx.queued(*i);
+        let (tenant, model, visits) = (r.tenant, r.model, r.visits);
+        if ctx.tenant_blocked(tenant) {
+            ctx.note_skips(start..*i);
+            *i += 1;
+            start = *i;
+            continue;
+        }
+        if ctx.is_cached(gpu, model) {
+            break Some(Stop::Hit);
+        }
+        if visits >= o3_limit {
+            break Some(Stop::Starved);
+        }
+        *i += 1;
+    };
+    ctx.note_skips(start..*i);
+    stop
+}
+
+/// Algorithm 1 for idle GPU `gpu`, the one scan of every locality-aware
+/// policy. `choose(gpu, i, ctx)` picks the arm for the queued request at
+/// `i` whenever the scan must place it: [`algorithm2`], or lookahead's
+/// measured variant of it.
+fn algorithm1(
+    gpu: GpuId,
+    o3_limit: u32,
+    ctx: &mut SchedCtx<'_>,
+    mut choose: impl FnMut(GpuId, usize, &mut SchedCtx<'_>) -> Placement,
+) -> Dispatch {
+    // Lines 6–16: scan the global queue in arrival order for a request
+    // whose model is cached on this GPU; skipped requests accumulate
+    // visits, and a request at the limit is placed immediately.
+    let mut i = 0;
+    while ctx.is_idle(gpu) {
+        let arm = match o3_run(gpu, o3_limit, &mut i, ctx) {
+            None => break,
+            Some(Stop::Hit) => Placement::HitOn(gpu),
+            Some(Stop::Starved) => choose(gpu, i, ctx),
+        };
+        if let Some(d) = execute(gpu, i, arm, ctx) {
+            return d;
+        }
+        // The request went to another GPU or a local queue; the element
+        // at index i is now the next request — do not advance.
+    }
+    // Lines 17–21: no queued request has its model cached here; give
+    // each request (arrival order) its best placement until this GPU
+    // receives one. Capped tenants stay queued.
+    let mut i = 0;
+    while i < ctx.queue_len() && ctx.is_idle(gpu) {
+        if ctx.tenant_blocked(ctx.queued(i).tenant) {
+            i += 1;
+        } else if let Some(d) = execute(gpu, i, choose(gpu, i, ctx), ctx) {
+            return d;
+        }
+    }
+    Dispatch::None
+}
+
+/// A placement arm (§IV) at an explicit GPU: what Algorithm 2 and
+/// lookahead choose, what the scan executes, and what a fork tries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// Dispatch as a cache hit on this idle GPU.
+    HitOn(GpuId),
+    /// Join this busy GPU's local queue (Algorithm 2's wait arm).
+    WaitOn(GpuId),
+    /// Dispatch as a miss — load the model — on this idle GPU.
+    MissOn(GpuId),
+}
+
+/// Holders' estimated waits, cheapest first (ties by GPU id).
+type Waits = Vec<(SimDuration, GpuId)>;
+
+/// Algorithm 2: the greedy arm for a request for `model` that idle GPU
+/// `gpu` must place. Prefers (1) a miss on `gpu` if the model is cached
+/// nowhere, (2) a hit on another idle GPU, (3) the local queue of the
+/// holder with the smallest estimated wait when that wait beats the
+/// model's load time, (4) otherwise a miss on `gpu`. The waits it
+/// estimates for (3) are left in `waits`, so a caller weighing the other
+/// arms estimates each holder once.
+fn algorithm2(gpu: GpuId, model: ModelId, ctx: &SchedCtx<'_>, waits: &mut Waits) -> Placement {
+    let holders = ctx.holders(model);
+    if holders.is_empty() {
+        // Lines 1–3: cached nowhere → allow the miss here.
+        return Placement::MissOn(gpu);
+    }
+    // Lines 4–6: cached on another idle GPU → hit there.
+    if let Some(&j) = holders.iter().find(|&&j| hit_target(gpu, j, ctx)) {
+        return Placement::HitOn(j);
+    }
+    // Lines 8–15: cached only on busy GPUs. Compare the best holder's
+    // estimated finish time against the load time of a cold start.
+    // `busy_wait` ablates this decision (DESIGN.md §4). Under a
+    // batching policy the wait is join-aware (the request shares its
+    // model's coalesced invocation); per-request dispatch keeps the
+    // paper's drain estimate byte-identically.
+    *waits = estimate_waits(model, &holders, ctx);
+    match waits.first() {
+        Some(&(wait, j)) if ctx.busy_wait().joins(wait, ctx.load_time(gpu, model)) => {
+            Placement::WaitOn(j)
+        }
+        // Lines 16–18: the busy hit would be slower → allow the miss here.
+        _ => Placement::MissOn(gpu),
+    }
+}
+
+/// True iff holder `j` can take a hit for `gpu`'s scan now: another GPU,
+/// idle and without a local backlog. An idle holder still carrying a
+/// backlog is mid-pass: its queue drains under Algorithm 1's local
+/// priority before it can accept new work.
+fn hit_target(gpu: GpuId, j: GpuId, ctx: &SchedCtx<'_>) -> bool {
+    j != gpu && ctx.is_idle(j) && ctx.local_backlog(j) == 0
+}
+
+/// Every holder's estimated wait for `model`.
+fn estimate_waits(model: ModelId, holders: &[GpuId], ctx: &SchedCtx<'_>) -> Waits {
+    let mut waits: Waits = holders
+        .iter()
+        .map(|&j| (ctx.estimated_wait_for(j, model), j))
+        .collect();
+    waits.sort_unstable();
+    waits
+}
+
+/// Takes the queued request at `i` off the global queue and performs
+/// `arm` for it. An arm on `gpu` itself is handed back as its
+/// [`Dispatch`]; any other executes now through [`SchedCtx::perform`].
+fn execute(gpu: GpuId, i: usize, arm: Placement, ctx: &mut SchedCtx<'_>) -> Option<Dispatch> {
+    let r = ctx.take_queued(i);
+    match arm {
+        Placement::HitOn(j) if j == gpu => Some(Dispatch::Hit(r)),
+        Placement::MissOn(j) if j == gpu => Some(Dispatch::Miss(r)),
+        _ => {
+            ctx.perform(r, arm);
+            None
+        }
     }
 }
 
 /// Speculative what-if scheduling on top of the snapshot journal.
 ///
-/// Where LALB *estimates* the cost of each §IV placement arm with the
-/// finish-time model, this policy *measures* it: for each of up to `k`
-/// candidate placements (hit on an idle holder, wait at a busy holder,
-/// miss here) it forks the world through [`SchedCtx::speculate`], replays
-/// the next `horizon` pending runtime events under greedy LALBO3, scores
-/// the fork (completions, then latency ticks, then backlog), and rolls
-/// it back byte-identically. The winning arm is then executed for real.
-///
-/// The O3 hit scan (Algorithm 1 lines 6–16) is kept verbatim — a
-/// cached-here hit needs no speculation to be right — so the forks only
-/// pay off on the contended placements where the estimate is blind:
-/// cascading effects of evictions, batch formation, and queue drains
-/// inside the horizon.
-///
-/// Even at `k=1` (only greedy LALBO3's own arm, never forked) this is not
-/// LALBO3: past the hit scan it places one request per call and returns,
-/// while [`LalbScheduler`] keeps scanning the queue until the idle GPU
-/// gets work. The pass loop calls back while progress holds, which reruns
-/// the hit scan and its visit accounting. On the paper WS25 trace
-/// (seeds 11, 23, 47) `lookahead:k=1` averages 3.078 s latency and
-/// 0.1744 miss ratio against LALBO3's 3.045 s and 0.1711.
+/// Where LALB *estimates* the cost of each §IV placement arm, this
+/// policy *measures* it: for up to `k` candidate arms (hit on an idle
+/// holder, wait at a busy holder, miss here) it forks the world through
+/// [`SchedCtx::speculate`], replays the next `horizon` pending runtime
+/// events under greedy LALBO3, scores the fork, and rolls it back
+/// byte-identically; the winning arm is then executed for real.
+/// Everything else is LALBO3's Algorithm 1 scan, so at `k=1` — only
+/// Algorithm 2's own arm, nothing forked — the policy is LALBO3.
 #[derive(Debug, Clone, Copy)]
 pub struct LookaheadScheduler {
     /// Maximum candidate placements forked per decision.
     k: usize,
     /// Pending runtime events replayed inside each fork.
     horizon: usize,
-    /// Starvation limit for the out-of-order hit scan (as LALB+O3).
-    o3_limit: u32,
 }
 
 /// Default candidate budget for [`LookaheadScheduler`].
@@ -320,124 +353,56 @@ pub const DEFAULT_LOOKAHEAD_HORIZON: usize = 8;
 
 impl LookaheadScheduler {
     /// A lookahead scheduler forking up to `k` candidates, each replayed
-    /// `horizon` events deep, with the given O3 starvation limit.
-    pub fn new(k: usize, horizon: usize, o3_limit: u32) -> Self {
+    /// `horizon` events deep.
+    pub fn new(k: usize, horizon: usize) -> Self {
         LookaheadScheduler {
             k: k.max(1),
             horizon,
-            o3_limit,
         }
     }
 
-    /// The issue's default configuration: `k=4`, `horizon=8`, O3 at the
-    /// paper's limit.
-    pub fn default_config() -> Self {
-        Self::new(
-            DEFAULT_LOOKAHEAD_K,
-            DEFAULT_LOOKAHEAD_HORIZON,
-            DEFAULT_O3_LIMIT,
-        )
-    }
-
-    /// Picks and executes the best placement for the queued request at
-    /// index `i`, forking the candidates when more than one arm is open.
-    fn place(&self, gpu: GpuId, i: usize, ctx: &mut SchedCtx<'_>) -> Dispatch {
+    /// The arm for the queued request at `i`. Candidate 0 is Algorithm
+    /// 2's greedy arm; the alternatives follow in a deterministic order
+    /// — the other idle hits (id order), waits at busy holders (cheapest
+    /// estimate first), then the miss here — deduplicated, `k` in all.
+    /// The strict comparison keeps the earliest of equal scores, so the
+    /// choice leaves the estimate's only when a fork *measured* a
+    /// strictly better outcome.
+    fn choose(&self, gpu: GpuId, i: usize, ctx: &mut SchedCtx<'_>) -> Placement {
         let model = ctx.queued(i).model;
+        let mut waits = Waits::new();
+        let greedy = algorithm2(gpu, model, ctx, &mut waits);
         let holders = ctx.holders(model);
-        if holders.is_empty() {
-            // Cached nowhere: the miss here is the only open arm
-            // (Algorithm 2 lines 1–3) — nothing to speculate between.
-            return Dispatch::Miss(ctx.take_queued(i));
+        // Nothing to fork at `k=1`; cached nowhere, only the miss is open.
+        if self.k == 1 || holders.is_empty() {
+            return greedy;
         }
-        // Candidate 0 is greedy LALBO3's own arm (Algorithm 2 verbatim):
-        // first idle holder with an empty backlog, else the cheapest
-        // estimated wait when it beats a cold load, else the miss
-        // here. Anchoring the greedy arm first means a score tie — and
-        // the strict comparison below — keeps the estimate's arm; this
-        // decision deviates only when a fork *measured* a strictly
-        // better outcome than the estimate's pick. (The policy as a whole
-        // still differs from LALBO3 at `k=1`: see `on_gpu_idle`.)
-        let idle_hit = holders
-            .iter()
-            .copied()
-            .find(|&j| j != gpu && ctx.is_idle(j) && ctx.local_backlog(j) == 0);
-        let mut waits: Vec<(SimDuration, GpuId)> = holders
-            .iter()
-            .map(|&j| (ctx.estimated_wait_for(j, model), j))
-            .collect();
-        waits.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        let load_time = ctx.load_time(gpu, model);
-        let greedy = match (idle_hit, waits.first()) {
-            (Some(j), _) => SpecPlacement::HitOn(j),
-            (None, Some(&(wait, j))) if ctx.busy_wait().joins(wait, load_time) => {
-                SpecPlacement::WaitOn(j)
-            }
-            _ => SpecPlacement::MissOn(gpu),
-        };
-        // Alternatives, deterministic order: the remaining idle hits (id
-        // order), waits at busy holders (cheapest estimate first), then
-        // the miss here — deduplicated against the greedy arm, capped at
-        // `k` forks total.
-        let mut cands: Vec<SpecPlacement> = Vec::with_capacity(self.k);
-        cands.push(greedy);
-        let alts = holders
-            .iter()
-            .copied()
-            .filter(|&j| j != gpu && ctx.is_idle(j) && ctx.local_backlog(j) == 0)
-            .map(SpecPlacement::HitOn)
-            .chain(
-                waits
-                    .iter()
-                    .filter(|&&(_, j)| !ctx.is_idle(j))
-                    .map(|&(_, j)| SpecPlacement::WaitOn(j)),
-            )
-            .chain(std::iter::once(SpecPlacement::MissOn(gpu)));
-        for p in alts {
-            if cands.len() >= self.k {
-                break;
-            }
-            if !cands.contains(&p) {
+        if waits.is_empty() {
+            // The greedy arm is an idle hit, taken without estimates.
+            waits = estimate_waits(model, &holders, ctx);
+        }
+        let hits = holders.iter().copied().filter(|&j| hit_target(gpu, j, ctx));
+        let busy = waits.iter().map(|w| w.1).filter(|&j| !ctx.is_idle(j));
+        let alts = hits
+            .map(Placement::HitOn)
+            .chain(busy.map(Placement::WaitOn));
+        let mut cands = vec![greedy];
+        for p in alts.chain([Placement::MissOn(gpu)]) {
+            if cands.len() < self.k && !cands.contains(&p) {
                 cands.push(p);
             }
         }
         if cands.len() == 1 {
-            return Self::execute(gpu, i, cands[0], ctx);
+            return greedy;
         }
-        let mut best = cands[0];
-        let mut best_score: SpecScore = ctx.speculate(i, cands[0], self.horizon);
+        let mut best = (greedy, ctx.speculate(i, greedy, self.horizon));
         for &cand in &cands[1..] {
             let score = ctx.speculate(i, cand, self.horizon);
-            // Strict comparison: the earliest candidate wins ties, so
-            // the choice is deterministic.
-            if score.better_than(&best_score) {
-                best = cand;
-                best_score = score;
+            if score.better_than(&best.1) {
+                best = (cand, score);
             }
         }
-        Self::execute(gpu, i, best, ctx)
-    }
-
-    /// Executes the chosen arm for real.
-    fn execute(gpu: GpuId, i: usize, placement: SpecPlacement, ctx: &mut SchedCtx<'_>) -> Dispatch {
-        match placement {
-            SpecPlacement::HitOn(j) if j == gpu => Dispatch::Hit(ctx.take_queued(i)),
-            SpecPlacement::HitOn(j) => {
-                let r = ctx.take_queued(i);
-                ctx.dispatch_hit(j, r);
-                Dispatch::None
-            }
-            SpecPlacement::WaitOn(j) => {
-                let r = ctx.take_queued(i);
-                ctx.enqueue_local(j, r);
-                Dispatch::None
-            }
-            SpecPlacement::MissOn(j) if j == gpu => Dispatch::Miss(ctx.take_queued(i)),
-            SpecPlacement::MissOn(j) => {
-                let r = ctx.take_queued(i);
-                ctx.dispatch_miss(j, r);
-                Dispatch::None
-            }
-        }
+        best.0
     }
 }
 
@@ -447,35 +412,9 @@ impl SchedulerPolicy for LookaheadScheduler {
     }
 
     fn on_gpu_idle(&mut self, gpu: GpuId, ctx: &mut SchedCtx<'_>) -> Dispatch {
-        // The O3 hit scan, verbatim from LALB: a request whose model is
-        // cached here is a free win, and skipped requests accumulate
-        // visits toward the starvation limit.
-        let mut i = 0;
-        while ctx.is_idle(gpu) {
-            match o3_run(gpu, self.o3_limit, &mut i, ctx) {
-                None => break,
-                Some(Stop::Blocked) => i += 1,
-                Some(Stop::Hit) => return Dispatch::Hit(ctx.take_queued(i)),
-                // Starvation guard: place this request now, but let the
-                // forks pick which arm serves it best.
-                Some(Stop::Starved) => return self.place(gpu, i, ctx),
-            }
-        }
-        // No cached-here hit: speculatively place the head-most
-        // unblocked request. One placement per call — if it lands on
-        // another GPU the pass loop calls back while progress holds.
-        let mut i = 0;
-        while i < ctx.queue_len() {
-            if !ctx.is_idle(gpu) {
-                return Dispatch::None;
-            }
-            if ctx.tenant_blocked(ctx.queued(i).tenant) {
-                i += 1;
-                continue;
-            }
-            return self.place(gpu, i, ctx);
-        }
-        Dispatch::None
+        algorithm1(gpu, DEFAULT_O3_LIMIT, ctx, |gpu, i, ctx| {
+            self.choose(gpu, i, ctx)
+        })
     }
 }
 

@@ -134,6 +134,36 @@ fn injected_trait_objects_equal_the_registry_path() {
 }
 
 #[test]
+fn lookahead_at_k1_is_lalbo3() {
+    // A policy at degenerate parameters is its baseline: with one
+    // candidate per decision lookahead has nothing to fork, so it must
+    // run LALBO3's decisions exactly — whatever the replay horizon and
+    // under batching too — and never pin the world. The smoke horizon is
+    // too light to place a request on another GPU, where a second scan
+    // would drift, so every scenario runs at paper scale.
+    let scale = Scale::paper();
+    for sc in registry() {
+        for seed in REPORT_SEEDS {
+            let trace = sc.trace(&scale, seed);
+            for batching in ["none", "coalesce"] {
+                let cell = |policy: &str| ClusterConfig {
+                    batching: batching.parse().unwrap(),
+                    ..ClusterConfig::paper_testbed(policy.parse().unwrap())
+                };
+                let greedy = run(cell("lalbo3"), &trace).0;
+                for horizon in [0, 8] {
+                    let (m, cluster) =
+                        run(cell(&format!("lookahead:k=1,horizon={horizon}")), &trace);
+                    let at = format!("{} seed {seed} {batching} horizon {horizon}", sc.name);
+                    assert_eq!(m, greedy, "{at}");
+                    assert_eq!(cluster.journal_stats().snapshots, 0, "{at}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn suite_replacement_axis_threads_through_to_cells() {
     // A suite configured with a non-default evictor must actually run it:
     // under memory pressure FIFO and LRU diverge on the paper scenario.
