@@ -1,18 +1,22 @@
 //! Microbenchmarks of the engine's hot components: cache-manager
-//! operations, the discrete-event queue, trace generation, the etcd-like
-//! datastore, and the tensor kernels (the live-inference path).
+//! operations, the discrete-event queue, trace generation, datastore
+//! mirroring into the etcd-like store, and the tensor kernels (the
+//! live-inference path).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gfaas_core::{CacheManager, Evictor, PolicyRegistry, PolicySpec};
+use gfaas_faas::mirror::DatastoreMirror;
 use gfaas_faas::Datastore;
 use gfaas_gpu::{GpuId, ModelId};
+use gfaas_obs::{ObsEvent, Recorder};
 use gfaas_sim::event::EventQueue;
 use gfaas_sim::rng::DetRng;
-use gfaas_sim::time::SimTime;
+use gfaas_sim::time::{SimDuration, SimTime};
 use gfaas_tensor::ops::{conv2d, matmul, Conv2dParams};
 use gfaas_tensor::Tensor;
 use gfaas_trace::AzureTraceConfig;
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// The paper's LRU evictor, named by its spec.
 fn lru() -> Box<dyn Evictor> {
@@ -84,16 +88,47 @@ fn bench_trace_gen(c: &mut Criterion) {
     group.finish();
 }
 
+/// The datastore mirror's traffic, one request per iteration: a fresh
+/// `/latency/{id}` key into a store that grows all run long, plus five
+/// status overwrites per six requests, i.e. 1.83 puts per request like
+/// the `faas_full_stack` benchmark's `faas.datastore_puts_per_req`.
 fn bench_datastore(c: &mut Criterion) {
-    c.bench_function("micro/datastore_put_get", |b| {
-        let ds = Datastore::new();
-        let mut i = 0u64;
+    c.bench_function("micro/datastore_mirror_puts", |b| {
+        let ds = Arc::new(Datastore::new());
+        let mut mirror = DatastoreMirror::new(Arc::clone(&ds));
+        let mut req = 0u64;
         b.iter(|| {
-            let key = format!("/gpu/{}/status", i % 12);
-            ds.put(&key, if i.is_multiple_of(2) { "busy" } else { "idle" });
-            black_box(ds.get(&key));
-            i = i.wrapping_add(1);
-        })
+            let gpu = GpuId((req % 12) as u16);
+            let status = match req % 6 {
+                0 => None,
+                n if n % 2 == 1 => Some(ObsEvent::InvocationDone {
+                    gpu,
+                    batch: req,
+                    requests: 1,
+                }),
+                _ => Some(ObsEvent::Dispatch {
+                    gpu,
+                    lead: req,
+                    model: ModelId(7),
+                    hit: true,
+                    false_miss: false,
+                    coalesced: 1,
+                }),
+            };
+            if let Some(ev) = status {
+                mirror.record(SimTime::ZERO, &ev);
+            }
+            let done = ObsEvent::Completion {
+                req,
+                gpu,
+                batch: req,
+                model: ModelId(7),
+                latency: SimDuration::from_micros(req * 7919 % 5_000_000),
+            };
+            mirror.record(SimTime::ZERO, &done);
+            req += 1;
+        });
+        black_box(ds.get("/gpu/0/status"));
     });
 }
 

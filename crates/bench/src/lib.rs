@@ -1,6 +1,7 @@
 //! `gfaas-bench` — the experiment harness.
 //!
-//! One report binary per table/figure of the paper (see DESIGN.md §4):
+//! One report binary per table/figure of the paper (README, "Reproducing
+//! the paper's figures"):
 //!
 //! | target | regenerates |
 //! |---|---|

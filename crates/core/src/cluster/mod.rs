@@ -437,7 +437,7 @@ impl Cluster {
             if let Some(r) = self.recorder.take() {
                 sinks.push(r);
             }
-            sinks.push(Box::new(DatastoreMirror(ds)));
+            sinks.push(Box::new(DatastoreMirror::new(ds)));
             // The mirror takes no samples, so the cadence stands.
             self.recorder = sinks.into_recorder();
         }

@@ -11,7 +11,7 @@ use crate::autoscale::{AutoscaleError, AutoscaleSpec};
 use crate::policy::{PolicyError, PolicySpec};
 
 /// How Algorithm 2 treats a request whose model is cached only on busy
-/// GPUs — the finish-time-estimation ablation (DESIGN.md §4).
+/// GPUs — the finish-time-estimation ablation (`ablation_estimation`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BusyWaitPolicy {
     /// The paper's design: queue at the busy holder iff its estimated

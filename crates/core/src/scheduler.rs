@@ -281,7 +281,7 @@ fn algorithm2(gpu: GpuId, model: ModelId, ctx: &SchedCtx<'_>, waits: &mut Waits)
     }
     // Lines 8–15: cached only on busy GPUs. Compare the best holder's
     // estimated finish time against the load time of a cold start.
-    // `busy_wait` ablates this decision (DESIGN.md §4). Under a
+    // `busy_wait` ablates this decision (`ablation_estimation`). Under a
     // batching policy the wait is join-aware (the request shares its
     // model's coalesced invocation); per-request dispatch keeps the
     // paper's drain estimate byte-identically.

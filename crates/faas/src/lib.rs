@@ -7,7 +7,7 @@
 //! * [`datastore`] — an etcd-like versioned key-value store: monotone
 //!   revisions, prefix ranges, compare-and-swap transactions, watches, and
 //!   TTL leases. Single-process and mutex-serialised; consensus is
-//!   orthogonal to everything the paper measures (DESIGN.md §2).
+//!   orthogonal to everything the paper measures.
 //! * [`function`] — function specs (the "Dockerfile" with the GPU-enable
 //!   flag), invocations, and results.
 //! * [`gateway`] — function CRUD and invocation routing. For GPU-enabled

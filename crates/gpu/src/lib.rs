@@ -3,7 +3,7 @@
 //! The paper evaluates on three nodes with four GeForce RTX 2080 GPUs each.
 //! We have no silicon, so this crate substitutes a device *model* that
 //! reproduces exactly the properties the paper's scheduler and cache manager
-//! depend on (see DESIGN.md §2):
+//! depend on:
 //!
 //! 1. **Bounded device memory with OOM semantics** — [`memory::MemoryPool`]
 //!    tracks per-process allocations against the 8 GiB capacity; exceeding it
