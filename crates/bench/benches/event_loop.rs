@@ -5,8 +5,9 @@
 //! full `Cluster::run` event loop on `paper`-preset traces of exactly
 //! 10^5 and 10^6 requests, parameterised over scale × policy × batching,
 //! so `cargo bench --bench event_loop` tracks the hot path the
-//! indexed-queue refactor optimises. `bench_snapshot` persists the same
-//! measurements to `BENCH_*.json` for the committed perf trajectory.
+//! indexed-queue refactor optimises. Claims about host time come from the
+//! repository benchmark instead (`perfbench` runs of two commits, paired
+//! by `bench_counters compare`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gfaas_bench::run;

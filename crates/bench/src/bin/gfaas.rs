@@ -2,14 +2,15 @@
 //!
 //! ```text
 //! gfaas run [--policy SPEC] [--ws N] [--seed S] [--seeds a,b,c]
-//!           [--o3-limit N] [--gpus N] [--headroom MIB] [--burstiness F]
+//!           [--gpus N] [--headroom MIB] [--burstiness F]
 //!           [--replacement SPEC] [--tenants N] [--tenant-cap N]
 //!           [--record SPEC] [--trace-out FILE] [--ledger-out FILE]
 //!           [--series-out FILE]
-//! gfaas profile            # regenerate Table I
 //! gfaas trace [--ws N] [--seed S] [--out FILE]   # emit a CSV workload
-//! gfaas sweep              # the full Fig 4 grid (policies x working sets)
 //! ```
+//!
+//! Table I and the Fig 4 grid have their own report binaries
+//! (`table1_profiles`, `fig4_comparison`).
 //!
 //! Policy SPECs are registry keys with optional arguments: schedulers
 //! `lb`, `lalb`, `lalbo3[:limit]`; replacements `lru`, `fifo`, `random`,
@@ -32,20 +33,16 @@
 
 use std::collections::BTreeMap;
 
-use gfaas_bench::{
-    paper_policies, parse_cli_spec, parse_cli_store, SpecKind, TablePrinter, WORKING_SETS,
-};
+use gfaas_bench::{parse_cli_spec, parse_cli_store, SpecKind};
 use gfaas_core::{Cluster, ClusterConfig, PolicyRegistry, PolicySpec, RunMetrics};
-use gfaas_gpu::pcie::PcieModel;
-use gfaas_models::profiler::profile_all;
 use gfaas_models::ModelRegistry;
 use gfaas_trace::AzureTraceConfig;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: gfaas <run|profile|trace|sweep> [flags]\n\
+        "usage: gfaas <run|trace> [flags]\n\
          run flags: --policy lb|lalb|lalbo3[:limit]  --ws N  --seed S  --seeds a,b,c\n\
-         \x20          --o3-limit N  --gpus N  --headroom MIB  --burstiness F\n\
+         \x20          --gpus N  --headroom MIB  --burstiness F\n\
          \x20          --replacement lru|fifo|random|tinylfu[:decay]\n\
          \x20          --store flat|tiered[:host=B,origin_bw=R,...]\n\
          \x20          --tenants N  --tenant-cap N\n\
@@ -60,7 +57,6 @@ fn usage() -> ! {
 /// The flags `gfaas run` reads.
 const RUN_FLAGS: &[&str] = &[
     "policy",
-    "o3-limit",
     "replacement",
     "store",
     "ws",
@@ -123,24 +119,12 @@ fn cli_spec(s: &str, kind: SpecKind) -> PolicySpec {
     })
 }
 
-/// Resolves `--policy` (any registered scheduler spec) with the legacy
-/// `--o3-limit N` flag folded in as `lalbo3:N` for the LALB family.
+/// Resolves `--policy` against the registry (default `lalbo3`).
 fn policy_of(flags: &BTreeMap<String, String>) -> PolicySpec {
-    let mut raw = flags
-        .get("policy")
-        .map(String::as_str)
-        .unwrap_or("lalbo3")
-        .to_string();
-    if let Some(v) = flags.get("o3-limit") {
-        let limit: u32 = v.parse().unwrap_or_else(|_| {
-            eprintln!("bad --o3-limit {v:?}");
-            usage();
-        });
-        if raw == "lalb" || raw == "lalbo3" || raw.starts_with("lalbo3:") {
-            raw = format!("lalbo3:{limit}");
-        }
-    }
-    cli_spec(&raw, SpecKind::Scheduler)
+    cli_spec(
+        flags.get("policy").map(String::as_str).unwrap_or("lalbo3"),
+        SpecKind::Scheduler,
+    )
 }
 
 /// Resolves `--replacement` against the registry (default `lru`).
@@ -355,28 +339,6 @@ fn cmd_run(flags: BTreeMap<String, String>) {
     }
 }
 
-fn cmd_profile() {
-    let registry = ModelRegistry::table1();
-    let profiles = profile_all(&registry, &PcieModel::table1(), 42);
-    let t = TablePrinter::new(&[17, 10, 10, 11]);
-    println!(
-        "{}",
-        t.header(&["model", "size(MB)", "load'(s)", "infer32'(s)"])
-    );
-    for p in &profiles {
-        let spec = registry.spec(p.model);
-        println!(
-            "{}",
-            t.row(&[
-                spec.name.to_string(),
-                spec.occupancy_mib.to_string(),
-                format!("{:.2}", p.load_secs),
-                format!("{:.2}", p.infer_secs_b32),
-            ])
-        );
-    }
-}
-
 fn cmd_trace(flags: BTreeMap<String, String>) {
     let ws: usize = get(&flags, "ws", 25);
     let seed: u64 = get(&flags, "seed", 11);
@@ -402,36 +364,11 @@ fn cmd_trace(flags: BTreeMap<String, String>) {
     }
 }
 
-fn cmd_sweep() {
-    let t = TablePrinter::new(&[4, 8, 12, 12, 10]);
-    println!(
-        "{}",
-        t.header(&["WS", "policy", "avg_lat(s)", "miss_ratio", "sm_util"])
-    );
-    for ws in WORKING_SETS {
-        for policy in paper_policies() {
-            let m = gfaas_bench::run_replicated(&policy, ws, &gfaas_bench::REPORT_SEEDS);
-            println!(
-                "{}",
-                t.row(&[
-                    ws.to_string(),
-                    gfaas_bench::policy_name(&policy),
-                    format!("{:.2}", m.avg_latency_secs),
-                    format!("{:.3}", m.miss_ratio),
-                    format!("{:.3}", m.sm_utilization),
-                ])
-            );
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("run") => cmd_run(parse_flags(&args[1..], RUN_FLAGS)),
-        Some("profile") => cmd_profile(),
         Some("trace") => cmd_trace(parse_flags(&args[1..], TRACE_FLAGS)),
-        Some("sweep") => cmd_sweep(),
         _ => usage(),
     }
 }

@@ -34,28 +34,72 @@ pub fn layer(name: &str) -> &str {
     }
 }
 
-/// The counters of one benchmark run, from its standard output: the
-/// last line is the JSON object `{"correct", .., "metrics": {..}}`. A
-/// run whose output checks failed has no counters worth comparing.
+/// One benchmark run as its standard output reports it: the workload
+/// its `workload <name> seed <n>:` line names, the requests attempted
+/// and failed, and every metric, host timings included, in report order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Run {
+    /// The benchmark workload the run measured.
+    pub workload: String,
+    /// Requests the run attempted.
+    pub attempted: u64,
+    /// Requests the run lost.
+    pub failed: u64,
+    /// Every metric's value, by name.
+    pub metrics: Vec<(String, f64)>,
+}
+
+impl Run {
+    /// Reads a run from its standard output, whose last line is the JSON
+    /// object `{"correct", "attempted", "failed", "metrics": {..}}`. A
+    /// run whose output checks failed is refused: none of its numbers is
+    /// worth comparing.
+    pub fn parse(output: &str) -> Result<Run, String> {
+        let workload = output
+            .lines()
+            .find_map(|l| Some(l.strip_prefix("workload ")?.split_once(" seed ")?.0))
+            .ok_or("benchmark output has no `workload <name> seed <n>:` line")?;
+        let line = output
+            .lines()
+            .rev()
+            .find(|l| !l.trim().is_empty())
+            .ok_or("empty benchmark output")?;
+        let run = json::parse(line).map_err(|e| e.to_string())?;
+        if run.get("correct") != Some(&Value::Bool(true)) {
+            return Err("the benchmark run is not `correct`".into());
+        }
+        let count = |key: &str| match run.get(key).and_then(Value::as_f64) {
+            Some(n) if n >= 0.0 && n.fract() == 0.0 => Ok(n as u64),
+            _ => Err(format!("benchmark output has no `{key}` count")),
+        };
+        let Some(Value::Obj(metrics)) = run.get("metrics") else {
+            return Err("benchmark output has no `metrics` object".into());
+        };
+        let metrics = metrics
+            .iter()
+            .map(|(name, m)| match m.get("value").and_then(Value::as_f64) {
+                Some(value) => Ok((name.clone(), value)),
+                None => Err(format!("{name} has no value")),
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(Run {
+            workload: workload.to_string(),
+            attempted: count("attempted")?,
+            failed: count("failed")?,
+            metrics,
+        })
+    }
+}
+
+/// The counters of one benchmark run, from its standard output (see
+/// [`Run::parse`]): every metric but the host timings.
 pub fn read_run(output: &str) -> Result<Counters, String> {
-    let line = output
-        .lines()
-        .rev()
-        .find(|l| !l.trim().is_empty())
-        .ok_or("empty benchmark output")?;
-    let run = json::parse(line).map_err(|e| e.to_string())?;
-    if run.get("correct") != Some(&Value::Bool(true)) {
-        return Err("the benchmark run is not `correct`".into());
-    }
-    let Some(Value::Obj(metrics)) = run.get("metrics") else {
-        return Err("benchmark output has no `metrics` object".into());
-    };
-    let mut counters = Counters::new();
-    for (name, m) in metrics.iter().filter(|(name, _)| !is_timing(name)) {
-        let value = m.get("value").and_then(Value::as_f64);
-        counters.push((name.clone(), value.ok_or(format!("{name} has no value"))?));
-    }
-    Ok(counters)
+    let run = Run::parse(output)?;
+    Ok(run
+        .metrics
+        .into_iter()
+        .filter(|(name, _)| !is_timing(name))
+        .collect())
 }
 
 /// Renders the committed counter file: one object per workload, every

@@ -24,13 +24,13 @@
 //! specs (`"lalbo3:25"`, `"tinylfu:0.9"`), so anything in the
 //! [`PolicyRegistry`] — including evictors beyond the paper's LRU — can
 //! be swept without touching this crate. [`counters`] holds the
-//! benchmark's counter gate (`bench_counters`).
+//! benchmark's counter gate and [`compare`] its paired comparison of
+//! two commits (both run by `bench_counters`).
 
+pub mod compare;
 pub mod counters;
 
-use gfaas_core::{
-    Cluster, ClusterConfig, PolicyRegistry, PolicySpec, RunMetrics, SelfProfile, StoreSpec,
-};
+use gfaas_core::{Cluster, ClusterConfig, PolicyRegistry, PolicySpec, RunMetrics, StoreSpec};
 use gfaas_models::ModelRegistry;
 use gfaas_trace::{AzureFunctionsDataset, AzureTraceConfig, Trace, TraceStats};
 use gfaas_workload::scenario::NUM_MODELS;
@@ -307,13 +307,6 @@ impl ScenarioSuite {
                 })
                 .collect()
         };
-        // `GFAAS_TIMING=1` prints a wall-clock decomposition (trace
-        // generation vs each policy cell) plus each cell's structured
-        // event-loop self-profile ([`SelfProfile`]: schedule passes,
-        // estimator calls, heap peak, merged across seeds) to stderr;
-        // stdout reports are unaffected.
-        let timing = std::env::var_os("GFAAS_TIMING").is_some();
-        let t0 = std::time::Instant::now();
         // Registry scenarios first, then — when a dataset is supplied —
         // the `azure_real` replay row on the same policy axis.
         let mut rows: Vec<(&'static str, Vec<Trace>, f64)> = self
@@ -336,9 +329,6 @@ impl ScenarioSuite {
                 .collect();
             rows.push(("azure_real", traces, ds.horizon_secs()));
         }
-        if timing {
-            eprintln!("[timing] trace generation: {:?}", t0.elapsed());
-        }
         let mut scenario_stats = Vec::with_capacity(rows.len());
         for (name, traces, horizon) in &rows {
             if let Some(first) = traces.first() {
@@ -358,8 +348,6 @@ impl ScenarioSuite {
         let compute = |&(r, p): &(usize, usize)| -> SuiteCell {
             let (name, traces, _) = &rows[r];
             let policy = &self.policies[p];
-            let tc = std::time::Instant::now();
-            let mut profile = SelfProfile::default();
             let runs: Vec<RunMetrics> = traces
                 .iter()
                 .map(|t| {
@@ -367,15 +355,9 @@ impl ScenarioSuite {
                         policy: policy.clone(),
                         ..self.config.clone()
                     };
-                    let (m, cluster) = run(cfg, t);
-                    profile.merge(&cluster.self_profile());
-                    m
+                    run(cfg, t).0
                 })
                 .collect();
-            if timing {
-                eprintln!("[timing] cell {name}/{policy}: {:?}", tc.elapsed());
-                eprintln!("[profile] cell {name}/{policy}: {profile}");
-            }
             SuiteCell {
                 scenario: name,
                 policy: policy.clone(),

@@ -536,9 +536,10 @@ impl fmt::Display for RecordSpec {
 
 /// Always-on cheap phase counters for the cluster's own event loop.
 ///
-/// This is the structured replacement for the old ad-hoc `GFAAS_TIMING`
-/// stderr printout: the cluster increments these unconditionally (plain
-/// integer adds, no recorder required) and exposes them post-run.
+/// The cluster increments these unconditionally (plain integer adds, no
+/// recorder required) and exposes them after a run through
+/// `Cluster::self_profile`; the benchmark reads its per-request work
+/// counters from them.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SelfProfile {
     /// Requests pulled from the arrival cursor.
@@ -557,20 +558,6 @@ pub struct SelfProfile {
     pub holds_parked: u64,
     /// Peak event-heap occupancy.
     pub heap_peak: usize,
-}
-
-impl SelfProfile {
-    /// Fold another profile into this one (sums; peak takes the max).
-    pub fn merge(&mut self, other: &SelfProfile) {
-        self.arrivals += other.arrivals;
-        self.events_popped += other.events_popped;
-        self.schedule_passes += other.schedule_passes;
-        self.pass_rounds += other.pass_rounds;
-        self.dispatches += other.dispatches;
-        self.estimator_calls += other.estimator_calls;
-        self.holds_parked += other.holds_parked;
-        self.heap_peak = self.heap_peak.max(other.heap_peak);
-    }
 }
 
 impl fmt::Display for SelfProfile {
