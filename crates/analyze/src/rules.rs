@@ -10,14 +10,14 @@
 //! reason, see [`crate::engine`]), but safe code that it cannot see is
 //! code the next refactor can silently break.
 //!
-//! | id          | scope                | pattern                                  |
-//! |-------------|----------------------|------------------------------------------|
-//! | `hash-iter` | deterministic crates | any `HashMap` / `HashSet` use            |
-//! | `wall-clock`| all but bench/live   | `Instant` / `SystemTime`                 |
-//! | `obs-guard` | gfaas-core           | `ObsEvent::…` outside a recorder guard   |
-//! | `no-unsafe` | whole workspace      | the `unsafe` keyword                     |
-//! | `float-ord` | deterministic crates | `partial_cmp` calls, `f32`/`f64` map keys|
-//! | `snap-mutate`| gfaas-core          | direct writes to pinned cluster fields   |
+//! | id            | scope                         | pattern                                                  |
+//! |---------------|-------------------------------|----------------------------------------------------------|
+//! | `hash-iter`   | deterministic crates          | any `HashMap` / `HashSet` use                            |
+//! | `wall-clock`  | all but bench, live, examples | `Instant` / `SystemTime`                                 |
+//! | `obs-guard`   | gfaas-core                    | `ObsEvent::…` outside `emit_with(…)` or a recorder guard |
+//! | `no-unsafe`   | whole workspace               | the `unsafe` keyword                                     |
+//! | `float-ord`   | deterministic crates          | `partial_cmp` calls, `f32`/`f64` map keys                |
+//! | `snap-mutate` | gfaas-core                    | direct writes to pinned cluster fields                   |
 
 use crate::lexer::{Tok, TokKind};
 
@@ -70,10 +70,6 @@ impl FileCtx<'_> {
     fn in_deterministic_crate(&self) -> bool {
         DETERMINISTIC_CRATES.contains(&self.krate)
     }
-
-    fn file_name(&self) -> &str {
-        self.rel.rsplit('/').next().unwrap_or(self.rel)
-    }
 }
 
 /// One lint rule: a conservative token-pattern check with an id, a
@@ -107,7 +103,7 @@ pub static RULES: &[Rule] = &[
     Rule {
         id: "wall-clock",
         severity: Severity::Error,
-        summary: "no Instant::now/SystemTime outside the bench crate, live mode, and examples",
+        summary: "no Instant::now/SystemTime outside the bench and live crates, and examples",
         check: check_wall_clock,
     },
     Rule {
@@ -162,10 +158,10 @@ fn check_hash_iter(f: &FileCtx<'_>) -> Vec<Finding> {
 
 /// D2 — wall-clock reads. Virtual time (`SimTime`) is the only clock
 /// simulation logic may observe; `Instant`/`SystemTime` are allowed
-/// only where real compute is being measured: the bench crate, live
-/// mode (`live.rs`), and the umbrella examples.
+/// only where real compute is being measured: the bench crate, the
+/// live-serving crate, and the umbrella examples.
 fn check_wall_clock(f: &FileCtx<'_>) -> Vec<Finding> {
-    if f.krate == "bench" || f.file_name() == "live.rs" || f.rel.starts_with("examples/") {
+    if f.krate == "bench" || f.krate == "live" || f.rel.starts_with("examples/") {
         return Vec::new();
     }
     idents(f, &["Instant", "SystemTime"], |name| {
@@ -497,7 +493,12 @@ mod tests {
             [1]
         );
         assert!(run("wall-clock", "crates/bench/src/lib.rs", "bench", src).is_empty());
-        assert!(run("wall-clock", "crates/core/src/live.rs", "core", src).is_empty());
+        assert!(run("wall-clock", "crates/live/src/server.rs", "live", src).is_empty());
+        // The exemption is the live crate, not a file name.
+        assert_eq!(
+            run("wall-clock", "crates/core/src/live.rs", "core", src),
+            [1]
+        );
         assert!(run("wall-clock", "examples/demo.rs", "gfaas", src).is_empty());
         assert_eq!(
             run(

@@ -45,9 +45,14 @@ fn wall_clock_fixture() {
         lint_fixture("wall_clock.rs", "crates/sim/src/bad.rs"),
         [(4, "wall-clock"), (7, "wall-clock"), (9, "wall-clock")]
     );
-    // Allowlisted locations: the bench crate, live mode, examples.
+    // Allowlisted locations: the bench crate, the live crate, examples.
     assert!(lint_fixture("wall_clock.rs", "crates/bench/src/ok.rs").is_empty());
-    assert!(lint_fixture("wall_clock.rs", "crates/core/src/live.rs").is_empty());
+    assert!(lint_fixture("wall_clock.rs", "crates/live/src/server.rs").is_empty());
+    // A file named `live.rs` elsewhere is not exempt.
+    assert_eq!(
+        lint_fixture("wall_clock.rs", "crates/core/src/live.rs"),
+        [(4, "wall-clock"), (7, "wall-clock"), (9, "wall-clock")]
+    );
     assert!(lint_fixture("wall_clock.rs", "examples/demo.rs").is_empty());
 }
 

@@ -8,12 +8,13 @@ use gfaas_core::{CacheManager, Evictor, PolicyRegistry, PolicySpec};
 use gfaas_faas::mirror::DatastoreMirror;
 use gfaas_faas::Datastore;
 use gfaas_gpu::{GpuId, ModelId};
+use gfaas_live::model::{synthetic_batch, InputKind};
+use gfaas_live::ops::{conv2d, matmul, Conv2dParams};
+use gfaas_live::Tensor;
 use gfaas_obs::{ObsEvent, Recorder};
 use gfaas_sim::event::EventQueue;
 use gfaas_sim::rng::DetRng;
 use gfaas_sim::time::{SimDuration, SimTime};
-use gfaas_tensor::ops::{conv2d, matmul, Conv2dParams};
-use gfaas_tensor::Tensor;
 use gfaas_trace::AzureTraceConfig;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -150,8 +151,8 @@ fn bench_tensor(c: &mut Criterion) {
         b.iter(|| black_box(conv2d(black_box(&input), black_box(&weight), None, params)))
     });
 
-    let net = gfaas_tensor::nets::mini_resnet(10, 3);
-    let batch = gfaas_models::live::synthetic_batch(gfaas_models::live::InputKind::Cifar, 4, 1);
+    let net = gfaas_live::nets::mini_resnet(10, 3);
+    let batch = synthetic_batch(InputKind::Cifar, 4, 1);
     c.bench_function("micro/mini_resnet_forward_b4", |b| {
         b.iter(|| black_box(net.forward(black_box(&batch))))
     });

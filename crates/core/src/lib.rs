@@ -44,7 +44,6 @@ pub mod cache;
 pub mod cluster;
 pub mod config;
 pub mod gpu_manager;
-pub mod live;
 pub mod metrics;
 pub mod policy;
 pub mod request;
@@ -80,7 +79,6 @@ pub use cluster::{Cluster, ScaleView, SchedCtx, SpecScore};
 pub use config::{ClusterConfig, ConfigError};
 pub use gfaas_obs::{NullRecorder, ObsEvent, RecordSpec, Recorder, SelfProfile};
 pub use gfaas_store::{FlatStore, ModelStore, StoreError, StoreSpec, StoreStats, TieredStore};
-pub use live::{LiveResponse, LiveServer};
 pub use metrics::RunMetrics;
 pub use policy::{PolicyError, PolicyRegistry, PolicySpec};
 pub use request::Request;

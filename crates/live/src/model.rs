@@ -2,17 +2,17 @@
 //!
 //! The DES experiments consume only the Table I latency profile; the
 //! runnable examples additionally want a real forward pass. This module
-//! instantiates a miniature `gfaas-tensor` network whose topology family
-//! matches the zoo model's family, plus synthetic input batches shaped like
-//! the paper's datasets (MNIST 1×28×28 grayscale, CIFAR-10 3×32×32 RGB).
+//! instantiates a miniature network on this crate's tensor engine whose
+//! topology family matches the zoo model's family, plus synthetic input
+//! batches shaped like the paper's datasets (MNIST 1×28×28 grayscale,
+//! CIFAR-10 3×32×32 RGB).
 
 use gfaas_gpu::ModelId;
+use gfaas_models::{Family, ModelRegistry};
 use gfaas_sim::rng::DetRng;
-use gfaas_tensor::nets;
-use gfaas_tensor::{Network, Tensor};
 
-use crate::registry::ModelRegistry;
-use crate::zoo::Family;
+use crate::nets;
+use crate::{Network, Tensor};
 
 /// Input shape expected by a live network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

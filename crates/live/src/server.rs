@@ -1,31 +1,27 @@
-//! Live mode: the same placement and caching logic, backed by *real*
-//! (CPU) inference.
+//! Live mode: real (CPU) inference behind the simulator's cache manager.
 //!
 //! The experiments run on virtual time against the Table I latency
 //! profiles. [`LiveServer`] is the other execution mode: a synchronous
-//! model server that makes the identical cache/placement decisions —
-//! residency-first placement, LRU eviction with the Cache Manager,
-//! per-model processes on the simulated devices — but executes each
-//! request as an actual `gfaas-tensor` forward pass over the model's
-//! miniature network. Virtual time still drives the device state machine
-//! (advanced by the profiled load/inference durations), so live results
-//! report both the wall-clock compute time and the virtual latency the
-//! full-size model would have had.
+//! model server that executes each request as an actual forward pass over
+//! the model's miniature network ([`crate::model`]). Virtual time still
+//! drives the device state machine (advanced by the profiled
+//! load/inference durations), so live results report both the wall-clock
+//! compute time and the virtual latency the full-size model would have
+//! had. Placement is the server's own simple rule, not Algorithm 2 (see
+//! [`LiveServer`]).
 //!
 //! `LiveServer` implements [`gfaas_faas::Dispatcher`], so a Gateway can
-//! route GPU-enabled functions straight into it (see the quickstart
-//! example).
+//! route GPU-enabled functions straight into it.
 
 use std::collections::BTreeMap;
 
+use gfaas_core::{CacheManager, PolicyRegistry, PolicySpec};
 use gfaas_faas::{Dispatcher, Invocation, InvocationResult};
 use gfaas_gpu::{GpuDevice, GpuId, GpuSpec, ModelId};
-use gfaas_models::live::{live_model, synthetic_batch, LiveModel};
 use gfaas_models::ModelRegistry;
 use gfaas_sim::time::{SimDuration, SimTime};
 
-use crate::cache::CacheManager;
-use crate::policy::{PolicyRegistry, PolicySpec};
+use crate::model::{live_model, synthetic_batch, LiveModel};
 
 /// Outcome of one live inference.
 #[derive(Debug, Clone)]
@@ -65,14 +61,16 @@ impl std::error::Error for LiveError {}
 
 struct LiveGpu {
     device: GpuDevice,
-    // `BTreeMap` keeps gfaas-core entirely free of hash-order state
-    // (this map is lookup-only, but see `gfaas-analyze` rule D1).
     resident: BTreeMap<ModelId, LiveModel>,
     hits: u64,
 }
 
-/// A synchronous model server with locality-aware placement and real
-/// CPU inference.
+/// A synchronous model server with real CPU inference.
+///
+/// A hit is served by the first GPU holding the model. A miss goes to the
+/// GPU with the most free memory (lowest index on ties), where an LRU
+/// [`CacheManager`] picks the victims. There is no wait estimate and no
+/// local queue, so this is not the simulator's Algorithm 2.
 pub struct LiveServer {
     registry: ModelRegistry,
     cache: CacheManager,
@@ -129,8 +127,8 @@ impl LiveServer {
             .by_name(model_name)
             .ok_or_else(|| LiveError::UnknownModel(model_name.to_string()))?;
         let occupancy = self.registry.occupancy_bytes(model);
-        // The serving GPU: a resident copy (hit), else the GPU with the
-        // most free memory (miss with the least eviction).
+        // The serving GPU: the first resident copy (hit), else the GPU
+        // with the most free memory, lowest index on ties (miss).
         let (gi, hit) = match self.cache.gpus_with(model).first() {
             Some(&g) => (g.0 as usize, true),
             None => (0..self.gpus.len())
@@ -291,7 +289,9 @@ mod tests {
     #[test]
     fn misses_spread_over_gpus() {
         let mut s = server(2);
-        s.serve("resnet18", 1, 0).unwrap();
+        let first = s.serve("resnet18", 1, 0).unwrap();
+        // An empty fleet ties on free memory; the lowest index wins.
+        assert_eq!(first.gpu, GpuId(0));
         let second = s.serve("vgg19", 1, 0).unwrap();
         // Second model goes to the emptier (other) GPU.
         assert_eq!(second.gpu, GpuId(1));
@@ -316,5 +316,18 @@ mod tests {
         let labels = String::from_utf8(results[0].output.to_vec()).unwrap();
         assert_eq!(labels.split(',').count(), 3);
         assert!(s.take_results().is_empty(), "take drains");
+
+        s.dispatch(Invocation {
+            id: 8,
+            function: "fn-nope".into(),
+            payload: bytes::Bytes::new(),
+            arrived_at: SimTime::ZERO,
+            batch_size: 1,
+        });
+        let failed = s.take_results();
+        assert_eq!(failed.len(), 1);
+        assert!(failed[0].output.starts_with(b"error: unknown model"));
+        assert_eq!(failed[0].latency, SimDuration::ZERO);
+        assert_eq!(failed[0].cache_hit, None);
     }
 }

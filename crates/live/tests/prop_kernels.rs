@@ -1,10 +1,10 @@
 //! Property tests for the tensor kernels: the fast paths must agree with
 //! the naive reference implementations on arbitrary shapes and data.
 
+use gfaas_live::ops::matmul::{matmul, matmul_naive};
+use gfaas_live::ops::{conv2d, conv2d_naive, relu, softmax, Conv2dParams};
+use gfaas_live::Tensor;
 use gfaas_sim::rng::DetRng;
-use gfaas_tensor::ops::matmul::{matmul, matmul_naive};
-use gfaas_tensor::ops::{conv2d, conv2d_naive, relu, softmax, Conv2dParams};
-use gfaas_tensor::Tensor;
 use proptest::prelude::*;
 
 fn tensor_for(shape: &[usize], seed: u64) -> Tensor {

@@ -11,13 +11,10 @@
 //!   bytes, load time, inference time as a function of batch size);
 //! * [`profiler`] — the §IV-A profiling procedure: measure each model's
 //!   load time through the PCIe model and fit inference-time-vs-batch-size
-//!   with least-squares [`regression`], regenerating Table I;
-//! * [`live`] — maps each zoo family to a runnable miniature
-//!   `gfaas-tensor` network so the examples execute real forward passes.
+//!   with least-squares [`regression`], regenerating Table I.
 
 #![warn(missing_docs)]
 
-pub mod live;
 pub mod profiler;
 pub mod registry;
 pub mod regression;

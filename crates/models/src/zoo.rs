@@ -5,8 +5,8 @@
 //! 8 GiB device), the measured model loading time, and the measured
 //! batch-32 inference latency on the paper's RTX 2080 testbed.
 
-/// Architecture family; used to pick a runnable miniature network for the
-/// live examples and for size-class bucketing in the trace generator.
+/// Architecture family; the live-serving crate (`gfaas-live`) picks a
+/// runnable miniature network by it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {
     /// SqueezeNet v1.0/v1.1.

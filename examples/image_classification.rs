@@ -2,18 +2,18 @@
 //!
 //! The experiments drive the cluster with Table I's latency profiles; this
 //! example exercises the other half of the substitution — the
-//! `gfaas-tensor` inference engine — end to end: build a miniature network
+//! `gfaas-live` inference engine — end to end: build a miniature network
 //! per model family, classify synthetic CIFAR-shaped batches, and profile
 //! inference latency against batch size exactly as §IV-A prescribes
 //! (linear regression over a batch sweep).
 //!
 //! ```text
-//! cargo run --release -p gfaas-bench --example image_classification
+//! cargo run --release --example image_classification
 //! ```
 
 use std::time::Instant;
 
-use gfaas_models::live::{live_model, synthetic_batch};
+use gfaas_live::model::{live_model, synthetic_batch};
 use gfaas_models::regression::fit_line;
 use gfaas_models::ModelRegistry;
 

@@ -1,19 +1,20 @@
-//! Live serving: Gateway → LiveServer → real CPU inference.
+//! Live serving: real CPU inference behind an LRU model cache.
 //!
-//! The fifth execution mode: GPU-enabled functions registered at the
-//! Gateway are dispatched into a [`gfaas_core::LiveServer`], which makes
-//! the same residency-first placement and LRU eviction decisions as the
-//! experiments but executes each request as an actual forward pass over
-//! the model's miniature network. The response carries both the real
-//! wall-clock compute time and the virtual latency the full-size model
-//! would have had (profiled load + inference).
+//! Serves a short request mix through [`gfaas_live::LiveServer::serve`],
+//! which executes each request as an actual forward pass over the model's
+//! miniature network. Its placement is not the experiments' Algorithm 2:
+//! a hit goes to the first GPU holding the model, a miss to the GPU with
+//! the most free memory (lowest index on ties), LRU picks the victims,
+//! and there is no wait estimate and no local queue. The response
+//! carries both the real wall-clock compute time and the virtual latency
+//! the full-size model would have had (profiled load + inference).
 //!
 //! ```text
-//! cargo run --release -p gfaas-bench --example live_serving
+//! cargo run --release --example live_serving
 //! ```
 
-use gfaas_core::LiveServer;
 use gfaas_gpu::GpuSpec;
+use gfaas_live::LiveServer;
 use gfaas_models::ModelRegistry;
 
 fn main() {

@@ -10,7 +10,7 @@
 //!    same etcd-like Datastore the real system would use.
 //!
 //! ```text
-//! cargo run --release -p gfaas-bench --example quickstart
+//! cargo run --release --example quickstart
 //! ```
 
 use std::sync::Arc;

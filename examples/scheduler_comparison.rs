@@ -6,7 +6,7 @@
 //! default, load balancing only schedulers").
 //!
 //! ```text
-//! cargo run --release -p gfaas-bench --example scheduler_comparison -- [WS]
+//! cargo run --release --example scheduler_comparison -- [WS]
 //! ```
 
 use gfaas_core::{Cluster, ClusterConfig, PolicySpec, RunMetrics};

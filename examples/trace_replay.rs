@@ -2,7 +2,7 @@
 //!
 //! Usage:
 //! ```text
-//! cargo run --release -p gfaas-bench --example trace_replay -- [POLICY] [WS|trace.csv]
+//! cargo run --release --example trace_replay -- [POLICY] [WS|trace.csv]
 //! ```
 //!
 //! * `POLICY` — `lb`, `lalb`, or `lalbo3` (default `lalbo3`).
