@@ -14,6 +14,7 @@
 //! provisioned GPU-seconds, and scale events — the claim under test being
 //! that elastic capacity cuts GPU-seconds at equal-or-better latency.
 
+use gfaas_bench::cli::{seeds, Flags};
 use gfaas_bench::{run, AveragedMetrics, TablePrinter, REPORT_SEEDS};
 use gfaas_core::{AutoscaleSpec, ClusterConfig, RunMetrics};
 use gfaas_workload::scenario::find;
@@ -26,35 +27,12 @@ fn usage() -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut autoscale = AutoscaleSpec::default();
-    let mut seeds: Vec<u64> = REPORT_SEEDS.to_vec();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--autoscale" => {
-                let Some(spec) = it.next() else { usage() };
-                autoscale = spec.parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage();
-                });
-            }
-            "--seeds" => {
-                let Some(list) = it.next() else { usage() };
-                seeds = list
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse().unwrap_or_else(|_| {
-                            eprintln!("bad seed {s:?}");
-                            usage();
-                        })
-                    })
-                    .collect();
-            }
-            _ => usage(),
-        }
-    }
+    let flags = Flags::parse(&args, &["autoscale", "seeds"], &["smoke"], usage);
+    let smoke = flags.has("smoke");
+    let autoscale: AutoscaleSpec = flags.value("autoscale").unwrap_or_default();
+    let mut seeds = flags
+        .get("seeds", seeds)
+        .unwrap_or_else(|| REPORT_SEEDS.to_vec());
     let scales: Vec<Scale> = if smoke {
         seeds.truncate(1);
         vec![Scale::smoke()]

@@ -16,6 +16,7 @@
 //! coalescing lifts throughput per GPU-second without hurting tail
 //! latency.
 
+use gfaas_bench::cli::{seeds, Flags};
 use gfaas_bench::{parse_cli_spec, run, AveragedMetrics, SpecKind, TablePrinter, REPORT_SEEDS};
 use gfaas_core::{ClusterConfig, PolicySpec, RunMetrics};
 use gfaas_workload::scenario::find;
@@ -36,46 +37,19 @@ fn usage() -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut seeds: Vec<u64> = REPORT_SEEDS.to_vec();
-    let mut batchings: Vec<PolicySpec> = vec![
-        PolicySpec::bare("none"),
-        PolicySpec::bare("coalesce"),
-        PolicySpec::bare("adaptive"),
-    ];
-    let mut custom_batchings = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--seeds" => {
-                let Some(list) = it.next() else { usage() };
-                seeds = list
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse().unwrap_or_else(|_| {
-                            eprintln!("bad seed {s:?}");
-                            usage();
-                        })
-                    })
-                    .collect();
-            }
-            "--batching" => {
-                let Some(spec) = it.next() else { usage() };
-                // The spec grammar uses commas (`max=8,wait=0.05`), so the
-                // flag repeats instead of taking a comma-joined list; the
-                // first use replaces the builtin mode list.
-                if !custom_batchings {
-                    custom_batchings = true;
-                    batchings.clear();
-                }
-                batchings.push(parse_cli_spec(spec, SpecKind::Batcher).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage();
-                }));
-            }
-            _ => usage(),
-        }
+    let flags = Flags::parse(&args, &["seeds", "batching"], &["smoke"], usage);
+    let smoke = flags.has("smoke");
+    let mut seeds = flags
+        .get("seeds", seeds)
+        .unwrap_or_else(|| REPORT_SEEDS.to_vec());
+    // The spec grammar uses commas (`max=8,wait=0.05`), so the flag
+    // repeats instead of taking a comma-joined list; any use replaces the
+    // builtin mode list.
+    let mut batchings = flags.all("batching", |v| parse_cli_spec(v, SpecKind::Batcher));
+    if batchings.is_empty() {
+        batchings = ["none", "coalesce", "adaptive"]
+            .map(PolicySpec::bare)
+            .to_vec();
     }
     let scales: Vec<Scale> = if smoke {
         seeds.truncate(1);

@@ -24,6 +24,7 @@
 //! storm run never touches its host cache — the wiring gate CI runs in
 //! smoke mode.
 
+use gfaas_bench::cli::Flags;
 use gfaas_bench::{run, AveragedMetrics, TablePrinter, REPORT_SEEDS};
 use gfaas_core::{AutoscaleSpec, ClusterConfig, PolicySpec, StoreSpec, StoreStats};
 use gfaas_trace::Trace;
@@ -120,13 +121,7 @@ fn print_table(title: &str, rows: &[Row]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    for a in &args {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            _ => usage(),
-        }
-    }
+    let smoke = Flags::parse(&args, &[], &["smoke"], usage).has("smoke");
     let (scale, seeds, autoscale): (Scale, Vec<u64>, AutoscaleSpec) = if smoke {
         (
             Scale::smoke(),

@@ -19,7 +19,8 @@
 //! *is* the telemetry smoke test. `--out` keeps the JSON for
 //! `ui.perfetto.dev`.
 
-use gfaas_bench::{parse_cli_spec, parse_cli_store, run, SpecKind, TablePrinter};
+use gfaas_bench::cli::Flags;
+use gfaas_bench::{parse_cli_spec, run, SpecKind, TablePrinter};
 use gfaas_core::obs::perfetto::validate_chrome_trace;
 use gfaas_core::{ClusterConfig, RecordSpec};
 use gfaas_workload::scenario::find;
@@ -44,86 +45,42 @@ fn write_file(path: &str, contents: &str, what: &str) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut scenario = "flash_crowd".to_string();
+    const VALUED: &[&str] = &[
+        "scenario",
+        "policy",
+        "batching",
+        "store",
+        "seed",
+        "sample",
+        "slo",
+        "out",
+        "ledger-out",
+        "series-out",
+    ];
+    let flags = Flags::parse(&args, VALUED, &["smoke"], usage);
+    let smoke = flags.has("smoke");
+    let scenario = flags.text("scenario").unwrap_or("flash_crowd");
     let mut cfg = ClusterConfig::default();
-    let mut seed: u64 = 11;
-    let mut sample_secs: f64 = RecordSpec::DEFAULT_SAMPLE_SECS;
-    let mut slo_secs: f64 = 10.0;
-    let mut out: Option<String> = None;
-    let mut ledger_out: Option<String> = None;
-    let mut series_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--scenario" => {
-                let Some(v) = it.next() else { usage() };
-                scenario = v.clone();
-            }
-            "--policy" => {
-                let Some(v) = it.next() else { usage() };
-                cfg.policy = parse_cli_spec(v, SpecKind::Scheduler).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage();
-                });
-            }
-            "--batching" => {
-                let Some(v) = it.next() else { usage() };
-                cfg.batching = parse_cli_spec(v, SpecKind::Batcher).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage();
-                });
-            }
-            "--store" => {
-                let Some(v) = it.next() else { usage() };
-                cfg.store = parse_cli_store(v).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage();
-                });
-            }
-            "--seed" => {
-                let Some(v) = it.next() else { usage() };
-                seed = v.parse().unwrap_or_else(|_| {
-                    eprintln!("bad --seed {v:?}");
-                    usage();
-                });
-            }
-            "--sample" => {
-                let Some(v) = it.next() else { usage() };
-                sample_secs = v.parse().unwrap_or_else(|_| {
-                    eprintln!("bad --sample {v:?}");
-                    usage();
-                });
-            }
-            "--slo" => {
-                let Some(v) = it.next() else { usage() };
-                slo_secs = v.parse().unwrap_or_else(|_| {
-                    eprintln!("bad --slo {v:?}");
-                    usage();
-                });
-            }
-            "--out" => {
-                let Some(v) = it.next() else { usage() };
-                out = Some(v.clone());
-            }
-            "--ledger-out" => {
-                let Some(v) = it.next() else { usage() };
-                ledger_out = Some(v.clone());
-            }
-            "--series-out" => {
-                let Some(v) = it.next() else { usage() };
-                series_out = Some(v.clone());
-            }
-            _ => usage(),
-        }
+    if let Some(policy) = flags.get("policy", |v| parse_cli_spec(v, SpecKind::Scheduler)) {
+        cfg.policy = policy;
     }
+    if let Some(batching) = flags.get("batching", |v| parse_cli_spec(v, SpecKind::Batcher)) {
+        cfg.batching = batching;
+    }
+    if let Some(store) = flags.value("store") {
+        cfg.store = store;
+    }
+    let seed: u64 = flags.value("seed").unwrap_or(11);
+    let mut sample_secs: f64 = flags
+        .value("sample")
+        .unwrap_or(RecordSpec::DEFAULT_SAMPLE_SECS);
+    let slo_secs: f64 = flags.value("slo").unwrap_or(10.0);
     let scale = if smoke {
         Scale::smoke()
     } else {
         Scale::paper()
     };
-    let sc = find(&scenario).unwrap_or_else(|| {
+    let sc = find(scenario).unwrap_or_else(|| {
         eprintln!("unknown scenario {scenario:?}");
         usage();
     });
@@ -207,7 +164,7 @@ fn main() {
             ])
         );
     }
-    if let Some(path) = &ledger_out {
+    if let Some(path) = flags.text("ledger-out") {
         write_file(path, &ledger.to_csv(), "lifecycle ledger CSV");
     }
     println!();
@@ -247,7 +204,7 @@ fn main() {
             ])
         );
     }
-    if let Some(path) = &series_out {
+    if let Some(path) = flags.text("series-out") {
         write_file(path, &series.to_csv(), "time-series CSV");
     }
     println!();
@@ -267,7 +224,7 @@ fn main() {
             std::process::exit(1);
         }
     }
-    if let Some(path) = &out {
+    if let Some(path) = flags.text("out") {
         write_file(path, &json, "Perfetto trace (open in ui.perfetto.dev)");
     }
 }

@@ -23,6 +23,7 @@
 //! forks don't all retire, or (b) no lookahead config beats LALBO3 on
 //! p95 latency or makespan-throughput on at least one scenario.
 
+use gfaas_bench::cli::Flags;
 use gfaas_bench::{run, AveragedMetrics, TablePrinter, REPORT_SEEDS};
 use gfaas_core::snap::JournalStats;
 use gfaas_core::{ClusterConfig, PolicySpec};
@@ -113,13 +114,7 @@ fn print_table(title: &str, rows: &[Row]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    for a in &args {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            _ => usage(),
-        }
-    }
+    let smoke = Flags::parse(&args, &[], &["smoke"], usage).has("smoke");
     let (scale, seeds): (Scale, Vec<u64>) = if smoke {
         (Scale::smoke(), vec![REPORT_SEEDS[0]])
     } else {

@@ -3,7 +3,7 @@
 //! ```text
 //! gfaas run [--policy SPEC] [--ws N] [--seed S] [--seeds a,b,c]
 //!           [--gpus N] [--headroom MIB] [--burstiness F]
-//!           [--replacement SPEC] [--tenants N] [--tenant-cap N]
+//!           [--replacement SPEC] [--store SPEC] [--tenants N] [--tenant-cap N]
 //!           [--record SPEC] [--trace-out FILE] [--ledger-out FILE]
 //!           [--series-out FILE]
 //! gfaas trace [--ws N] [--seed S] [--out FILE]   # emit a CSV workload
@@ -13,9 +13,11 @@
 //! (`table1_profiles`, `fig4_comparison`).
 //!
 //! Policy SPECs are registry keys with optional arguments: schedulers
-//! `lb`, `lalb`, `lalbo3[:limit]`; replacements `lru`, `fifo`, `random`,
-//! `tinylfu[:decay]` — anything `gfaas_core::PolicyRegistry::builtin()`
-//! knows.
+//! `lb`, `lalb`, `lalbo3[:limit]`, `lookahead[:k=4,horizon=8]`;
+//! replacements `lru`, `fifo`, `random`,
+//! `tinylfu[:auto | decay[,window][,front=k]]` — anything
+//! `gfaas_core::PolicyRegistry::builtin()` knows. `--store` takes a
+//! `gfaas_core::StoreSpec` (`flat`, `tiered[:host=B,origin_bw=R,…]`).
 //!
 //! `--record` attaches the observability layer (see `gfaas_obs`):
 //! `ledger`, `perfetto`, `sample[=secs]`, `slo=secs`, `all`. A recorded
@@ -31,19 +33,21 @@
 //! the checkpoint and replays only the remainder — same metrics, no
 //! re-simulation of the prefix. Both require exactly one seed.
 
-use std::collections::BTreeMap;
-
-use gfaas_bench::{parse_cli_spec, parse_cli_store, SpecKind};
-use gfaas_core::{Cluster, ClusterConfig, PolicyRegistry, PolicySpec, RunMetrics};
+use gfaas_bench::cli::{seeds, Flags};
+use gfaas_bench::{parse_cli_spec, SpecKind};
+use gfaas_core::{
+    Cluster, ClusterConfig, PolicyRegistry, PolicySpec, RecordSpec, RunMetrics, StoreSpec,
+};
 use gfaas_models::ModelRegistry;
 use gfaas_trace::AzureTraceConfig;
 
 fn usage() -> ! {
     eprintln!(
         "usage: gfaas <run|trace> [flags]\n\
-         run flags: --policy lb|lalb|lalbo3[:limit]  --ws N  --seed S  --seeds a,b,c\n\
+         run flags: --policy lb|lalb|lalbo3[:limit]|lookahead[:k=4,horizon=8]\n\
+         \x20          --ws N  --seed S  --seeds a,b,c\n\
          \x20          --gpus N  --headroom MIB  --burstiness F\n\
-         \x20          --replacement lru|fifo|random|tinylfu[:decay]\n\
+         \x20          --replacement lru|fifo|random|tinylfu[:auto|decay[,window][,front=k]]\n\
          \x20          --store flat|tiered[:host=B,origin_bw=R,...]\n\
          \x20          --tenants N  --tenant-cap N\n\
          \x20          --record ledger|perfetto|sample[=secs]|slo=secs|all\n\
@@ -79,73 +83,6 @@ const RUN_FLAGS: &[&str] = &[
 /// The flags `gfaas trace` reads.
 const TRACE_FLAGS: &[&str] = &["ws", "seed", "out"];
 
-/// Parses `--key value` pairs, rejecting any key not in `known` (the
-/// flags the subcommand actually reads) with the usage text.
-fn parse_flags(args: &[String], known: &[&str]) -> BTreeMap<String, String> {
-    let mut flags = BTreeMap::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let Some(key) = a.strip_prefix("--") else {
-            eprintln!("unexpected argument {a:?}");
-            usage();
-        };
-        if !known.contains(&key) {
-            eprintln!("unknown flag --{key}");
-            usage();
-        }
-        let Some(value) = it.next() else {
-            eprintln!("flag --{key} needs a value");
-            usage();
-        };
-        flags.insert(key.to_string(), value.clone());
-    }
-    flags
-}
-
-fn get<T: std::str::FromStr>(flags: &BTreeMap<String, String>, key: &str, default: T) -> T {
-    match flags.get(key) {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("bad value for --{key}: {v:?}");
-            usage();
-        }),
-        None => default,
-    }
-}
-
-fn cli_spec(s: &str, kind: SpecKind) -> PolicySpec {
-    parse_cli_spec(s, kind).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        usage();
-    })
-}
-
-/// Resolves `--policy` against the registry (default `lalbo3`).
-fn policy_of(flags: &BTreeMap<String, String>) -> PolicySpec {
-    cli_spec(
-        flags.get("policy").map(String::as_str).unwrap_or("lalbo3"),
-        SpecKind::Scheduler,
-    )
-}
-
-/// Resolves `--replacement` against the registry (default `lru`).
-fn replacement_of(flags: &BTreeMap<String, String>) -> PolicySpec {
-    cli_spec(
-        flags
-            .get("replacement")
-            .map(String::as_str)
-            .unwrap_or("lru"),
-        SpecKind::Evictor,
-    )
-}
-
-/// Resolves `--store` against the registry (default `flat`).
-fn store_of(flags: &BTreeMap<String, String>) -> gfaas_core::StoreSpec {
-    parse_cli_store(flags.get("store").map(String::as_str).unwrap_or("flat")).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        usage();
-    })
-}
-
 fn print_metrics(name: &str, m: &RunMetrics) {
     println!("{name}:");
     println!("  completed         {}", m.completed);
@@ -173,39 +110,28 @@ fn write_file(path: &str, contents: &str, what: &str) {
     eprintln!("wrote {what} to {path}");
 }
 
-fn cmd_run(flags: BTreeMap<String, String>) {
-    let policy = policy_of(&flags);
-    let replacement = replacement_of(&flags);
-    let store = store_of(&flags);
+fn cmd_run(flags: Flags) {
+    let policy = flags
+        .get("policy", |s| parse_cli_spec(s, SpecKind::Scheduler))
+        .unwrap_or_else(|| PolicySpec::bare("lalbo3"));
+    let replacement = flags
+        .get("replacement", |s| parse_cli_spec(s, SpecKind::Evictor))
+        .unwrap_or_else(|| PolicySpec::bare("lru"));
+    let store: StoreSpec = flags.value("store").unwrap_or_default();
     let policy_name = PolicyRegistry::builtin()
         .scheduler_name(&policy)
         .expect("validated above");
-    let ws: usize = get(&flags, "ws", 25);
-    let seeds: Vec<u64> = match flags.get("seeds") {
-        Some(list) => list
-            .split(',')
-            .map(|s| {
-                s.trim().parse().unwrap_or_else(|_| {
-                    eprintln!("bad seed {s:?}");
-                    usage();
-                })
-            })
-            .collect(),
-        None => vec![get(&flags, "seed", 11u64)],
-    };
-    let record: gfaas_core::RecordSpec = match flags.get("record") {
-        Some(s) => s.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            usage();
-        }),
-        None => gfaas_core::RecordSpec::default(),
-    };
+    let ws: usize = flags.value("ws").unwrap_or(25);
+    let seeds: Vec<u64> = flags
+        .get("seeds", seeds)
+        .unwrap_or_else(|| vec![flags.value("seed").unwrap_or(11)]);
+    let record: RecordSpec = flags.value("record").unwrap_or_default();
     for (flag, needs) in [
         ("trace-out", "perfetto"),
         ("ledger-out", "ledger"),
         ("series-out", "sample"),
     ] {
-        if flags.contains_key(flag) && record.is_off() {
+        if flags.has(flag) && record.is_off() {
             eprintln!("--{flag} requires --record {needs}");
             usage();
         }
@@ -214,39 +140,33 @@ fn cmd_run(flags: BTreeMap<String, String>) {
         eprintln!("--record needs exactly one seed (got {})", seeds.len());
         usage();
     }
-    if flags.contains_key("checkpoint-out") && !flags.contains_key("checkpoint-at") {
+    if flags.has("checkpoint-out") && !flags.has("checkpoint-at") {
         eprintln!("--checkpoint-out requires --checkpoint-at SECS");
         usage();
     }
-    if flags.contains_key("warm-start") && flags.contains_key("checkpoint-at") {
+    if flags.has("warm-start") && flags.has("checkpoint-at") {
         eprintln!("--warm-start and --checkpoint-at are mutually exclusive");
         usage();
     }
-    if (flags.contains_key("checkpoint-at") || flags.contains_key("warm-start")) && seeds.len() > 1
-    {
+    if (flags.has("checkpoint-at") || flags.has("warm-start")) && seeds.len() > 1 {
         eprintln!("checkpointing needs exactly one seed (got {})", seeds.len());
         usage();
     }
     let mut runs = Vec::new();
     for &seed in &seeds {
         let mut tc = AzureTraceConfig::paper(ws, seed);
-        tc.burstiness = get(&flags, "burstiness", tc.burstiness);
+        tc.burstiness = flags.value("burstiness").unwrap_or(tc.burstiness);
         let trace = tc.generate();
         let mut cfg = ClusterConfig::paper_testbed(policy.clone());
-        cfg.num_gpus = get(&flags, "gpus", cfg.num_gpus);
-        cfg.mem_headroom_mib = get(&flags, "headroom", cfg.mem_headroom_mib);
-        cfg.num_tenants = get(&flags, "tenants", cfg.num_tenants);
-        if let Some(cap) = flags.get("tenant-cap") {
-            cfg.tenant_max_inflight = Some(cap.parse().unwrap_or_else(|_| {
-                eprintln!("bad --tenant-cap {cap:?}");
-                usage();
-            }));
-        }
+        cfg.num_gpus = flags.value("gpus").unwrap_or(cfg.num_gpus);
+        cfg.mem_headroom_mib = flags.value("headroom").unwrap_or(cfg.mem_headroom_mib);
+        cfg.num_tenants = flags.value("tenants").unwrap_or(cfg.num_tenants);
+        cfg.tenant_max_inflight = flags.value("tenant-cap").or(cfg.tenant_max_inflight);
         cfg.replacement = replacement.clone();
         cfg.store = store.clone();
         cfg.record = record;
         let mut cluster = Cluster::new(cfg, ModelRegistry::table1());
-        let m = if let Some(path) = flags.get("warm-start") {
+        let m = if let Some(path) = flags.text("warm-start") {
             let bytes = std::fs::read(path).unwrap_or_else(|e| {
                 eprintln!("cannot read checkpoint {path}: {e}");
                 std::process::exit(2);
@@ -259,14 +179,10 @@ fn cmd_run(flags: BTreeMap<String, String>) {
             });
             eprintln!("warm-started from {path} ({} bytes)", bytes.len());
             cluster.resume(&trace)
-        } else if let Some(at) = flags.get("checkpoint-at") {
-            let secs: f64 = at.parse().unwrap_or_else(|_| {
-                eprintln!("bad --checkpoint-at {at:?}");
-                usage();
-            });
+        } else if let Some(secs) = flags.value::<f64>("checkpoint-at") {
             cluster.run_until(&trace, gfaas_sim::time::SimTime::from_secs_f64(secs));
             let bytes = cluster.checkpoint(&trace);
-            if let Some(path) = flags.get("checkpoint-out") {
+            if let Some(path) = flags.text("checkpoint-out") {
                 if let Err(e) = std::fs::write(path, &bytes) {
                     eprintln!("cannot write checkpoint to {path}: {e}");
                     std::process::exit(2);
@@ -293,7 +209,7 @@ fn cmd_run(flags: BTreeMap<String, String>) {
             );
         }
         if let Some(json) = cluster.perfetto_json() {
-            if let Some(path) = flags.get("trace-out") {
+            if let Some(path) = flags.text("trace-out") {
                 write_file(path, &json, "Perfetto trace");
             } else {
                 eprintln!(
@@ -303,7 +219,7 @@ fn cmd_run(flags: BTreeMap<String, String>) {
             }
         }
         if let Some(ledger) = cluster.ledger() {
-            if let Some(path) = flags.get("ledger-out") {
+            if let Some(path) = flags.text("ledger-out") {
                 write_file(path, &ledger.to_csv(), "lifecycle ledger");
             }
             let seg = ledger.segment_summary();
@@ -315,7 +231,7 @@ fn cmd_run(flags: BTreeMap<String, String>) {
             );
         }
         if let Some(series) = cluster.time_series() {
-            if let Some(path) = flags.get("series-out") {
+            if let Some(path) = flags.text("series-out") {
                 write_file(path, &series.to_csv(), "time series");
             }
             println!("sampler: {} windows recorded", series.rows().len());
@@ -339,11 +255,11 @@ fn cmd_run(flags: BTreeMap<String, String>) {
     }
 }
 
-fn cmd_trace(flags: BTreeMap<String, String>) {
-    let ws: usize = get(&flags, "ws", 25);
-    let seed: u64 = get(&flags, "seed", 11);
+fn cmd_trace(flags: Flags) {
+    let ws: usize = flags.value("ws").unwrap_or(25);
+    let seed: u64 = flags.value("seed").unwrap_or(11);
     let trace = AzureTraceConfig::paper(ws, seed).generate();
-    match flags.get("out") {
+    match flags.text("out") {
         Some(path) => {
             let f = std::fs::File::create(path).unwrap_or_else(|e| {
                 eprintln!("cannot create {path}: {e}");
@@ -367,8 +283,8 @@ fn cmd_trace(flags: BTreeMap<String, String>) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("run") => cmd_run(parse_flags(&args[1..], RUN_FLAGS)),
-        Some("trace") => cmd_trace(parse_flags(&args[1..], TRACE_FLAGS)),
+        Some("run") => cmd_run(Flags::parse(&args[1..], RUN_FLAGS, &[], usage)),
+        Some("trace") => cmd_trace(Flags::parse(&args[1..], TRACE_FLAGS, &[], usage)),
         _ => usage(),
     }
 }

@@ -15,22 +15,29 @@
 //! ```
 //!
 //! `--policy` and `--replacement` take registry specs (`lb`, `lalb`,
-//! `lalbo3[:limit]`; `lru`, `fifo`, `random`, `tinylfu[:decay]`);
-//! `--policy` and `--scenario` accept comma-separated lists;
+//! `lalbo3[:limit]`, `lookahead[:k=4,horizon=8]`; `lru`, `fifo`,
+//! `random`, `tinylfu[:auto | decay[,window][,front=k]]`);
+//! `--policy` and `--scenario` accept comma-separated lists, where a
+//! `field=value` piece continues the spec before it
+//! (`--policy lalbo3,lookahead:k=4,horizon=16` is two policies);
 //! `--autoscale` takes a `gfaas-core` autoscale spec and adds provisioned
 //! GPU-seconds and scale-event columns to the matrix. The `paper` rows at
 //! paper scale with default policies reproduce `fig4_comparison`'s WS 25
 //! numbers exactly (same traces, same seeds, same cluster).
 
-use gfaas_bench::{parse_cli_spec, parse_cli_store, run, ScenarioSuite, SpecKind, TablePrinter};
-use gfaas_core::{AutoscaleSpec, ClusterConfig, PolicySpec, RecordSpec};
+use gfaas_bench::cli::{seeds, Flags};
+use gfaas_bench::{parse_cli_spec, run, ScenarioSuite, SpecKind, TablePrinter};
+use gfaas_core::{AutoscaleSpec, ClusterConfig, PolicySpec, RecordSpec, StoreSpec};
+use gfaas_sim::spec;
+use gfaas_trace::AzureFunctionsDataset;
 use gfaas_workload::Scale;
 
 fn usage() -> ! {
     eprintln!(
         "usage: scenarios [--smoke] [--scale paper|production|hyperscale] [--seeds a,b,c]\n\
          \x20                [--policy spec[,spec...]] [--scenario name[,name...]]\n\
-         \x20                [--replacement spec]\n\
+         \x20                  policy specs: lb | lalb | lalbo3[:limit] | lookahead[:k=4,horizon=8]\n\
+         \x20                [--replacement lru|fifo|random|tinylfu[:auto|decay[,window][,front=k]]]\n\
          \x20                [--batching none|coalesce[:max=M,wait=S]|adaptive[:slo=T,max=M,wait=S]]\n\
          \x20                [--autoscale queue:min=M,max=N,up=U,down=D[,cadence=S]]\n\
          \x20                [--store flat|tiered[:host=B,origin_bw=R,...]]\n\
@@ -53,145 +60,79 @@ struct Cli {
     trace_out: Option<String>,
 }
 
-fn cli_spec(s: &str, kind: SpecKind) -> PolicySpec {
-    parse_cli_spec(s, kind).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        usage();
-    })
-}
-
 fn parse_suite(args: &[String]) -> Cli {
-    // Collect flags first, then build, so flag order never matters
-    // (`--seeds 5 --smoke` and `--smoke --seeds 5` both honour seed 5).
-    let mut smoke = false;
-    let mut scale: Option<Scale> = None;
-    let mut seeds: Option<Vec<u64>> = None;
-    let mut policies: Option<Vec<PolicySpec>> = None;
-    let mut scenarios: Option<Vec<String>> = None;
-    let mut config = ClusterConfig::default();
-    let mut azure_real: Option<gfaas_trace::AzureFunctionsDataset> = None;
-    let mut threads: Option<usize> = None;
-    let mut record: Option<RecordSpec> = None;
-    let mut trace_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--scale" => {
-                scale = match it.next().map(String::as_str) {
-                    Some("paper") => Some(Scale::paper()),
-                    Some("production") => Some(Scale::production()),
-                    Some("hyperscale") => Some(Scale::hyperscale()),
-                    other => {
-                        eprintln!("bad --scale {other:?}");
-                        usage();
-                    }
-                }
-            }
-            "--threads" => {
-                let Some(n) = it.next() else { usage() };
-                threads = Some(n.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                    eprintln!("bad --threads {n:?} (want a positive integer)");
-                    usage();
-                }));
-            }
-            "--seeds" => {
-                let Some(list) = it.next() else { usage() };
-                seeds = Some(
-                    list.split(',')
-                        .map(|s| {
-                            s.trim().parse().unwrap_or_else(|_| {
-                                eprintln!("bad seed {s:?}");
-                                usage();
-                            })
-                        })
-                        .collect(),
-                );
-            }
-            "--policy" => {
-                let Some(list) = it.next() else { usage() };
-                policies = Some(
-                    list.split(',')
-                        .map(|s| cli_spec(s, SpecKind::Scheduler))
-                        .collect(),
-                );
-            }
-            "--scenario" => {
-                let Some(list) = it.next() else { usage() };
-                scenarios = Some(list.split(',').map(|s| s.trim().to_string()).collect());
-            }
-            "--replacement" => {
-                let Some(spec) = it.next() else { usage() };
-                config.replacement = cli_spec(spec, SpecKind::Evictor);
-            }
-            "--batching" => {
-                let Some(spec) = it.next() else { usage() };
-                config.batching = cli_spec(spec, SpecKind::Batcher);
-            }
-            "--autoscale" => {
-                let Some(spec) = it.next() else { usage() };
-                config.autoscale = Some(spec.parse::<AutoscaleSpec>().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage();
-                }));
-            }
-            "--store" => {
-                let Some(spec) = it.next() else { usage() };
-                config.store = parse_cli_store(spec).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage();
-                });
-            }
-            "--azure-data" => {
-                // Registers the `azure_real` replay scenario from a real
-                // Azure Functions per-minute CSV.
-                let Some(path) = it.next() else { usage() };
-                let file = std::fs::File::open(path).unwrap_or_else(|e| {
-                    eprintln!("cannot open {path}: {e}");
-                    usage();
-                });
-                let ds =
-                    gfaas_trace::AzureFunctionsDataset::read_csv(std::io::BufReader::new(file))
-                        .unwrap_or_else(|e| {
-                            eprintln!("{e}");
-                            usage();
-                        });
-                azure_real = Some(ds);
-            }
-            "--record" => {
-                let Some(spec) = it.next() else { usage() };
-                record = Some(spec.parse::<RecordSpec>().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage();
-                }));
-            }
-            "--trace-out" => {
-                let Some(path) = it.next() else { usage() };
-                trace_out = Some(path.clone());
-            }
-            _ => usage(),
-        }
-    }
-    let mut suite = if smoke {
+    const VALUED: &[&str] = &[
+        "scale",
+        "threads",
+        "seeds",
+        "policy",
+        "scenario",
+        "replacement",
+        "batching",
+        "autoscale",
+        "store",
+        "azure-data",
+        "record",
+        "trace-out",
+    ];
+    let flags = Flags::parse(args, VALUED, &["smoke"], usage);
+    let mut suite = if flags.has("smoke") {
         ScenarioSuite::smoke()
     } else {
         ScenarioSuite::paper_default()
     };
+    let scale = flags.get("scale", |v| match v {
+        "paper" => Ok(Scale::paper()),
+        "production" => Ok(Scale::production()),
+        "hyperscale" => Ok(Scale::hyperscale()),
+        _ => Err("want paper, production or hyperscale"),
+    });
     if let Some(scale) = scale {
         suite.scale = scale;
     }
-    if let Some(seeds) = seeds {
+    if let Some(seeds) = flags.get("seeds", seeds) {
         suite.seeds = seeds;
     }
+    let policies = flags.get("policy", |list| {
+        spec::list(list)
+            .into_iter()
+            .map(|s| parse_cli_spec(s, SpecKind::Scheduler))
+            .collect::<Result<Vec<_>, _>>()
+    });
     if let Some(policies) = policies {
         suite.policies = policies;
     }
+    let mut config = ClusterConfig::default();
+    let cli_spec = |name, kind| flags.get(name, |s| parse_cli_spec(s, kind));
+    if let Some(replacement) = cli_spec("replacement", SpecKind::Evictor) {
+        config.replacement = replacement;
+    }
+    if let Some(batching) = cli_spec("batching", SpecKind::Batcher) {
+        config.batching = batching;
+    }
+    config.autoscale = flags.value::<AutoscaleSpec>("autoscale");
+    if let Some(store) = flags.value::<StoreSpec>("store") {
+        config.store = store;
+    }
     suite.config = config;
-    suite.azure_real = azure_real;
-    if let Some(threads) = threads {
+    // Registers the `azure_real` replay scenario from a real Azure
+    // Functions per-minute CSV.
+    suite.azure_real = flags.get("azure-data", |path| {
+        let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+        AzureFunctionsDataset::read_csv(std::io::BufReader::new(file)).map_err(|e| e.to_string())
+    });
+    if let Some(threads) = flags.get("threads", |n| {
+        n.parse()
+            .ok()
+            .filter(|&n| n >= 1)
+            .ok_or("want a positive integer")
+    }) {
         suite.threads = threads;
     }
-    if let Some(names) = scenarios {
+    let record = flags.value::<RecordSpec>("record");
+    let trace_out = flags.text("trace-out").map(str::to_string);
+    if let Some(list) = flags.text("scenario") {
+        let names: Vec<&str> = list.split(',').map(str::trim).collect();
         // `azure_real` is a known name exactly when a dataset was
         // supplied; the filter then also applies to it.
         let mut known: Vec<&str> = suite.scenarios.iter().map(|s| s.name).collect();
@@ -199,15 +140,13 @@ fn parse_suite(args: &[String]) -> Cli {
             known.push("azure_real");
         }
         for n in &names {
-            if !known.contains(&n.as_str()) {
+            if !known.contains(n) {
                 eprintln!("unknown scenario {n:?} (known: {known:?})");
                 usage();
             }
         }
-        suite
-            .scenarios
-            .retain(|s| names.iter().any(|n| n == s.name));
-        if !names.iter().any(|n| n == "azure_real") {
+        suite.scenarios.retain(|s| names.contains(&s.name));
+        if !names.contains(&"azure_real") {
             suite.azure_real = None;
         }
     }

@@ -23,14 +23,16 @@
 //! and goes through [`run`]. Policies are named by `gfaas-core` policy
 //! specs (`"lalbo3:25"`, `"tinylfu:0.9"`), so anything in the
 //! [`PolicyRegistry`] — including evictors beyond the paper's LRU — can
-//! be swept without touching this crate. [`counters`] holds the
-//! benchmark's counter gate and [`compare`] its paired comparison of
-//! two commits (both run by `bench_counters`).
+//! be swept without touching this crate. [`cli`] is the flag reader the
+//! report binaries share. [`counters`] holds the benchmark's counter
+//! gate and [`compare`] its paired comparison of two commits (both run
+//! by `bench_counters`).
 
+pub mod cli;
 pub mod compare;
 pub mod counters;
 
-use gfaas_core::{Cluster, ClusterConfig, PolicyRegistry, PolicySpec, RunMetrics, StoreSpec};
+use gfaas_core::{Cluster, ClusterConfig, PolicyRegistry, PolicySpec, RunMetrics};
 use gfaas_models::ModelRegistry;
 use gfaas_trace::{AzureFunctionsDataset, AzureTraceConfig, Trace, TraceStats};
 use gfaas_workload::scenario::NUM_MODELS;
@@ -419,33 +421,18 @@ pub enum SpecKind {
 
 /// Parses a CLI-facing policy spec and validates it against the builtin
 /// registry, returning a ready-to-print error message (including the
-/// known keys) on failure. Shared by the `gfaas` and `scenarios`
-/// binaries so spec grammar and diagnostics stay in one place.
+/// known keys) on failure. Shared by the report binaries so spec
+/// grammar and diagnostics stay in one place.
 pub fn parse_cli_spec(s: &str, kind: SpecKind) -> Result<PolicySpec, String> {
     let reg = gfaas_core::PolicyRegistry::builtin();
     let spec = PolicySpec::parse(s).map_err(|e| e.to_string())?;
-    match kind {
-        SpecKind::Scheduler => reg
-            .scheduler(&spec)
-            .map(drop)
-            .map_err(|e| format!("{e} (known: {:?})", reg.scheduler_keys()))?,
-        SpecKind::Evictor => reg
-            .evictor(&spec, 0)
-            .map(drop)
-            .map_err(|e| format!("{e} (known: {:?})", reg.evictor_keys()))?,
-        SpecKind::Batcher => reg
-            .batcher(&spec)
-            .map(drop)
-            .map_err(|e| format!("{e} (known: {:?})", reg.batcher_keys()))?,
-    }
+    let (built, known) = match kind {
+        SpecKind::Scheduler => (reg.scheduler(&spec).map(drop), reg.scheduler_keys()),
+        SpecKind::Evictor => (reg.evictor(&spec, 0).map(drop), reg.evictor_keys()),
+        SpecKind::Batcher => (reg.batcher(&spec).map(drop), reg.batcher_keys()),
+    };
+    built.map_err(|e| format!("{e} (known: {known:?})"))?;
     Ok(spec)
-}
-
-/// Parses and validates a CLI-facing `--store` spec into the typed
-/// [`StoreSpec`] the cluster config carries; an unknown backend's
-/// diagnostic lists the known ones.
-pub fn parse_cli_store(s: &str) -> Result<StoreSpec, String> {
-    s.parse::<StoreSpec>().map_err(|e| e.to_string())
 }
 
 /// Relative reduction `(base - ours) / base`, formatted as the paper
@@ -614,17 +601,34 @@ mod tests {
     }
 
     #[test]
-    fn store_specs_parse_and_validate_via_cli_helper() {
-        assert!(parse_cli_store("flat").unwrap().is_flat());
-        let tiered = parse_cli_store("tiered:host=8G,origin_bw=2G").unwrap();
-        assert!(!tiered.is_flat());
-        assert_eq!(tiered.host_bytes, 8 * 1024 * 1024 * 1024);
-        let err = parse_cli_store("s3").unwrap_err();
-        assert!(
-            err.contains("flat"),
-            "diagnostic lists known backends: {err}"
-        );
-        assert!(parse_cli_store("tiered:wat=1").is_err());
+    fn cli_spec_errors_list_the_known_keys() {
+        let cases = [
+            (SpecKind::Scheduler, "LB", "malformed policy spec \"LB\""),
+            (
+                SpecKind::Scheduler,
+                "belady",
+                "unknown scheduler policy \"belady\" (known: [\"lalb\", \"lalbo3\", \"lb\", \"lookahead\"])",
+            ),
+            (
+                SpecKind::Scheduler,
+                "lalbo3:x",
+                "bad argument \"x\" for policy \"lalbo3\": expected a starvation limit (u32) \
+                 (known: [\"lalb\", \"lalbo3\", \"lb\", \"lookahead\"])",
+            ),
+            (
+                SpecKind::Evictor,
+                "belady",
+                "unknown replacement policy \"belady\" (known: [\"fifo\", \"lru\", \"random\", \"tinylfu\"])",
+            ),
+            (
+                SpecKind::Batcher,
+                "batchy",
+                "unknown batching policy \"batchy\" (known: [\"adaptive\", \"coalesce\", \"none\"])",
+            ),
+        ];
+        for (kind, s, want) in cases {
+            assert_eq!(parse_cli_spec(s, kind).unwrap_err(), want, "{s:?}");
+        }
     }
 
     #[test]

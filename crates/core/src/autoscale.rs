@@ -27,6 +27,7 @@
 
 use std::fmt;
 
+use gfaas_sim::spec::{finite, split_key, tokens};
 use gfaas_sim::time::SimDuration;
 
 use crate::cluster::ScaleView;
@@ -88,8 +89,8 @@ impl fmt::Display for AutoscaleError {
 impl std::error::Error for AutoscaleError {}
 
 /// A parsed autoscale spec: `key:field=value,…` — the CLI- and
-/// config-facing description of an autoscaling policy, in the same spirit
-/// as [`crate::policy::PolicySpec`].
+/// config-facing description of an autoscaling policy, in the
+/// [`gfaas_sim::spec`] grammar shared with [`crate::policy::PolicySpec`].
 ///
 /// Grammar: `queue[:min=M,max=N,up=U,down=D,cadence=S]`, fields in any
 /// order, all optional (see the `DEFAULT_*` constants). `min`/`max` bound
@@ -127,50 +128,29 @@ impl Default for AutoscaleSpec {
 }
 
 impl AutoscaleSpec {
-    /// Parses `key[:field=value,…]`. See the type docs for the grammar.
+    /// Parses `key[:field=value,…]` (split by [`gfaas_sim::spec`]). See
+    /// the type docs for the grammar.
     pub fn parse(s: &str) -> Result<AutoscaleSpec, AutoscaleError> {
         let s = s.trim();
-        let (key, args) = match s.split_once(':') {
-            Some((k, a)) => (k, Some(a)),
-            None => (s, None),
-        };
-        if key.is_empty()
-            || !key
-                .chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_' || c == '-')
-        {
-            return Err(AutoscaleError::BadSpec(s.to_string()));
-        }
+        let bad_spec = || AutoscaleError::BadSpec(s.to_string());
+        let (key, args) = split_key(s).ok_or_else(bad_spec)?;
         let mut spec = AutoscaleSpec {
             key: key.to_string(),
             ..AutoscaleSpec::default()
         };
-        if let Some(args) = args {
-            if args.is_empty() {
-                return Err(AutoscaleError::BadSpec(s.to_string()));
-            }
-            for pair in args.split(',') {
-                let Some((field, value)) = pair.split_once('=') else {
-                    return Err(AutoscaleError::BadSpec(s.to_string()));
-                };
-                let bad = || AutoscaleError::BadField {
-                    field: field.to_string(),
-                    value: value.to_string(),
-                };
-                match field {
-                    "min" => spec.min_gpus = value.parse().map_err(|_| bad())?,
-                    "max" => spec.max_gpus = value.parse().map_err(|_| bad())?,
-                    "up" => spec.up_depth = value.parse().map_err(|_| bad())?,
-                    "down" => spec.down_depth = value.parse().map_err(|_| bad())?,
-                    "cadence" => {
-                        spec.cadence_secs = value
-                            .parse()
-                            .ok()
-                            .filter(|c: &f64| c.is_finite())
-                            .ok_or_else(bad)?
-                    }
-                    _ => return Err(bad()),
-                }
+        for (field, value) in args.into_iter().flat_map(tokens) {
+            let value = value.ok_or_else(bad_spec)?;
+            let bad = || AutoscaleError::BadField {
+                field: field.to_string(),
+                value: value.to_string(),
+            };
+            match field {
+                "min" => spec.min_gpus = value.parse().map_err(|_| bad())?,
+                "max" => spec.max_gpus = value.parse().map_err(|_| bad())?,
+                "up" => spec.up_depth = value.parse().map_err(|_| bad())?,
+                "down" => spec.down_depth = value.parse().map_err(|_| bad())?,
+                "cadence" => spec.cadence_secs = finite(value).ok_or_else(bad)?,
+                _ => return Err(bad()),
             }
         }
         spec.validate()?;
@@ -442,6 +422,48 @@ mod tests {
             "pressure", // unknown key
         ] {
             assert!(AutoscaleSpec::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn errors_print_exactly() {
+        let bad = |s| format!("malformed autoscale spec {s:?}");
+        let field = |field, value| format!("bad autoscale field {field}={value:?}");
+        let bounds = |why| format!("inconsistent autoscale spec: {why}");
+        let cases = [
+            ("", bad("")),
+            (" QUEUE", bad("QUEUE")),
+            ("queue:", bad("queue:")),
+            ("queue:min", bad("queue:min")),
+            ("queue:min=2,4", bad("queue:min=2,4")),
+            (
+                "pressure",
+                "unknown autoscaler \"pressure\" (known: [\"queue\"])".into(),
+            ),
+            ("queue:min=", field("min", "")),
+            ("queue:min=x", field("min", "x")),
+            ("queue:max=-1", field("max", "-1")),
+            ("queue:cadence=inf", field("cadence", "inf")),
+            ("queue:wat=1", field("wat", "1")),
+            ("queue:min=0", bounds("min must be at least 1")),
+            ("queue:min=8,max=4", bounds("max 4 must be at least min 8")),
+            (
+                "queue:max=70000",
+                bounds("max 70000 exceeds the GPU id space"),
+            ),
+            ("queue:up=0", bounds("up depth 0 must exceed down depth 2")),
+            (
+                "queue:up=2,down=2",
+                bounds("up depth 2 must exceed down depth 2"),
+            ),
+            ("queue:cadence=0", bounds("cadence must be positive")),
+        ];
+        for (s, want) in cases {
+            assert_eq!(
+                AutoscaleSpec::parse(s).unwrap_err().to_string(),
+                want,
+                "{s:?}"
+            );
         }
     }
 

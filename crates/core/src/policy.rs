@@ -23,6 +23,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use gfaas_sim::spec::{split_key, tokens};
 use gfaas_sim::time::SimDuration;
 
 use crate::batching::{AdaptiveBatch, BatchPolicy, CoalesceBatch, NoBatch};
@@ -85,7 +86,7 @@ impl fmt::Display for PolicyError {
 impl std::error::Error for PolicyError {}
 
 /// A parsed `key[:arg]` policy spec — the string-facing identity of a
-/// scheduler or evictor.
+/// scheduler or evictor, in the grammar of [`gfaas_sim::spec`].
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PolicySpec {
     key: String,
@@ -93,27 +94,12 @@ pub struct PolicySpec {
 }
 
 impl PolicySpec {
-    /// Parses `"key"` or `"key:arg"`. Keys are lowercase `[a-z0-9_-]+`;
-    /// the argument (anything after the first `:`) is kept verbatim for
-    /// the factory to interpret.
+    /// Parses `"key"` or `"key:arg"` (split by [`gfaas_sim::spec`]).
+    /// Keys are lowercase `[a-z0-9_-]+`; the argument (anything after the
+    /// first `:`) is kept verbatim for the factory to interpret.
     pub fn parse(s: &str) -> Result<PolicySpec, PolicyError> {
         let s = s.trim();
-        let (key, arg) = match s.split_once(':') {
-            Some((k, a)) => (k, Some(a)),
-            None => (s, None),
-        };
-        if key.is_empty()
-            || !key
-                .chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_' || c == '-')
-        {
-            return Err(PolicyError::BadSpec(s.to_string()));
-        }
-        if let Some(a) = arg {
-            if a.is_empty() {
-                return Err(PolicyError::BadSpec(s.to_string()));
-            }
-        }
+        let (key, arg) = split_key(s).ok_or_else(|| PolicyError::BadSpec(s.to_string()))?;
         Ok(PolicySpec {
             key: key.to_string(),
             arg: arg.map(str::to_string),
@@ -169,8 +155,8 @@ impl PolicySpec {
         fields: &'static str,
         mut set: impl FnMut(&str, &str) -> Result<bool, PolicyError>,
     ) -> Result<(), PolicyError> {
-        for pair in self.arg().into_iter().flat_map(|a| a.split(',')) {
-            let (field, value) = pair.split_once('=').ok_or_else(|| self.bad_arg(pairs))?;
+        for (field, value) in self.arg().into_iter().flat_map(tokens) {
+            let value = value.ok_or_else(|| self.bad_arg(pairs))?;
             if !set(field, value)? {
                 return Err(self.bad_arg(fields));
             }
@@ -632,6 +618,81 @@ mod tests {
             let spec = PolicySpec::parse(bad).unwrap();
             let failed = reg.scheduler(&spec).is_err() && reg.evictor(&spec, 1).is_err();
             assert!(failed, "{bad:?} should be rejected");
+        }
+    }
+
+    #[test]
+    fn errors_print_exactly() {
+        // `p` parses only; `s`/`e`/`b` resolve the spec as a scheduler,
+        // evictor or batcher.
+        let reg = PolicyRegistry::builtin();
+        let error = |kind, s: &str| {
+            let built = PolicySpec::parse(s).and_then(|spec| match kind {
+                'p' => Ok(()),
+                's' => reg.scheduler(&spec).map(drop),
+                'e' => reg.evictor(&spec, 1).map(drop),
+                _ => reg.batcher(&spec).map(drop),
+            });
+            built.unwrap_err().to_string()
+        };
+        for s in ["", "LRU", "k=4", "lru:"] {
+            assert_eq!(error('p', s), format!("malformed policy spec {s:?}"));
+        }
+        assert_eq!(error('p', " lru: "), "malformed policy spec \"lru:\"");
+        assert_eq!(error('s', "belady"), "unknown scheduler policy \"belady\"");
+        assert_eq!(
+            error('e', "belady"),
+            "unknown replacement policy \"belady\""
+        );
+        assert_eq!(error('b', "batchy"), "unknown batching policy \"batchy\"");
+        let no_arg = [
+            ('s', "lb:1"),
+            ('s', "lalb:5"),
+            ('e', "lru:2"),
+            ('e', "fifo:x"),
+            ('e', "random:1"),
+            ('b', "none:1"),
+        ];
+        for (kind, s) in no_arg {
+            let (key, arg) = s.split_once(':').unwrap();
+            let want = format!("policy {key:?} takes no argument (got {arg:?})");
+            assert_eq!(error(kind, s), want);
+        }
+        let bad_arg = [
+            ('s', "lalbo3:x", "a starvation limit (u32)"),
+            ('s', "lookahead:k=0", "a positive candidate count k"),
+            ('s', "lookahead:k=x", "a positive candidate count k"),
+            ('s', "lookahead:horizon=-1", "a replay horizon (events)"),
+            ('s', "lookahead:4", "field=value pairs (k=, horizon=)"),
+            ('s', "lookahead:depth=3", "fields k=, horizon="),
+            ('e', "tinylfu:1.5", "a decay factor in (0, 1)"),
+            ('e', "tinylfu:x", "a decay factor in (0, 1)"),
+            ('e', "tinylfu:0.9,0", "a positive decay window"),
+            ('e', "tinylfu:0.9,front=x", "front=<admission window size>"),
+            ('e', "tinylfu:0.9,8,16", "`decay[,window][,front=k]`"),
+            ('b', "coalesce:max=0", "a positive max batch (requests)"),
+            (
+                'b',
+                "coalesce:wait=-1",
+                "a nonnegative hold wait in seconds",
+            ),
+            ('b', "coalesce:64", "field=value pairs (max=, wait=, slo=)"),
+            (
+                'b',
+                "coalesce:slo=5",
+                "fields max=, wait= (and slo= for adaptive)",
+            ),
+            ('b', "adaptive:slo=0", "a positive SLO target in seconds"),
+            (
+                'b',
+                "adaptive:wat=1",
+                "fields max=, wait= (and slo= for adaptive)",
+            ),
+        ];
+        for (kind, s, expected) in bad_arg {
+            let (key, arg) = s.split_once(':').unwrap();
+            let want = format!("bad argument {arg:?} for policy {key:?}: expected {expected}");
+            assert_eq!(error(kind, s), want);
         }
     }
 

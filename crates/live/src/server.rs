@@ -62,7 +62,6 @@ impl std::error::Error for LiveError {}
 struct LiveGpu {
     device: GpuDevice,
     resident: BTreeMap<ModelId, LiveModel>,
-    hits: u64,
 }
 
 /// A synchronous model server with real CPU inference.
@@ -87,7 +86,6 @@ impl LiveServer {
             .map(|i| LiveGpu {
                 device: GpuDevice::new(GpuId(i as u16), spec.clone()),
                 resident: BTreeMap::new(),
-                hits: 0,
             })
             .collect();
         let lru = PolicyRegistry::builtin()
@@ -169,7 +167,6 @@ impl LiveServer {
             virtual_latency += load_time;
         } else {
             self.cache.touch(gpu, model);
-            self.gpus[gi].hits += 1;
         }
 
         // Real compute: forward the miniature network on a synthetic batch.

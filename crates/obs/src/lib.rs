@@ -38,6 +38,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use gfaas_gpu::{GpuId, ModelId, Tier};
+use gfaas_sim::spec::token;
 use gfaas_sim::time::{SimDuration, SimTime};
 
 /// Which arm of the paper's Algorithm 2 a request was resolved by.
@@ -420,7 +421,8 @@ impl std::error::Error for RecordSpecError {}
 
 /// Which recorders a run should attach — the `--record` CLI axis.
 ///
-/// Textual form is a comma-separated token list:
+/// Textual form is a comma-separated token list, each token split at its
+/// first `=` by [`gfaas_sim::spec::token`]:
 /// `ledger`, `perfetto`, `sample` (default 60 s cadence) or
 /// `sample=SECS`, `slo=SECS` (mark SLO misses in the ledger), and
 /// `all` (every recorder at defaults). `off` / empty means disabled.
@@ -466,10 +468,9 @@ impl FromStr for RecordSpec {
         if s.is_empty() || s == "off" || s == "none" {
             return Ok(spec);
         }
-        for tok in s.split(',') {
-            let tok = tok.trim();
-            match tok.split_once('=') {
-                None => match tok {
+        for (key, val) in s.split(',').map(|t| token(t.trim())) {
+            match val {
+                None => match key {
                     "ledger" => spec.ledger = true,
                     "perfetto" | "trace" => spec.perfetto = true,
                     "sample" => spec.sample_secs = Some(Self::DEFAULT_SAMPLE_SECS),
@@ -484,7 +485,7 @@ impl FromStr for RecordSpec {
                         )))
                     }
                 },
-                Some((key, val)) => {
+                Some(val) => {
                     let secs: f64 = val.parse().map_err(|_| {
                         RecordSpecError(format!("'{key}={val}': value must be a number of seconds"))
                     })?;
@@ -608,6 +609,33 @@ mod tests {
         assert!("sample=-5".parse::<RecordSpec>().is_err());
         assert!("slo=0".parse::<RecordSpec>().is_err());
         assert!("frobnicate=1".parse::<RecordSpec>().is_err());
+    }
+
+    #[test]
+    fn record_spec_errors_print_exactly() {
+        let error = |s: &str| s.parse::<RecordSpec>().unwrap_err().to_string();
+        for (s, tok) in [("bogus", "bogus"), ("ledger, x ", "x")] {
+            let want = "(expected ledger|perfetto|sample[=secs]|slo=secs|all|off)";
+            assert_eq!(
+                error(s),
+                format!("bad record spec: unknown token '{tok}' {want}")
+            );
+        }
+        for s in ["frobnicate=1", "=1"] {
+            let want = "(expected sample=secs or slo=secs)";
+            assert_eq!(
+                error(s),
+                format!("bad record spec: unknown token '{s}' {want}")
+            );
+        }
+        for s in ["sample=abc", "sample=1=2"] {
+            let want = "value must be a number of seconds";
+            assert_eq!(error(s), format!("bad record spec: '{s}': {want}"));
+        }
+        for s in ["sample=-5", "slo=0", "slo=1e400"] {
+            let want = "seconds must be finite and positive";
+            assert_eq!(error(s), format!("bad record spec: '{s}': {want}"));
+        }
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //!   workloads need (uniform, Zipf, exponential, shuffle).
 //! * [`stats`] — numerically stable accumulators (Welford mean/variance,
 //!   time-weighted averages, histograms) used by the metric collectors.
+//! * [`spec`] — the `key[:field=value,…]` grammar every spec string
+//!   (policy, store, autoscale, record) is split by.
 //!
 //! # Example
 //!
@@ -35,6 +37,7 @@
 
 pub mod event;
 pub mod rng;
+pub mod spec;
 pub mod stats;
 pub mod time;
 

@@ -37,6 +37,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use gfaas_gpu::{ModelId, PcieModel, Tier};
+use gfaas_sim::spec::{finite, split_key, tokens};
 use gfaas_sim::time::{SimDuration, SimTime};
 
 /// Default host-tier capacity: 64 GiB of pinned staging RAM.
@@ -105,8 +106,9 @@ impl fmt::Display for StoreError {
 impl std::error::Error for StoreError {}
 
 /// A parsed store spec: `key[:field=value,…]` — the CLI- and
-/// config-facing description of a storage hierarchy, in the same grammar
-/// as `AutoscaleSpec` and the policy specs.
+/// config-facing description of a storage hierarchy, in the
+/// [`gfaas_sim::spec`] grammar shared with `AutoscaleSpec` and the
+/// policy specs.
 ///
 /// Grammar: `flat` (no fields; the paper's single-cost model) or
 /// `tiered[:host=B,origin_bw=R,origin_lat=S,pcie_bw=R,pcie_lat=S,prefetch=X,hot=K]`,
@@ -151,102 +153,57 @@ impl Default for StoreSpec {
     }
 }
 
-/// Parses a byte capacity: bare digits are bytes; `K`/`M`/`G`/`T`
-/// suffixes are binary (powers of 1024), matching how model sizes are
-/// quoted (`64G` = 64 GiB).
-fn parse_capacity(s: &str) -> Option<u64> {
-    let (num, mult) = match s.as_bytes().last()? {
-        b'K' | b'k' => (&s[..s.len() - 1], 1u64 << 10),
-        b'M' | b'm' => (&s[..s.len() - 1], 1u64 << 20),
-        b'G' | b'g' => (&s[..s.len() - 1], 1u64 << 30),
-        b'T' | b't' => (&s[..s.len() - 1], 1u64 << 40),
-        _ => (s, 1),
+/// Parses a number with an optional `K`/`M`/`G`/`T` suffix (either
+/// case) scaling it by `unit`, `unit`², `unit`³ or `unit`⁴: binary
+/// (1024) for capacities, as model sizes are quoted (`64G` = 64 GiB), and
+/// decimal (1000) for link rates (`2G` = 2 × 10⁹ B/s). The scaled value
+/// must be finite.
+fn suffixed(s: &str, unit: f64) -> Option<f64> {
+    let (num, power) = match s.as_bytes().last()? {
+        b'K' | b'k' => (&s[..s.len() - 1], 1),
+        b'M' | b'm' => (&s[..s.len() - 1], 2),
+        b'G' | b'g' => (&s[..s.len() - 1], 3),
+        b'T' | b't' => (&s[..s.len() - 1], 4),
+        _ => (s, 0),
     };
-    let v: f64 = num
-        .parse()
-        .ok()
-        .filter(|v: &f64| v.is_finite() && *v >= 0.0)?;
-    Some((v * mult as f64) as u64)
-}
-
-/// Parses a bandwidth: bare digits are bytes/sec; `K`/`M`/`G`/`T`
-/// suffixes are decimal (powers of 1000), matching how link rates are
-/// quoted (`2G` = 2 × 10⁹ B/s).
-fn parse_bandwidth(s: &str) -> Option<f64> {
-    let (num, mult) = match s.as_bytes().last()? {
-        b'K' | b'k' => (&s[..s.len() - 1], 1e3),
-        b'M' | b'm' => (&s[..s.len() - 1], 1e6),
-        b'G' | b'g' => (&s[..s.len() - 1], 1e9),
-        b'T' | b't' => (&s[..s.len() - 1], 1e12),
-        _ => (s, 1.0),
-    };
-    let v: f64 = num.parse().ok().filter(|v: &f64| v.is_finite())?;
-    Some(v * mult)
+    finite(num)
+        .map(|v| v * unit.powi(power))
+        .filter(|v| v.is_finite())
 }
 
 impl StoreSpec {
-    /// Parses `key[:field=value,…]`. See the type docs for the grammar.
+    /// Parses `key[:field=value,…]` (split by [`gfaas_sim::spec`]). See
+    /// the type docs for the grammar.
     pub fn parse(s: &str) -> Result<StoreSpec, StoreError> {
         let s = s.trim();
-        let (key, args) = match s.split_once(':') {
-            Some((k, a)) => (k, Some(a)),
-            None => (s, None),
-        };
-        if key.is_empty()
-            || !key
-                .chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_' || c == '-')
-        {
-            return Err(StoreError::BadSpec(s.to_string()));
-        }
+        let bad_spec = || StoreError::BadSpec(s.to_string());
+        let (key, args) = split_key(s).ok_or_else(bad_spec)?;
         if key == "flat" && args.is_some() {
             // The flat store has no knobs; trailing fields are a typo.
-            return Err(StoreError::BadSpec(s.to_string()));
+            return Err(bad_spec());
         }
         let mut spec = StoreSpec {
             key: key.to_string(),
             ..StoreSpec::default()
         };
-        if let Some(args) = args {
-            if args.is_empty() {
-                return Err(StoreError::BadSpec(s.to_string()));
-            }
-            for pair in args.split(',') {
-                let Some((field, value)) = pair.split_once('=') else {
-                    return Err(StoreError::BadSpec(s.to_string()));
-                };
-                let bad = || StoreError::BadField {
-                    field: field.to_string(),
-                    value: value.to_string(),
-                };
-                match field {
-                    "host" => spec.host_bytes = parse_capacity(value).ok_or_else(bad)?,
-                    "origin_bw" => spec.origin_bw_bps = parse_bandwidth(value).ok_or_else(bad)?,
-                    "origin_lat" => {
-                        spec.origin_lat_secs = value
-                            .parse()
-                            .ok()
-                            .filter(|v: &f64| v.is_finite())
-                            .ok_or_else(bad)?
-                    }
-                    "pcie_bw" => spec.pcie_bw_bps = parse_bandwidth(value).ok_or_else(bad)?,
-                    "pcie_lat" => {
-                        spec.pcie_lat_secs = value
-                            .parse()
-                            .ok()
-                            .filter(|v: &f64| v.is_finite())
-                            .ok_or_else(bad)?
-                    }
-                    "prefetch" => {
-                        spec.prefetch = value
-                            .parse()
-                            .ok()
-                            .filter(|v: &f64| v.is_finite())
-                            .ok_or_else(bad)?
-                    }
-                    "hot" => spec.hot = value.parse().map_err(|_| bad())?,
-                    _ => return Err(bad()),
+        for (field, value) in args.into_iter().flat_map(tokens) {
+            let value = value.ok_or_else(bad_spec)?;
+            let bad = || StoreError::BadField {
+                field: field.to_string(),
+                value: value.to_string(),
+            };
+            match field {
+                "host" => {
+                    let bytes = suffixed(value, 1024.0).filter(|v| *v >= 0.0);
+                    spec.host_bytes = bytes.ok_or_else(bad)? as u64
                 }
+                "origin_bw" => spec.origin_bw_bps = suffixed(value, 1000.0).ok_or_else(bad)?,
+                "origin_lat" => spec.origin_lat_secs = finite(value).ok_or_else(bad)?,
+                "pcie_bw" => spec.pcie_bw_bps = suffixed(value, 1000.0).ok_or_else(bad)?,
+                "pcie_lat" => spec.pcie_lat_secs = finite(value).ok_or_else(bad)?,
+                "prefetch" => spec.prefetch = finite(value).ok_or_else(bad)?,
+                "hot" => spec.hot = value.parse().map_err(|_| bad())?,
+                _ => return Err(bad()),
             }
         }
         spec.validate()?;
@@ -271,14 +228,19 @@ impl StoreSpec {
         if self.key != "flat" && self.key != "tiered" {
             return Err(StoreError::UnknownKey(self.key.clone()));
         }
-        // NaN must fail too, hence the negated comparison shapes.
-        // gfaas-lint: allow(float-ord, NaN-rejecting validation - partial_cmp returning None deliberately fails the check)
-        if self.origin_bw_bps.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(StoreError::BadBounds("origin_bw must be positive".into()));
-        }
-        // gfaas-lint: allow(float-ord, NaN-rejecting validation - partial_cmp returning None deliberately fails the check)
-        if self.pcie_bw_bps.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(StoreError::BadBounds("pcie_bw must be positive".into()));
+        for (name, rate) in [
+            ("origin_bw", self.origin_bw_bps),
+            ("pcie_bw", self.pcie_bw_bps),
+        ] {
+            // NaN must fail too, hence the negated comparison shape.
+            // gfaas-lint: allow(float-ord, NaN-rejecting validation - partial_cmp returning None deliberately fails the check)
+            if rate.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+                return Err(StoreError::BadBounds(format!("{name} must be positive")));
+            }
+            // An infinite link would print as `inf`, which no spec parses.
+            if rate.is_infinite() {
+                return Err(StoreError::BadBounds(format!("{name} must be finite")));
+            }
         }
         if self.origin_lat_secs < 0.0 {
             return Err(StoreError::BadBounds(
@@ -964,6 +926,11 @@ mod tests {
             "tiered:host=x",
             "tiered:wat=1",
             "tiered:origin_bw=inf",
+            // Finite numbers whose scaled value overflows.
+            "tiered:origin_bw=1e307G",
+            "tiered:origin_bw=1e307k",
+            "tiered:pcie_bw=1e307G",
+            "tiered:host=1e307G",
             "flat:host=1G", // flat takes no fields
             "flat:1",
         ] {
@@ -982,6 +949,75 @@ mod tests {
             "hierarchical", // unknown key
         ] {
             assert!(StoreSpec::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn errors_print_exactly() {
+        let bad = |s| format!("malformed store spec {s:?}");
+        let field = |field, value| format!("bad store field {field}={value:?}");
+        let bounds = |why| format!("inconsistent store spec: {why}");
+        let cases = [
+            ("", bad("")),
+            (" FLAT ", bad("FLAT")),
+            ("tiered:", bad("tiered:")),
+            ("tiered:host", bad("tiered:host")),
+            ("flat:host=1G", bad("flat:host=1G")),
+            ("flat:1", bad("flat:1")),
+            (
+                "s3",
+                "unknown store \"s3\" (known: [\"flat\", \"tiered\"])".into(),
+            ),
+            (
+                "hierarchical",
+                "unknown store \"hierarchical\" (known: [\"flat\", \"tiered\"])".into(),
+            ),
+            ("tiered:host=", field("host", "")),
+            ("tiered:host=x", field("host", "x")),
+            ("tiered:host=-1G", field("host", "-1G")),
+            ("tiered:wat=1", field("wat", "1")),
+            ("tiered:origin_bw=inf", field("origin_bw", "inf")),
+            ("tiered:pcie_bw=1e400", field("pcie_bw", "1e400")),
+            ("tiered:origin_lat=NaN", field("origin_lat", "NaN")),
+            ("tiered:hot=-1", field("hot", "-1")),
+            ("tiered:host=1G,prefetch=x", field("prefetch", "x")),
+            ("tiered:origin_bw=0", bounds("origin_bw must be positive")),
+            ("tiered:pcie_bw=-1", bounds("pcie_bw must be positive")),
+            (
+                "tiered:origin_lat=-0.5",
+                bounds("origin_lat must be nonnegative"),
+            ),
+            ("tiered:pcie_lat=-1", bounds("pcie_lat must be nonnegative")),
+            ("tiered:prefetch=-2", bounds("prefetch must be nonnegative")),
+        ];
+        for (s, want) in cases {
+            assert_eq!(StoreSpec::parse(s).unwrap_err().to_string(), want, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_an_infinite_link() {
+        // It would print as `inf`, which no spec parses back.
+        let tiered = StoreSpec::parse("tiered").unwrap();
+        for (name, spec) in [
+            (
+                "origin_bw",
+                StoreSpec {
+                    origin_bw_bps: f64::INFINITY,
+                    ..tiered.clone()
+                },
+            ),
+            (
+                "pcie_bw",
+                StoreSpec {
+                    pcie_bw_bps: f64::INFINITY,
+                    ..tiered.clone()
+                },
+            ),
+        ] {
+            let why = format!("{name} must be finite");
+            assert_eq!(spec.validate(), Err(StoreError::BadBounds(why)));
+            assert!(spec.build().is_err());
         }
     }
 

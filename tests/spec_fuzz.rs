@@ -18,13 +18,14 @@ fn glued(tokens: &'static [&'static str], max: usize) -> impl Strategy<Value = S
 
 /// Numbers every grammar must survive: zero, negatives, fractions,
 /// exponents, infinities, NaN and integers past `u64::MAX`.
-const NUMBERS: [&str; 14] = [
+const NUMBERS: [&str; 15] = [
     "0",
     "1",
     "7",
     "-1",
     "0.5",
     "1e3",
+    "1e307",
     "1e400",
     "-0",
     "inf",
