@@ -14,25 +14,9 @@
 //! cargo run --release -p gfaas-bench --bin ablation_estimation
 //! ```
 
-use gfaas_bench::{paper_trace, run, TablePrinter, REPORT_SEEDS, WORKING_SETS};
+use gfaas_bench::{paper_trace, sweep, TablePrinter, REPORT_SEEDS, WORKING_SETS};
 use gfaas_core::config::BusyWaitPolicy;
 use gfaas_core::{ClusterConfig, PolicySpec};
-
-fn averaged(busy_wait: BusyWaitPolicy, ws: usize) -> (f64, f64, f64) {
-    let mut lat = 0.0;
-    let mut miss = 0.0;
-    let mut dup = 0.0;
-    for &s in &REPORT_SEEDS {
-        let mut cfg = ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"));
-        cfg.busy_wait = busy_wait;
-        let m = run(cfg, &paper_trace(ws, s)).0;
-        lat += m.avg_latency_secs;
-        miss += m.miss_ratio;
-        dup += m.avg_duplicates;
-    }
-    let n = REPORT_SEEDS.len() as f64;
-    (lat / n, miss / n, dup / n)
-}
 
 fn main() {
     println!("Ablation — finish-time estimation in Algorithm 2 (LALBO3)\n");
@@ -42,20 +26,25 @@ fn main() {
         t.header(&["WS", "busy_wait", "avg_lat(s)", "miss_ratio", "duplicates"])
     );
     for ws in WORKING_SETS {
-        for bw in [
+        let traces = REPORT_SEEDS.map(|s| paper_trace(ws, s));
+        for busy_wait in [
             BusyWaitPolicy::Estimate,
             BusyWaitPolicy::Never,
             BusyWaitPolicy::Always,
         ] {
-            let (lat, miss, dup) = averaged(bw, ws);
+            let cfg = ClusterConfig {
+                busy_wait,
+                ..ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"))
+            };
+            let m = sweep(&cfg, &traces).0;
             println!(
                 "{}",
                 t.row(&[
                     ws.to_string(),
-                    format!("{bw:?}"),
-                    format!("{lat:.2}"),
-                    format!("{miss:.3}"),
-                    format!("{dup:.2}"),
+                    format!("{busy_wait:?}"),
+                    format!("{:.2}", m.avg_latency_secs),
+                    format!("{:.3}", m.miss_ratio),
+                    format!("{:.2}", m.avg_duplicates),
                 ])
             );
         }

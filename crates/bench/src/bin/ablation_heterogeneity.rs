@@ -9,7 +9,7 @@
 //! cargo run --release -p gfaas-bench --bin ablation_heterogeneity
 //! ```
 
-use gfaas_bench::{paper_trace, policy_name, run, TablePrinter, REPORT_SEEDS};
+use gfaas_bench::{paper_trace, policy_name, sweep, TablePrinter, REPORT_SEEDS};
 use gfaas_core::{ClusterConfig, PolicySpec};
 use gfaas_gpu::GpuSpec;
 
@@ -34,28 +34,22 @@ fn main() {
         "{}",
         t.header(&["fleet", "sched", "avg_lat(s)", "miss_ratio", "sm_util"])
     );
+    let traces = REPORT_SEEDS.map(|s| paper_trace(25, s));
     for (name, specs) in &fleets {
         for policy in ["lb", "lalbo3"].map(PolicySpec::bare) {
-            let mut lat = 0.0;
-            let mut miss = 0.0;
-            let mut util = 0.0;
-            for &s in &REPORT_SEEDS {
-                let mut cfg = ClusterConfig::paper_testbed(policy.clone());
-                cfg.hetero_specs = Some(specs.clone());
-                let m = run(cfg, &paper_trace(25, s)).0;
-                lat += m.avg_latency_secs;
-                miss += m.miss_ratio;
-                util += m.sm_utilization;
-            }
-            let n = REPORT_SEEDS.len() as f64;
+            let cfg = ClusterConfig {
+                hetero_specs: Some(specs.clone()),
+                ..ClusterConfig::paper_testbed(policy.clone())
+            };
+            let m = sweep(&cfg, &traces).0;
             println!(
                 "{}",
                 t.row(&[
                     name.to_string(),
                     policy_name(&policy),
-                    format!("{:.2}", lat / n),
-                    format!("{:.3}", miss / n),
-                    format!("{:.3}", util / n),
+                    format!("{:.2}", m.avg_latency_secs),
+                    format!("{:.3}", m.miss_ratio),
+                    format!("{:.3}", m.sm_utilization),
                 ])
             );
         }

@@ -13,24 +13,8 @@
 //! cargo run --release -p gfaas-bench --bin ablation_replacement
 //! ```
 
-use gfaas_bench::{paper_trace, run, TablePrinter, REPORT_SEEDS, WORKING_SETS};
+use gfaas_bench::{paper_trace, sweep, TablePrinter, REPORT_SEEDS, WORKING_SETS};
 use gfaas_core::{ClusterConfig, PolicySpec};
-
-fn averaged(policy: &PolicySpec, replacement: &PolicySpec, ws: usize) -> (f64, f64) {
-    let mut lat = 0.0;
-    let mut miss = 0.0;
-    for &s in &REPORT_SEEDS {
-        let cfg = ClusterConfig {
-            replacement: replacement.clone(),
-            ..ClusterConfig::paper_testbed(policy.clone())
-        };
-        let m = run(cfg, &paper_trace(ws, s)).0;
-        lat += m.avg_latency_secs;
-        miss += m.miss_ratio;
-    }
-    let n = REPORT_SEEDS.len() as f64;
-    (lat / n, miss / n)
-}
 
 fn main() {
     println!("Ablation — cache replacement policy under LB and LALBO3\n");
@@ -41,17 +25,22 @@ fn main() {
     );
     let spec = |s: &str| PolicySpec::parse(s).expect("builtin spec");
     for ws in WORKING_SETS {
+        let traces = REPORT_SEEDS.map(|s| paper_trace(ws, s));
         for (policy, pname) in [(spec("lb"), "LB"), (spec("lalbo3"), "LALBO3")] {
             for repl in ["lru", "fifo", "random", "tinylfu"] {
-                let (lat, miss) = averaged(&policy, &spec(repl), ws);
+                let cfg = ClusterConfig {
+                    replacement: spec(repl),
+                    ..ClusterConfig::paper_testbed(policy.clone())
+                };
+                let m = sweep(&cfg, &traces).0;
                 println!(
                     "{}",
                     t.row(&[
                         ws.to_string(),
                         pname.to_string(),
                         repl.to_string(),
-                        format!("{lat:.2}"),
-                        format!("{miss:.3}"),
+                        format!("{:.2}", m.avg_latency_secs),
+                        format!("{:.3}", m.miss_ratio),
                     ])
                 );
             }

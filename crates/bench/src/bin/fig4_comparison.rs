@@ -6,9 +6,10 @@
 //! ```
 
 use gfaas_bench::{
-    paper_policies, policy_name, reduction_pct, run_replicated, AveragedMetrics, TablePrinter,
+    paper_policies, paper_trace, policy_name, reduction_pct, sweep, AveragedMetrics, TablePrinter,
     REPORT_SEEDS, WORKING_SETS,
 };
+use gfaas_core::ClusterConfig;
 
 fn main() {
     println!("Fig 4 — scheduler comparison on the paper testbed (12x RTX 2080,");
@@ -32,9 +33,10 @@ fn main() {
     );
 
     for ws in WORKING_SETS {
+        let traces = REPORT_SEEDS.map(|s| paper_trace(ws, s));
         let mut baseline: Option<AveragedMetrics> = None;
         for policy in paper_policies() {
-            let m = run_replicated(&policy, ws, &REPORT_SEEDS);
+            let m = sweep(&ClusterConfig::paper_testbed(policy.clone()), &traces).0;
             let (lat_red, miss_red) = match &baseline {
                 Some(b) => (
                     reduction_pct(b.avg_latency_secs, m.avg_latency_secs),

@@ -11,9 +11,10 @@
 //! ```
 
 use gfaas_bench::{
-    paper_policies, policy_name, reduction_pct, run_replicated, TablePrinter, REPORT_SEEDS,
+    paper_policies, paper_trace, policy_name, reduction_pct, sweep, TablePrinter, REPORT_SEEDS,
     WORKING_SETS,
 };
+use gfaas_core::ClusterConfig;
 
 fn main() {
     println!(
@@ -26,9 +27,10 @@ fn main() {
         t.header(&["WS", "policy", "false_miss", "red_vs_LB(%)"])
     );
     for ws in WORKING_SETS {
+        let traces = REPORT_SEEDS.map(|s| paper_trace(ws, s));
         let mut lb = 0.0;
         for policy in paper_policies() {
-            let m = run_replicated(&policy, ws, &REPORT_SEEDS);
+            let m = sweep(&ClusterConfig::paper_testbed(policy.clone()), &traces).0;
             if policy.key() == "lb" {
                 lb = m.false_miss_ratio;
             }

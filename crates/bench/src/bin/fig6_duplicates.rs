@@ -10,9 +10,10 @@
 //! ```
 
 use gfaas_bench::{
-    paper_policies, policy_name, reduction_pct, run_replicated, TablePrinter, REPORT_SEEDS,
+    paper_policies, paper_trace, policy_name, reduction_pct, sweep, TablePrinter, REPORT_SEEDS,
     WORKING_SETS,
 };
+use gfaas_core::ClusterConfig;
 
 fn main() {
     println!(
@@ -25,9 +26,10 @@ fn main() {
         t.header(&["WS", "policy", "duplicates", "red_vs_LB(%)"])
     );
     for ws in WORKING_SETS {
+        let traces = REPORT_SEEDS.map(|s| paper_trace(ws, s));
         let mut lb = 0.0;
         for policy in paper_policies() {
-            let m = run_replicated(&policy, ws, &REPORT_SEEDS);
+            let m = sweep(&ClusterConfig::paper_testbed(policy.clone()), &traces).0;
             if policy.key() == "lb" {
                 lb = m.avg_duplicates;
             }

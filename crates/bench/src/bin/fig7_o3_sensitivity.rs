@@ -9,8 +9,8 @@
 //! cargo run --release -p gfaas-bench --bin fig7_o3_sensitivity
 //! ```
 
-use gfaas_bench::{reduction_pct, run_replicated, TablePrinter, REPORT_SEEDS};
-use gfaas_core::PolicySpec;
+use gfaas_bench::{paper_trace, reduction_pct, sweep, TablePrinter, REPORT_SEEDS};
+use gfaas_core::{ClusterConfig, PolicySpec};
 
 /// The paper's x-axis.
 const LIMITS: [u32; 10] = [0, 5, 10, 15, 20, 25, 30, 35, 40, 45];
@@ -27,11 +27,12 @@ fn main() {
         "{}",
         t.header(&["limit", "avg_lat(s)", "miss_ratio", "lat_variance"])
     );
+    let traces = REPORT_SEEDS.map(|s| paper_trace(WORKING_SET, s));
     let mut base: Option<(f64, f64, f64)> = None;
     let mut last: Option<(f64, f64, f64)> = None;
     for limit in LIMITS {
         let policy = PolicySpec::parse(&format!("lalbo3:{limit}")).expect("valid limit");
-        let m = run_replicated(&policy, WORKING_SET, &REPORT_SEEDS);
+        let m = sweep(&ClusterConfig::paper_testbed(policy), &traces).0;
         println!(
             "{}",
             t.row(&[

@@ -15,8 +15,8 @@
 //! that elastic capacity cuts GPU-seconds at equal-or-better latency.
 
 use gfaas_bench::cli::{seeds, Flags};
-use gfaas_bench::{run, AveragedMetrics, TablePrinter, REPORT_SEEDS};
-use gfaas_core::{AutoscaleSpec, ClusterConfig, RunMetrics};
+use gfaas_bench::{sweep, AveragedMetrics, TablePrinter, REPORT_SEEDS};
+use gfaas_core::{AutoscaleSpec, ClusterConfig};
 use gfaas_workload::scenario::find;
 use gfaas_workload::Scale;
 
@@ -65,17 +65,11 @@ fn main() {
     for scale in scales {
         let traces: Vec<_> = seeds.iter().map(|&s| scenario.trace(&scale, s)).collect();
         let mode = |autoscale: Option<&AutoscaleSpec>| -> AveragedMetrics {
-            let runs: Vec<RunMetrics> = traces
-                .iter()
-                .map(|tr| {
-                    let cfg = ClusterConfig {
-                        autoscale: autoscale.cloned(),
-                        ..ClusterConfig::default()
-                    };
-                    run(cfg, tr).0
-                })
-                .collect();
-            AveragedMetrics::from_runs(&runs)
+            let cfg = ClusterConfig {
+                autoscale: autoscale.cloned(),
+                ..ClusterConfig::default()
+            };
+            sweep(&cfg, &traces).0
         };
         let fixed = mode(None);
         let auto = mode(Some(&autoscale));

@@ -17,8 +17,8 @@
 //! latency.
 
 use gfaas_bench::cli::{seeds, Flags};
-use gfaas_bench::{parse_cli_spec, run, AveragedMetrics, SpecKind, TablePrinter, REPORT_SEEDS};
-use gfaas_core::{ClusterConfig, PolicySpec, RunMetrics};
+use gfaas_bench::{parse_cli_spec, sweep, AveragedMetrics, SpecKind, TablePrinter, REPORT_SEEDS};
+use gfaas_core::{ClusterConfig, PolicySpec};
 use gfaas_workload::scenario::find;
 use gfaas_workload::Scale;
 
@@ -93,17 +93,11 @@ fn main() {
             let traces: Vec<_> = seeds.iter().map(|&s| sc.trace(scale, s)).collect();
             let mut baseline: Option<AveragedMetrics> = None;
             for batching in &batchings {
-                let runs: Vec<RunMetrics> = traces
-                    .iter()
-                    .map(|tr| {
-                        let cfg = ClusterConfig {
-                            batching: batching.clone(),
-                            ..ClusterConfig::default()
-                        };
-                        run(cfg, tr).0
-                    })
-                    .collect();
-                let m = AveragedMetrics::from_runs(&runs);
+                let cfg = ClusterConfig {
+                    batching: batching.clone(),
+                    ..ClusterConfig::default()
+                };
+                let m = sweep(&cfg, &traces).0;
                 let gain = baseline.as_ref().map(|b| {
                     100.0
                         * (m.requests_per_busy_gpu_second() / b.requests_per_busy_gpu_second()

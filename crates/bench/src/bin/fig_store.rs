@@ -25,7 +25,7 @@
 //! smoke mode.
 
 use gfaas_bench::cli::Flags;
-use gfaas_bench::{run, AveragedMetrics, TablePrinter, REPORT_SEEDS};
+use gfaas_bench::{sweep, AveragedMetrics, TablePrinter, REPORT_SEEDS};
 use gfaas_core::{AutoscaleSpec, ClusterConfig, PolicySpec, StoreSpec, StoreStats};
 use gfaas_trace::Trace;
 use gfaas_workload::scenario::find;
@@ -42,42 +42,6 @@ struct Row {
     label: String,
     metrics: AveragedMetrics,
     stats: StoreStats,
-}
-
-fn sweep(
-    policy: &PolicySpec,
-    autoscale: Option<&AutoscaleSpec>,
-    stores: &[(String, StoreSpec)],
-    traces: &[Trace],
-) -> Vec<Row> {
-    stores
-        .iter()
-        .map(|(label, store)| {
-            let mut runs = Vec::with_capacity(traces.len());
-            let mut stats = StoreStats::default();
-            for trace in traces {
-                let cfg = ClusterConfig {
-                    autoscale: autoscale.cloned(),
-                    store: store.clone(),
-                    ..ClusterConfig::paper_testbed(policy.clone())
-                };
-                let (m, cluster) = run(cfg, trace);
-                let s = cluster.store_stats();
-                runs.push(m);
-                stats.host_hits += s.host_hits;
-                stats.origin_loads += s.origin_loads;
-                stats.prefetches += s.prefetches;
-                stats.prefetch_joins += s.prefetch_joins;
-                stats.demotions += s.demotions;
-                stats.host_evictions += s.host_evictions;
-            }
-            Row {
-                label: label.clone(),
-                metrics: AveragedMetrics::from_runs(&runs),
-                stats,
-            }
-        })
-        .collect()
 }
 
 fn print_table(title: &str, rows: &[Row]) {
@@ -152,14 +116,41 @@ fn main() {
         }
     }
 
+    let rows = |autoscale: Option<&AutoscaleSpec>| -> Vec<Row> {
+        stores
+            .iter()
+            .map(|(label, store)| {
+                let cfg = ClusterConfig {
+                    autoscale: autoscale.cloned(),
+                    store: store.clone(),
+                    ..ClusterConfig::paper_testbed(policy.clone())
+                };
+                let (metrics, clusters) = sweep(&cfg, &traces);
+                let mut stats = StoreStats::default();
+                for s in clusters.iter().map(|c| c.store_stats()) {
+                    stats.host_hits += s.host_hits;
+                    stats.origin_loads += s.origin_loads;
+                    stats.prefetches += s.prefetches;
+                    stats.prefetch_joins += s.prefetch_joins;
+                    stats.demotions += s.demotions;
+                }
+                Row {
+                    label: label.clone(),
+                    metrics,
+                    stats,
+                }
+            })
+            .collect()
+    };
+
     println!(
         "Storage hierarchy — diurnal / {policy} ({} scale, {} seed(s))\n",
         scale.name,
         seeds.len()
     );
-    let fixed = sweep(&policy, None, &stores, &traces);
+    let fixed = rows(None);
     print_table("fixed 12-GPU testbed (evict-demote only):", &fixed);
-    let storm = sweep(&policy, Some(&autoscale), &stores, &traces);
+    let storm = rows(Some(&autoscale));
     print_table(
         &format!("cold-start storm (autoscale {autoscale}):"),
         &storm,

@@ -71,10 +71,12 @@ fn main() {
         cfg.store = store;
     }
     let seed: u64 = flags.value("seed").unwrap_or(11);
-    let mut sample_secs: f64 = flags
-        .value("sample")
+    // `--sample`/`--slo` get the check `--record sample=S,slo=T` gets.
+    let secs = |key: &str| flags.get(key, |v| format!("{key}={v}").parse::<RecordSpec>());
+    let mut sample_secs = secs("sample")
+        .and_then(|r| r.sample_secs)
         .unwrap_or(RecordSpec::DEFAULT_SAMPLE_SECS);
-    let slo_secs: f64 = flags.value("slo").unwrap_or(10.0);
+    let slo_secs = secs("slo").and_then(|r| r.slo_secs).unwrap_or(10.0);
     let scale = if smoke {
         Scale::smoke()
     } else {

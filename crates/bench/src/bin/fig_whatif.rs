@@ -24,7 +24,7 @@
 //! p95 latency or makespan-throughput on at least one scenario.
 
 use gfaas_bench::cli::Flags;
-use gfaas_bench::{run, AveragedMetrics, TablePrinter, REPORT_SEEDS};
+use gfaas_bench::{sweep, AveragedMetrics, TablePrinter, REPORT_SEEDS};
 use gfaas_core::snap::JournalStats;
 use gfaas_core::{ClusterConfig, PolicySpec};
 use gfaas_trace::Trace;
@@ -42,29 +42,6 @@ struct Row {
     label: String,
     metrics: AveragedMetrics,
     journal: JournalStats,
-}
-
-fn sweep(policies: &[(String, PolicySpec)], traces: &[Trace]) -> Vec<Row> {
-    policies
-        .iter()
-        .map(|(label, policy)| {
-            let mut runs = Vec::with_capacity(traces.len());
-            let mut journal = JournalStats::default();
-            for trace in traces {
-                let (m, cluster) = run(ClusterConfig::paper_testbed(policy.clone()), trace);
-                let j = cluster.journal_stats();
-                runs.push(m);
-                journal.snapshots += j.snapshots;
-                journal.rollbacks += j.rollbacks;
-                journal.commits += j.commits;
-            }
-            Row {
-                label: label.clone(),
-                metrics: AveragedMetrics::from_runs(&runs),
-                journal,
-            }
-        })
-        .collect()
 }
 
 fn throughput(m: &AveragedMetrics) -> f64 {
@@ -147,7 +124,23 @@ fn main() {
     for name in ["burst", "flash_crowd"] {
         let sc = find(name).expect("scenario registered");
         let traces: Vec<Trace> = seeds.iter().map(|&s| sc.trace(&scale, s)).collect();
-        let rows = sweep(&policies, &traces);
+        let rows: Vec<Row> = policies
+            .iter()
+            .map(|(label, policy)| {
+                let cfg = ClusterConfig::paper_testbed(policy.clone());
+                let (metrics, clusters) = sweep(&cfg, &traces);
+                let mut journal = JournalStats::default();
+                for j in clusters.iter().map(|c| c.journal_stats()) {
+                    journal.snapshots += j.snapshots;
+                    journal.rollbacks += j.rollbacks;
+                }
+                Row {
+                    label: label.clone(),
+                    metrics,
+                    journal,
+                }
+            })
+            .collect();
         print_table(&format!("{name}:"), &rows);
 
         let base = &rows[0];

@@ -33,13 +33,13 @@
 //! the checkpoint and replays only the remainder — same metrics, no
 //! re-simulation of the prefix. Both require exactly one seed.
 
-use gfaas_bench::cli::{seeds, Flags};
-use gfaas_bench::{parse_cli_spec, SpecKind};
+use gfaas_bench::cli::{fail, ranged, seeds, Flags};
+use gfaas_bench::{parse_cli_spec, sweep, SpecKind};
 use gfaas_core::{
     Cluster, ClusterConfig, PolicyRegistry, PolicySpec, RecordSpec, RunMetrics, StoreSpec,
 };
 use gfaas_models::ModelRegistry;
-use gfaas_trace::AzureTraceConfig;
+use gfaas_trace::azure::{AzureTraceConfig, AZURE_TOTAL_FUNCTIONS, PAPER_BURSTINESS};
 
 fn usage() -> ! {
     eprintln!(
@@ -110,6 +110,28 @@ fn write_file(path: &str, contents: &str, what: &str) {
     eprintln!("wrote {what} to {path}");
 }
 
+/// Reads `--ws`: a working set the Azure function population can hold.
+fn working_set(flags: &Flags) -> usize {
+    let fits = |n: &usize| (1..=AZURE_TOTAL_FUNCTIONS).contains(n);
+    let ws = flags.get("ws", ranged(fits, "want 1 to the Azure function count"));
+    ws.unwrap_or(25)
+}
+
+fn print_store_stats(cluster: &Cluster) {
+    if !cluster.config().store.is_flat() {
+        let s = cluster.store_stats();
+        println!(
+            "store {}: host_hits {} origin {} prefetches {} joins {} demotions {}",
+            cluster.store_name(),
+            s.host_hits,
+            s.origin_loads,
+            s.prefetches,
+            s.prefetch_joins,
+            s.demotions
+        );
+    }
+}
+
 fn cmd_run(flags: Flags) {
     let policy = flags
         .get("policy", |s| parse_cli_spec(s, SpecKind::Scheduler))
@@ -121,10 +143,14 @@ fn cmd_run(flags: Flags) {
     let policy_name = PolicyRegistry::builtin()
         .scheduler_name(&policy)
         .expect("validated above");
-    let ws: usize = flags.value("ws").unwrap_or(25);
+    let ws = working_set(&flags);
     let seeds: Vec<u64> = flags
         .get("seeds", seeds)
         .unwrap_or_else(|| vec![flags.value("seed").unwrap_or(11)]);
+    let non_negative = |x: &f64| x.is_finite() && *x >= 0.0;
+    let want = "want a finite number >= 0";
+    let burstiness = flags.get("burstiness", ranged(non_negative, want));
+    let checkpoint_at = flags.get("checkpoint-at", ranged(non_negative, want));
     let record: RecordSpec = flags.value("record").unwrap_or_default();
     for (flag, needs) in [
         ("trace-out", "perfetto"),
@@ -152,111 +178,100 @@ fn cmd_run(flags: Flags) {
         eprintln!("checkpointing needs exactly one seed (got {})", seeds.len());
         usage();
     }
-    let mut runs = Vec::new();
-    for &seed in &seeds {
-        let mut tc = AzureTraceConfig::paper(ws, seed);
-        tc.burstiness = flags.value("burstiness").unwrap_or(tc.burstiness);
-        let trace = tc.generate();
-        let mut cfg = ClusterConfig::paper_testbed(policy.clone());
-        cfg.num_gpus = flags.value("gpus").unwrap_or(cfg.num_gpus);
-        cfg.mem_headroom_mib = flags.value("headroom").unwrap_or(cfg.mem_headroom_mib);
-        cfg.num_tenants = flags.value("tenants").unwrap_or(cfg.num_tenants);
-        cfg.tenant_max_inflight = flags.value("tenant-cap").or(cfg.tenant_max_inflight);
-        cfg.replacement = replacement.clone();
-        cfg.store = store.clone();
-        cfg.record = record;
-        let mut cluster = Cluster::new(cfg, ModelRegistry::table1());
-        let m = if let Some(path) = flags.text("warm-start") {
-            let bytes = std::fs::read(path).unwrap_or_else(|e| {
-                eprintln!("cannot read checkpoint {path}: {e}");
-                std::process::exit(2);
-            });
-            // The checkpoint header pins config and trace digests, so a
-            // warm start under different flags fails here, loudly.
-            cluster.restore(&bytes, &trace).unwrap_or_else(|e| {
-                eprintln!("cannot warm-start from {path}: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("warm-started from {path} ({} bytes)", bytes.len());
-            cluster.resume(&trace)
-        } else if let Some(secs) = flags.value::<f64>("checkpoint-at") {
-            cluster.run_until(&trace, gfaas_sim::time::SimTime::from_secs_f64(secs));
-            let bytes = cluster.checkpoint(&trace);
-            if let Some(path) = flags.text("checkpoint-out") {
-                if let Err(e) = std::fs::write(path, &bytes) {
-                    eprintln!("cannot write checkpoint to {path}: {e}");
-                    std::process::exit(2);
-                }
-                eprintln!(
-                    "wrote checkpoint at t={secs}s to {path} ({} bytes)",
-                    bytes.len()
-                );
-            }
-            cluster.resume(&trace)
-        } else {
-            cluster.run(&trace)
-        };
-        if !store.is_flat() {
-            let s = cluster.store_stats();
-            println!(
-                "store {}: host_hits {} origin {} prefetches {} joins {} demotions {}",
-                cluster.store_name(),
-                s.host_hits,
-                s.origin_loads,
-                s.prefetches,
-                s.prefetch_joins,
-                s.demotions
-            );
-        }
-        if let Some(json) = cluster.perfetto_json() {
-            if let Some(path) = flags.text("trace-out") {
-                write_file(path, &json, "Perfetto trace");
-            } else {
-                eprintln!(
-                    "note: perfetto trace recorded ({} bytes); pass --trace-out FILE to keep it",
-                    json.len()
-                );
-            }
-        }
-        if let Some(ledger) = cluster.ledger() {
-            if let Some(path) = flags.text("ledger-out") {
-                write_file(path, &ledger.to_csv(), "lifecycle ledger");
-            }
-            let seg = ledger.segment_summary();
-            println!(
-                "ledger: {} completed, {} SLO misses; mean segments (s): {}",
-                ledger.completed(),
-                ledger.slo_misses(),
-                seg
-            );
-        }
-        if let Some(series) = cluster.time_series() {
-            if let Some(path) = flags.text("series-out") {
-                write_file(path, &series.to_csv(), "time series");
-            }
-            println!("sampler: {} windows recorded", series.rows().len());
-        }
-        runs.push(m);
-    }
-    if runs.len() == 1 {
-        print_metrics(&format!("{policy_name} ws{ws} seed{}", seeds[0]), &runs[0]);
-    } else {
-        let avg = gfaas_bench::AveragedMetrics::from_runs(&runs);
+    let paper = |seed| AzureTraceConfig {
+        burstiness: burstiness.unwrap_or(PAPER_BURSTINESS),
+        ..AzureTraceConfig::paper(ws, seed)
+    };
+    let traces: Vec<_> = seeds.iter().map(|&s| paper(s).generate()).collect();
+    let mut cfg = ClusterConfig::paper_testbed(policy);
+    cfg.num_gpus = flags.value("gpus").unwrap_or(cfg.num_gpus);
+    cfg.mem_headroom_mib = flags.value("headroom").unwrap_or(cfg.mem_headroom_mib);
+    cfg.num_tenants = flags.value("tenants").unwrap_or(cfg.num_tenants);
+    cfg.tenant_max_inflight = flags.value("tenant-cap").or(cfg.tenant_max_inflight);
+    cfg.replacement = replacement;
+    cfg.store = store;
+    cfg.record = record;
+    let mut cluster = Cluster::try_new(cfg.clone(), ModelRegistry::table1())
+        .unwrap_or_else(|e| fail(usage, format!("invalid cluster config: {e}")));
+    let [trace] = &traces[..] else {
+        let (avg, clusters) = sweep(&cfg, &traces);
+        clusters.iter().for_each(print_store_stats);
         println!(
             "{} ws{ws} over {} seeds: lat {:.3} s  miss {:.4}  false {:.4}  util {:.4}  dup {:.3}",
             policy_name,
-            runs.len(),
+            avg.runs,
             avg.avg_latency_secs,
             avg.miss_ratio,
             avg.false_miss_ratio,
             avg.sm_utilization,
             avg.avg_duplicates
         );
+        return;
+    };
+    let m = if let Some(path) = flags.text("warm-start") {
+        let bytes = std::fs::read(path).unwrap_or_else(|e| {
+            eprintln!("cannot read checkpoint {path}: {e}");
+            std::process::exit(2);
+        });
+        // The checkpoint header pins config and trace digests, so a
+        // warm start under different flags fails here, loudly.
+        cluster.restore(&bytes, trace).unwrap_or_else(|e| {
+            eprintln!("cannot warm-start from {path}: {e}");
+            std::process::exit(2);
+        });
+        eprintln!("warm-started from {path} ({} bytes)", bytes.len());
+        cluster.resume(trace)
+    } else if let Some(secs) = checkpoint_at {
+        cluster.run_until(trace, gfaas_sim::time::SimTime::from_secs_f64(secs));
+        let bytes = cluster.checkpoint(trace);
+        if let Some(path) = flags.text("checkpoint-out") {
+            if let Err(e) = std::fs::write(path, &bytes) {
+                eprintln!("cannot write checkpoint to {path}: {e}");
+                std::process::exit(2);
+            }
+            eprintln!(
+                "wrote checkpoint at t={secs}s to {path} ({} bytes)",
+                bytes.len()
+            );
+        }
+        cluster.resume(trace)
+    } else {
+        cluster.run(trace)
+    };
+    print_store_stats(&cluster);
+    if let Some(json) = cluster.perfetto_json() {
+        if let Some(path) = flags.text("trace-out") {
+            write_file(path, &json, "Perfetto trace");
+        } else {
+            eprintln!(
+                "note: perfetto trace recorded ({} bytes); pass --trace-out FILE to keep it",
+                json.len()
+            );
+        }
     }
+    if let Some(ledger) = cluster.ledger() {
+        if let Some(path) = flags.text("ledger-out") {
+            write_file(path, &ledger.to_csv(), "lifecycle ledger");
+        }
+        let seg = ledger.segment_summary();
+        println!(
+            "ledger: {} completed, {} SLO misses; mean segments (s): {}",
+            ledger.completed(),
+            ledger.slo_misses(),
+            seg
+        );
+    }
+    if let Some(series) = cluster.time_series() {
+        if let Some(path) = flags.text("series-out") {
+            write_file(path, &series.to_csv(), "time series");
+        }
+        println!("sampler: {} windows recorded", series.rows().len());
+    }
+    print_metrics(&format!("{policy_name} ws{ws} seed{}", seeds[0]), &m);
 }
 
 fn cmd_trace(flags: Flags) {
-    let ws: usize = flags.value("ws").unwrap_or(25);
+    let ws = working_set(&flags);
     let seed: u64 = flags.value("seed").unwrap_or(11);
     let trace = AzureTraceConfig::paper(ws, seed).generate();
     match flags.text("out") {

@@ -25,8 +25,8 @@
 //! paper scale with default policies reproduce `fig4_comparison`'s WS 25
 //! numbers exactly (same traces, same seeds, same cluster).
 
-use gfaas_bench::cli::{seeds, Flags};
-use gfaas_bench::{parse_cli_spec, run, ScenarioSuite, SpecKind, TablePrinter};
+use gfaas_bench::cli::{ranged, seeds, Flags};
+use gfaas_bench::{parse_cli_spec, sweep, ScenarioSuite, SpecKind, TablePrinter};
 use gfaas_core::{AutoscaleSpec, ClusterConfig, PolicySpec, RecordSpec, StoreSpec};
 use gfaas_sim::spec;
 use gfaas_trace::AzureFunctionsDataset;
@@ -121,12 +121,7 @@ fn parse_suite(args: &[String]) -> Cli {
         let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
         AzureFunctionsDataset::read_csv(std::io::BufReader::new(file)).map_err(|e| e.to_string())
     });
-    if let Some(threads) = flags.get("threads", |n| {
-        n.parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or("want a positive integer")
-    }) {
+    if let Some(threads) = flags.get("threads", ranged(|&n| n >= 1, "want a positive integer")) {
         suite.threads = threads;
     }
     let record = flags.value::<RecordSpec>("record");
@@ -312,12 +307,12 @@ fn main() {
             record,
             ..suite.config.clone()
         };
-        let (metrics, cluster) = run(cfg, &trace);
+        let (recorded_avg, clusters) = sweep(&cfg, std::slice::from_ref(&trace));
+        let cluster = &clusters[0];
         println!(
             "\nRecorded cell {}/{} seed {} (--record {record}):",
             scenario.name, suite.policies[0], seed
         );
-        let recorded_avg = gfaas_bench::AveragedMetrics::from_runs(std::slice::from_ref(&metrics));
         if let Some(expected) = matrix_metrics {
             assert_eq!(
                 recorded_avg, expected,

@@ -19,7 +19,7 @@ pub struct Flags {
 }
 
 /// Prints `why` and exits through `usage`.
-fn fail(usage: fn() -> !, why: impl Display) -> ! {
+pub fn fail(usage: fn() -> !, why: impl Display) -> ! {
     eprintln!("{why}");
     usage()
 }
@@ -89,6 +89,15 @@ impl Flags {
     {
         self.get(name, str::parse)
     }
+}
+
+/// A reader for a number that must satisfy `ok`; a value that does not
+/// parse or falls outside is refused with `want`.
+pub fn ranged<T: FromStr>(
+    ok: impl Fn(&T) -> bool,
+    want: &'static str,
+) -> impl Fn(&str) -> Result<T, &'static str> {
+    move |v| v.parse().ok().filter(&ok).ok_or(want)
 }
 
 /// Reads a `--seeds a,b,c` list.

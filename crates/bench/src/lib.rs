@@ -20,13 +20,14 @@
 //!
 //! This library holds the shared experiment-running and table-formatting
 //! code those binaries use. Every run is named by its `ClusterConfig`
-//! and goes through [`run`]. Policies are named by `gfaas-core` policy
-//! specs (`"lalbo3:25"`, `"tinylfu:0.9"`), so anything in the
-//! [`PolicyRegistry`] — including evictors beyond the paper's LRU — can
-//! be swept without touching this crate. [`cli`] is the flag reader the
-//! report binaries share. [`counters`] holds the benchmark's counter
-//! gate and [`compare`] its paired comparison of two commits (both run
-//! by `bench_counters`).
+//! and goes through [`run`]; every seed average goes through [`sweep`],
+//! which runs one config on a trace per seed. Policies are named by
+//! `gfaas-core` policy specs (`"lalbo3:25"`, `"tinylfu:0.9"`), so
+//! anything in the [`PolicyRegistry`] — including evictors beyond the
+//! paper's LRU — can be swept without touching this crate. [`cli`] is
+//! the flag reader the report binaries share. [`counters`] holds the
+//! benchmark's counter gate and [`compare`] its paired comparison of two
+//! commits (both run by `bench_counters`).
 
 pub mod cli;
 pub mod compare;
@@ -64,13 +65,6 @@ pub fn paper_trace(working_set: usize, seed: u64) -> Trace {
     AzureTraceConfig::paper(working_set, seed).generate()
 }
 
-/// Runs one experiment: the paper testbed (12 GPUs) under `policy` on a
-/// working set of `working_set`, with the trace generated from `seed`.
-pub fn run_experiment(policy: &PolicySpec, working_set: usize, seed: u64) -> RunMetrics {
-    let trace = paper_trace(working_set, seed);
-    run(ClusterConfig::paper_testbed(policy.clone()), &trace).0
-}
-
 /// Runs `cfg` over `trace` on the Table I model registry: the one way
 /// the harness names a run. Returns the metrics and the finished
 /// cluster, off which callers read whatever else the run produced
@@ -87,15 +81,16 @@ pub fn run(cfg: ClusterConfig, trace: &Trace) -> (RunMetrics, Cluster) {
     (metrics, cluster)
 }
 
-/// Averages metrics across `seeds` trace realisations (reduces the
-/// shuffle-noise in reported numbers; the paper runs real minutes, we can
-/// afford replication).
-pub fn run_replicated(policy: &PolicySpec, working_set: usize, seeds: &[u64]) -> AveragedMetrics {
-    let runs: Vec<RunMetrics> = seeds
-        .iter()
-        .map(|&s| run_experiment(policy, working_set, s))
-        .collect();
-    AveragedMetrics::from_runs(&runs)
+/// Runs `cfg` on each of `traces` (one per seed) through [`run`], the one
+/// way the harness averages over seeds. Returns the seed-averaged metrics
+/// and the finished clusters in trace order.
+///
+/// # Panics
+/// As [`run`].
+pub fn sweep(cfg: &ClusterConfig, traces: &[Trace]) -> (AveragedMetrics, Vec<Cluster>) {
+    let (runs, clusters): (Vec<RunMetrics>, Vec<Cluster>) =
+        traces.iter().map(|t| run(cfg.clone(), t)).unzip();
+    (AveragedMetrics::from_runs(&runs), clusters)
 }
 
 /// Seed set used by the report binaries.
@@ -350,21 +345,15 @@ impl ScenarioSuite {
         let compute = |&(r, p): &(usize, usize)| -> SuiteCell {
             let (name, traces, _) = &rows[r];
             let policy = &self.policies[p];
-            let runs: Vec<RunMetrics> = traces
-                .iter()
-                .map(|t| {
-                    let cfg = ClusterConfig {
-                        policy: policy.clone(),
-                        ..self.config.clone()
-                    };
-                    run(cfg, t).0
-                })
-                .collect();
+            let cfg = ClusterConfig {
+                policy: policy.clone(),
+                ..self.config.clone()
+            };
             SuiteCell {
                 scenario: name,
                 policy: policy.clone(),
                 policy_name: policy_names[p].clone(),
-                metrics: AveragedMetrics::from_runs(&runs),
+                metrics: sweep(&cfg, traces).0,
             }
         };
         let workers = self.threads.max(1).min(jobs.len().max(1));
@@ -489,11 +478,30 @@ mod tests {
 
     #[test]
     fn averaged_metrics_mean_runs() {
-        let a = run_experiment(&PolicySpec::bare("lalbo3"), 15, 1);
-        let b = a.clone();
-        let avg = AveragedMetrics::from_runs(&[a.clone(), b]);
+        let cfg = ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"));
+        let trace = paper_trace(15, 1);
+        let a = run(cfg.clone(), &trace).0;
+        let avg = sweep(&cfg, &[trace.clone(), trace]).0;
         assert_eq!(avg.runs, 2);
         assert!((avg.avg_latency_secs - a.avg_latency_secs).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sweep_returns_clusters_in_trace_order() {
+        let cfg = ClusterConfig::paper_testbed(PolicySpec::bare("lalbo3"));
+        let traces = [paper_trace(15, 1), paper_trace(35, 2)];
+        let (avg, clusters) = sweep(&cfg, &traces);
+        let direct: Vec<(RunMetrics, Cluster)> =
+            traces.iter().map(|t| run(cfg.clone(), t)).collect();
+        let counters = |c: &Cluster| (c.store_stats(), c.evictions(), c.local_moves());
+        assert_ne!(counters(&direct[0].1), counters(&direct[1].1));
+        assert_eq!(clusters.len(), 2);
+        for (swept, (_, ran)) in clusters.iter().zip(&direct) {
+            assert_eq!(counters(swept), counters(ran));
+        }
+        let runs: Vec<RunMetrics> = direct.into_iter().map(|(m, _)| m).collect();
+        assert_ne!(runs[0], runs[1]);
+        assert_eq!(avg, AveragedMetrics::from_runs(&runs));
     }
 
     #[test]
@@ -507,7 +515,8 @@ mod tests {
         let report = suite.run();
         assert_eq!(report.cells.len(), 1);
         assert_eq!(report.cells[0].policy_name, "LALB");
-        let via_fig4 = run_replicated(&PolicySpec::bare("lalb"), 25, &REPORT_SEEDS);
+        let cfg = ClusterConfig::paper_testbed(PolicySpec::bare("lalb"));
+        let via_fig4 = sweep(&cfg, &REPORT_SEEDS.map(|s| paper_trace(25, s))).0;
         assert_eq!(report.cells[0].metrics, via_fig4);
     }
 

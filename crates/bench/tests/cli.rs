@@ -1,6 +1,7 @@
 //! The report CLIs read their command lines through `gfaas_bench::cli`:
-//! a malformed one exits 2 with the binary's usage text on stderr before
-//! anything runs, and a `--policy` list keeps multi-field specs whole.
+//! a malformed one, or a number out of its range, exits 2 with the
+//! binary's usage text on stderr before anything runs (and never
+//! panics), and a `--policy` list keeps multi-field specs whole.
 
 use std::process::{Command, Output};
 
@@ -30,6 +31,10 @@ fn malformed_command_lines_exit_2_with_usage() {
                 &["--smoke", "--seed"],
                 &["--seed", "x"],
                 &["--batching", "coalesce:max=0"],
+                &["--smoke", "--sample", "0"],
+                &["--smoke", "--sample", "NaN"],
+                &["--smoke", "--slo", "NaN"],
+                &["--smoke", "--slo", "-1"],
             ],
         ),
         (
@@ -66,6 +71,13 @@ fn malformed_command_lines_exit_2_with_usage() {
                 &["run", "--ws", "x", "--ws", "15"],
                 &["run", "--store", "tiered:origin_bw=1e307G"],
                 &["trace", "--seed", "-1"],
+                &["run", "--gpus", "0"],
+                &["run", "--ws", "0"],
+                &["trace", "--ws", "0"],
+                &["run", "--burstiness", "inf"],
+                &["run", "--burstiness", "NaN"],
+                &["run", "--checkpoint-at", "NaN"],
+                &["run", "--checkpoint-at", "-5"],
             ],
         ),
     ];
@@ -75,6 +87,7 @@ fn malformed_command_lines_exit_2_with_usage() {
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
             assert!(stderr.contains("usage:"), "{bin} {args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
             assert!(out.stdout.is_empty(), "{bin} {args:?} printed to stdout");
         }
     }

@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use gfaas_bench::{run, AveragedMetrics, REPORT_SEEDS};
+use gfaas_bench::{run, sweep, AveragedMetrics, REPORT_SEEDS};
 use gfaas_core::{Cluster, ClusterConfig, PolicySpec, RunMetrics};
 use gfaas_faas::Datastore;
 use gfaas_models::ModelRegistry;
@@ -129,13 +129,8 @@ fn burst_coalescing_lifts_throughput_without_hurting_p95() {
     let scale = Scale::paper();
     let scenario = find("burst").expect("burst scenario registered");
 
-    let mode = |batching: &str| -> AveragedMetrics {
-        let runs: Vec<RunMetrics> = REPORT_SEEDS
-            .iter()
-            .map(|&s| run(batched(batching), &scenario.trace(&scale, s)).0)
-            .collect();
-        AveragedMetrics::from_runs(&runs)
-    };
+    let traces = REPORT_SEEDS.map(|s| scenario.trace(&scale, s));
+    let mode = |batching: &str| -> AveragedMetrics { sweep(&batched(batching), &traces).0 };
     let none = mode("none");
     let coalesce = mode("coalesce");
     let adaptive = mode("adaptive");

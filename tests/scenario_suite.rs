@@ -2,7 +2,7 @@
 //! crate: the suite runner is deterministic, its `paper` cells agree with
 //! the fig4 pipeline, and composed specs drive the cluster directly.
 
-use gfaas::bench::{run, run_replicated, ScenarioSuite, REPORT_SEEDS};
+use gfaas::bench::{paper_trace, run, sweep, ScenarioSuite, REPORT_SEEDS};
 use gfaas::core::{ClusterConfig, PolicySpec};
 use gfaas::workload::{Arrival, ModelMapping, Popularity, WorkloadSpec};
 
@@ -23,13 +23,15 @@ fn suite_matrix_covers_every_cell_deterministically() {
 
 #[test]
 fn paper_scenario_cells_equal_fig4_numbers() {
-    // The suite and the fig4 pipeline (`run_replicated`) build their
-    // clusters separately. Their `paper` cells must stay bit-equal.
+    // The suite's `paper` row takes its traces from the scenario registry
+    // and its config from the suite template; fig4 builds `paper_trace`
+    // and `paper_testbed`. Their cells must stay bit-equal.
     let mut suite = ScenarioSuite::paper_default();
     suite.scenarios.retain(|s| s.name == "paper");
+    let traces = REPORT_SEEDS.map(|s| paper_trace(25, s));
     for (policy, cell) in gfaas::bench::paper_policies().iter().zip(suite.run().cells) {
         assert_eq!(cell.policy_name, gfaas::bench::policy_name(policy));
-        let fig4 = run_replicated(policy, 25, &REPORT_SEEDS);
+        let fig4 = sweep(&ClusterConfig::paper_testbed(policy.clone()), &traces).0;
         assert_eq!(cell.metrics, fig4, "{}", cell.policy_name);
     }
 }
