@@ -40,6 +40,7 @@ use gfaas_core::{
 };
 use gfaas_models::ModelRegistry;
 use gfaas_trace::azure::{AzureTraceConfig, AZURE_TOTAL_FUNCTIONS, PAPER_BURSTINESS};
+use gfaas_trace::MAX_BURSTINESS;
 
 fn usage() -> ! {
     eprintln!(
@@ -149,7 +150,8 @@ fn cmd_run(flags: Flags) {
         .unwrap_or_else(|| vec![flags.value("seed").unwrap_or(11)]);
     let non_negative = |x: &f64| x.is_finite() && *x >= 0.0;
     let want = "want a finite number >= 0";
-    let burstiness = flags.get("burstiness", ranged(non_negative, want));
+    let bursty = |x: &f64| (0.0..=MAX_BURSTINESS).contains(x);
+    let burstiness = flags.get("burstiness", ranged(bursty, "want a number from 0 to 16"));
     let checkpoint_at = flags.get("checkpoint-at", ranged(non_negative, want));
     let record: RecordSpec = flags.value("record").unwrap_or_default();
     for (flag, needs) in [

@@ -76,6 +76,10 @@ fn malformed_command_lines_exit_2_with_usage() {
                 &["trace", "--ws", "0"],
                 &["run", "--burstiness", "inf"],
                 &["run", "--burstiness", "NaN"],
+                &["run", "--burstiness", "1000"],
+                &["run", "--burstiness", "1e300"],
+                &["run", "--headroom", "10000"],
+                &["run", "--headroom", "6900"],
                 &["run", "--checkpoint-at", "NaN"],
                 &["run", "--checkpoint-at", "-5"],
             ],

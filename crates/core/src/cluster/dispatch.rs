@@ -307,12 +307,7 @@ impl Cluster {
         }
         let items: usize = requests.iter().map(|r| r.batch).sum();
         let dur = self.infer_time_on(gi, model, items);
-        let done = self
-            .units
-            .write(gi)
-            .device
-            .start_inference(self.scalars.now, model, dur)
-            .expect("hit dispatch on idle GPU");
+        let done = self.scalars.now + dur;
         let seq = self.scalars.dispatch_seq;
         self.scalars.dispatch_seq += 1;
         self.emit_with(|_| ObsEvent::Dispatch {
@@ -330,29 +325,26 @@ impl Cluster {
             requests: requests.len(),
             items,
         });
-        self.units.write(gi).in_flight = Some(InFlight {
+        self.units.write(gi).launch(InFlight {
             requests,
             phase: Phase::Running,
             was_hit: true,
             started: self.scalars.now,
+            until: done,
             seq,
             tier: Tier::HBM,
         });
         self.schedule_inference_outcome(gi, done, dur, events);
     }
 
-    /// Kills `model`'s ready process on `gi`, once the cache has dropped
-    /// it, and demotes its weights: they land in the host cache (a
+    /// Kills `model`'s process on `gi`, once the cache has dropped it,
+    /// and demotes its weights: they land in the host cache (a
     /// device→host writeback overlaps compute, so the demotion itself is
     /// free), making the next miss for them a host hit instead of an
     /// origin fetch. Capacity and drain evictions both demote; crashes
     /// do not, as the process died with its memory.
     pub(super) fn evict_resident(&mut self, gi: usize, model: ModelId) {
-        self.units
-            .write(gi)
-            .device
-            .evict(model)
-            .expect("evicted model is a ready resident");
+        self.units.write(gi).evict(model);
         self.on_residency_change(model);
         let bytes = self.registry.occupancy_bytes(model);
         self.store.demote(self.scalars.now, model, bytes);
@@ -419,12 +411,12 @@ impl Cluster {
         let (tier, load_time) =
             self.store
                 .begin_load(self.scalars.now, model, occupancy, flat_load);
-        let (_pid, ready) = self
-            .units
+        self.units
             .write(gi)
             .device
-            .start_load_timed(self.scalars.now, model, occupancy, load_time)
+            .load(model, occupancy)
             .expect("load after eviction fits");
+        let ready = self.scalars.now + load_time;
         self.cache.insert(g, model);
         self.on_residency_change(model);
         // Riding requests access the freshly inserted model (frequency
@@ -444,11 +436,12 @@ impl Cluster {
                 resident: &resident,
             });
         }
-        self.units.write(gi).in_flight = Some(InFlight {
+        self.units.write(gi).launch(InFlight {
             requests,
             phase: Phase::Loading,
             was_hit: false,
             started: self.scalars.now,
+            until: ready,
             seq,
             tier,
         });

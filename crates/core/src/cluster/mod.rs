@@ -42,7 +42,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use gfaas_faas::{mirror::DatastoreMirror, Datastore};
-use gfaas_gpu::{GpuDevice, GpuId, ModelId};
+use gfaas_gpu::{GpuDevice, GpuId, GpuSpec, ModelId};
 use gfaas_models::ModelRegistry;
 use gfaas_obs::ledger::{Ledger, LedgerHandle, LedgerRecorder};
 use gfaas_obs::perfetto::{PerfettoHandle, PerfettoRecorder};
@@ -283,6 +283,21 @@ impl Cluster {
         evictor: Box<dyn Evictor>,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
+        // The Cache Manager provisions against capacity minus the
+        // headroom, so every GPU must fit the largest model within that.
+        let largest_bytes = registry.ids().map(|m| registry.occupancy_bytes(m)).max();
+        let largest_bytes = largest_bytes.unwrap_or(0);
+        let headroom = config.mem_headroom_mib.saturating_mul(gfaas_gpu::MIB);
+        let specs = config.hetero_specs.as_deref();
+        let specs = specs.unwrap_or(std::slice::from_ref(&config.gpu_spec));
+        let short = |s: &&GpuSpec| s.memory_bytes.saturating_sub(headroom) < largest_bytes;
+        if let Some(s) = specs.iter().find(short) {
+            return Err(ConfigError::NoRoom {
+                gpu: s.name.clone(),
+                headroom_mib: config.mem_headroom_mib,
+                largest_bytes,
+            });
+        }
         // Batching always resolves through the builtin registry (use
         // `set_batcher` for custom policies).
         let batcher = PolicyRegistry::builtin().batcher(&config.batching)?;
@@ -869,7 +884,10 @@ impl Cluster {
         let phase = match &self.units[gi].in_flight {
             // A missing or mismatched token means the work crashed in the
             // meantime: the completion is stale and ignored.
-            Some(f) if f.seq == seq => f.phase,
+            Some(f) if f.seq == seq => {
+                assert!(now >= f.until, "{g}: completion before its phase ends");
+                f.phase
+            }
             _ => return,
         };
         match phase {
@@ -878,11 +896,6 @@ impl Cluster {
                     let f = self.units[gi].in_flight.as_ref().expect("work in flight");
                     (f.model(), f.tier)
                 };
-                self.units
-                    .write(gi)
-                    .device
-                    .complete_load(now, model)
-                    .expect("load completion mismatch");
                 // The upload was a natural batch-forming window: requests
                 // for this model that queued up during the load join the
                 // invocation now, before the inference kernel launches.
@@ -902,17 +915,15 @@ impl Cluster {
                     .expect("work in flight")
                     .items();
                 let dur = self.infer_time_on(gi, model, items);
-                let done = self
-                    .units
-                    .write(gi)
-                    .device
-                    .start_inference(now, model, dur)
-                    .expect("post-load inference start");
-                if let Some(f) = self.units.write(gi).in_flight.as_mut() {
+                let done = now + dur;
+                let unit = self.units.write(gi);
+                unit.device.sm_begin(now);
+                if let Some(f) = unit.in_flight.as_mut() {
                     // The upload interval just closed; `started` now marks
                     // the inference interval for busy-time accounting.
                     self.scalars.busy_secs += now.duration_since(f.started).as_secs_f64();
                     f.started = now;
+                    f.until = done;
                     f.phase = Phase::Running;
                 }
                 self.emit_with(|c| {
@@ -928,17 +939,9 @@ impl Cluster {
                 self.schedule_inference_outcome(gi, done, dur, events);
             }
             Phase::Running => {
-                let inflight = self
-                    .units
-                    .write(gi)
-                    .in_flight
-                    .take()
-                    .expect("work in flight");
-                self.units
-                    .write(gi)
-                    .device
-                    .complete_inference(now, inflight.model())
-                    .expect("inference completion mismatch");
+                let unit = self.units.write(gi);
+                let inflight = unit.in_flight.take().expect("work in flight");
+                unit.device.sm_end(now);
                 self.scalars.busy_secs += self
                     .scalars
                     .now
@@ -1026,18 +1029,13 @@ impl Cluster {
             Some(f) if f.seq == seq && matches!(f.phase, Phase::Running) => {}
             _ => return, // already completed or crashed
         }
-        let inflight = self
-            .units
-            .write(gi)
-            .in_flight
-            .take()
-            .expect("work in flight");
+        let unit = self.units.write(gi);
+        let inflight = unit.in_flight.take().expect("work in flight");
         let model = inflight.model();
-        self.units
-            .write(gi)
-            .device
-            .force_kill(now, model)
-            .expect("crashing process exists");
+        unit.device.sm_end(now);
+        unit.device
+            .evict(model)
+            .expect("crashing model is resident");
         // The partial inference consumed real GPU time before dying (the
         // completed upload was already accounted at the phase switch).
         self.scalars.busy_secs += self

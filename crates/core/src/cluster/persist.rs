@@ -254,9 +254,10 @@ impl Cluster {
     /// must have been built from the same config and be resuming the
     /// same trace (both enforced by the envelope digests). An image that
     /// decodes but breaks an invariant every running cluster keeps is
-    /// rejected too: device memory must match its allocations, residency
-    /// the cache, in-flight and held work the device state, and every
-    /// pending event must name a GPU in the fleet. On success the
+    /// rejected too: each device's resident list must be sorted and fit
+    /// its memory, residency must match the cache, in-flight and held
+    /// work the residents and the SM interval, and every pending event
+    /// must name a GPU in the fleet. On success the
     /// cluster is exactly the paused instant; drive it with
     /// [`Cluster::resume`] or [`Cluster::run_until`]. On error the
     /// cluster is left exactly as it was before the call.
@@ -388,7 +389,7 @@ impl Cluster {
     /// its residents are registry models whose sizes sum to its used
     /// memory and which the evictor lists, and its in-flight work and
     /// held batch each have exactly one pending completion or timer, due
-    /// when the device finishes or the hold releases. Returns the count
+    /// when the in-flight phase ends or the hold releases. Returns the count
     /// of requests the unit holds.
     fn check_unit(
         &self,
@@ -420,10 +421,10 @@ impl Cluster {
             let mut due = events.iter().filter(|e| *e.2 == want).map(|e| e.0);
             due.next() == Some(at) && due.next().is_none()
         };
-        let done_ok = u.in_flight.as_ref().is_none_or(|f| {
-            d.busy_until()
-                .is_some_and(|at| pending(Event::GpuDone(g, f.seq), at))
-        });
+        let done_ok = u
+            .in_flight
+            .as_ref()
+            .is_none_or(|f| pending(Event::GpuDone(g, f.seq), f.until));
         let hold_ok = u
             .holding
             .as_ref()
@@ -634,6 +635,7 @@ fn save_unit(enc: &mut Enc, u: &GpuUnit) {
         });
         enc.put_bool(f.was_hit);
         enc.put_time(f.started);
+        enc.put_time(f.until);
         enc.put_u64(f.seq);
         enc.put_u8(f.tier.0);
     }
@@ -669,6 +671,7 @@ fn load_unit(dec: &mut Dec<'_>, u: &mut GpuUnit) -> Result<(), SnapError> {
             },
             was_hit: dec.bool()?,
             started: dec.time()?,
+            until: dec.time()?,
             seq: dec.u64()?,
             tier: Tier(dec.u8()?),
         })
@@ -804,7 +807,7 @@ mod tests {
     #[test]
     fn restore_rejects_states_a_running_cluster_never_reaches() {
         type Corrupt = fn(&mut Cluster);
-        let cases: [(&str, Corrupt); 7] = [
+        let cases: [(&str, Corrupt); 11] = [
             ("fleet counters disagree with the units", |c| {
                 c.scalars.idle_online += 1;
             }),
@@ -843,13 +846,42 @@ mod tests {
                     .expect("some GPU lacks the model");
                 c.units.write(gi).local_queue.push_back(r);
             }),
+            ("request or resident model outside the config", |c| {
+                let (gi, _) = busy(c);
+                let u = c.units.write(gi);
+                let mut r = *u.in_flight.as_ref().expect("busy").lead();
+                r.batch += 1;
+                u.local_queue.push_back(r);
+            }),
             ("in-flight work disagrees with the device", |c| {
+                let (gi, _) = busy(c);
+                let u = c.units.write(gi);
+                let m = u.in_flight.as_ref().expect("busy").model();
+                u.device.evict(m).expect("in-flight model is resident");
+            }),
+            ("SM interval disagrees with the in-flight phase", |c| {
                 let (gi, _) = busy(c);
                 let f = c.units.write(gi).in_flight.as_mut().expect("busy");
                 f.phase = match f.phase {
                     Phase::Loading => Phase::Running,
                     Phase::Running => Phase::Loading,
                 };
+            }),
+            ("held batch disagrees with the device", |c| {
+                let (gi, seq) = busy(c);
+                let u = c.units.write(gi);
+                let f = u.in_flight.as_ref().expect("busy");
+                u.holding = Some(HoldSlot {
+                    requests: f.requests.clone(),
+                    max_requests: 2,
+                    hit: true,
+                    release_at: f.until,
+                    seq,
+                });
+            }),
+            ("offline GPU holds work or models", |c| {
+                let (gi, _) = busy(c);
+                c.units.write(gi).state = UnitState::Offline;
             }),
         ];
         for (why, corrupt) in cases {

@@ -363,6 +363,24 @@ fn crashes_are_retried_and_complete() {
 }
 
 #[test]
+#[should_panic(expected = "completion before its phase ends")]
+fn early_completion_rejected() {
+    let (cfg, t) = snap_fixture();
+    let mut c = snap_cluster(&cfg);
+    c.run_until(&t, SimTime::from_secs_f64(1.9));
+    let (g, seq) = c
+        .units
+        .iter()
+        .find_map(|u| {
+            let f = u.in_flight.as_ref()?;
+            (f.until > c.scalars.now).then_some((u.id(), f.seq))
+        })
+        .expect("the fixture has work due after its pause");
+    c.events.schedule(c.scalars.now, Event::GpuDone(g, seq));
+    c.resume(&t);
+}
+
+#[test]
 fn crash_free_config_never_crashes() {
     let mut c = cluster(2, 1000, "lalbo3", 2);
     let m = c.run(&trace_of(&[(0.0, 0), (1.0, 1), (2.0, 0)]));
@@ -593,6 +611,32 @@ fn new_panics_on_invalid_config() {
     let mut cfg = ClusterConfig::test(4, 1000, spec("lalb"));
     cfg.batch_size = 0;
     let _ = Cluster::new(cfg, toy_registry(1));
+}
+
+#[test]
+fn headroom_must_leave_room_for_the_largest_model() {
+    // Toy models take 100 MiB: 150 MiB of headroom on a 250 MiB GPU
+    // leaves exactly enough, one more MiB does not.
+    let build = |headroom, hetero: Option<Vec<GpuSpec>>| {
+        let mut cfg = ClusterConfig::test(2, 250, spec("lalb"));
+        cfg.mem_headroom_mib = headroom;
+        cfg.hetero_specs = hetero;
+        Cluster::try_new(cfg, toy_registry(3)).map(|_| ())
+    };
+    let no_room = |gpu: &str, headroom_mib| {
+        Err(ConfigError::NoRoom {
+            gpu: gpu.to_string(),
+            headroom_mib,
+            largest_bytes: 100 * gfaas_gpu::MIB,
+        })
+    };
+    assert_eq!(build(150, None), Ok(()));
+    assert_eq!(build(151, None), no_room("test-gpu-250MiB", 151));
+    assert_eq!(build(u64::MAX, None), no_room("test-gpu-250MiB", u64::MAX));
+    // Each heterogeneous GPU must fit too.
+    let mixed = vec![GpuSpec::test(1000), GpuSpec::test(200)];
+    assert_eq!(build(100, Some(mixed.clone())), Ok(()));
+    assert_eq!(build(101, Some(mixed)), no_room("test-gpu-200MiB", 101));
 }
 
 #[test]

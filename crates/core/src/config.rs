@@ -73,6 +73,16 @@ pub enum ConfigError {
     /// the elastic fleet is sized by `autoscale.max_gpus`, so a
     /// `num_gpus`-length spec list cannot describe it.
     AutoscaleWithHetero,
+    /// `mem_headroom_mib` leaves a GPU less memory than the registry's
+    /// largest model needs, so a miss for it could never load.
+    NoRoom {
+        /// The GPU type's name.
+        gpu: String,
+        /// `mem_headroom_mib`.
+        headroom_mib: u64,
+        /// The largest model's occupancy in bytes.
+        largest_bytes: u64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -92,6 +102,15 @@ impl fmt::Display for ConfigError {
             ConfigError::AutoscaleWithHetero => {
                 write!(f, "autoscale and hetero_specs cannot be combined")
             }
+            ConfigError::NoRoom {
+                gpu,
+                headroom_mib,
+                largest_bytes,
+            } => write!(
+                f,
+                "a headroom of {headroom_mib} MiB leaves {gpu} less than the \
+                 largest model's {largest_bytes} B"
+            ),
         }
     }
 }

@@ -7,15 +7,16 @@
 //! deciding between a hit on a busy GPU and a miss on an idle one
 //! ([`GpuUnit::estimated_wait_for`]).
 //!
-//! [`GpuUnit`] is that per-GPU state: the simulated device, the local
-//! queue of requests scheduled to it while busy, the in-flight request, and
-//! the hit counter used to sort idle GPUs "by frequency" (Algorithm 1's
-//! input ordering).
+//! [`GpuUnit`] is that per-GPU state: the simulated device (what is
+//! resident), the in-flight invocation (what runs, and until when — its
+//! only record), the local queue of requests scheduled to it while busy,
+//! and the hit counter used to sort idle GPUs "by frequency" (Algorithm
+//! 1's input ordering).
 
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
-use gfaas_gpu::{DeviceState, GpuDevice, GpuId, ModelId, Tier};
+use gfaas_gpu::{GpuDevice, GpuId, ModelId, Tier};
 use gfaas_sim::time::{SimDuration, SimTime};
 use gfaas_snap::{PreImage, SnapError};
 
@@ -44,8 +45,11 @@ pub struct InFlight {
     /// Whether the lead dispatch was a cache hit (riding requests always
     /// count as hits — they share the lead's upload or residency).
     pub was_hit: bool,
-    /// When execution started on the device.
+    /// When the current phase started on the device (the upload, then
+    /// the inference).
     pub started: SimTime,
+    /// When the current phase ends: its `GpuDone` event is due then.
+    pub until: SimTime,
     /// Dispatch sequence token; completion/crash events must match it
     /// (a crash invalidates the token so stale completions are ignored).
     pub seq: u64,
@@ -64,6 +68,7 @@ impl Clone for InFlight {
             phase: self.phase,
             was_hit: self.was_hit,
             started: self.started,
+            until: self.until,
             seq: self.seq,
             tier: self.tier,
         }
@@ -77,6 +82,7 @@ impl Clone for InFlight {
             phase,
             was_hit,
             started,
+            until,
             seq,
             tier,
         } = self;
@@ -84,21 +90,30 @@ impl Clone for InFlight {
         *phase = src.phase;
         *was_hit = src.was_hit;
         *started = src.started;
+        *until = src.until;
         *seq = src.seq;
         *tier = src.tier;
     }
 }
 
 impl InFlight {
-    /// A single-request invocation (the paper's per-request dispatch).
-    /// The tier defaults to [`Tier::HBM`] — the hit path; miss paths set
-    /// the serving tier explicitly from the store's answer.
-    pub fn solo(request: Request, phase: Phase, was_hit: bool, started: SimTime, seq: u64) -> Self {
+    /// A single-request invocation (the paper's per-request dispatch)
+    /// whose current phase runs over `[started, until)`. The tier
+    /// defaults to [`Tier::HBM`] — the hit path; miss paths set the
+    /// serving tier explicitly from the store's answer.
+    pub fn solo(
+        request: Request,
+        phase: Phase,
+        was_hit: bool,
+        (started, until): (SimTime, SimTime),
+        seq: u64,
+    ) -> Self {
         InFlight {
             requests: vec![request],
             phase,
             was_hit,
             started,
+            until,
             seq,
             tier: Tier::HBM,
         }
@@ -286,34 +301,34 @@ impl GpuUnit {
     }
 
     /// Checks a decoded unit against the invariants every live unit
-    /// keeps at virtual time `now`: the device is consistent
-    /// ([`GpuDevice::check_state`]); local-queue work is resident;
-    /// in-flight work is a non-empty single-model batch in the device's
-    /// phase, on the device's model, started by `now`; a held batch is
-    /// not also in flight, is a non-empty single-model batch, and was a
-    /// hit exactly when its model is resident; an offline unit is empty.
+    /// keeps at virtual time `now`: local-queue work is resident;
+    /// in-flight work is a non-empty single-model batch of a resident
+    /// model, started by `now`; the SM interval is open exactly while an
+    /// inference runs, since it started; a held batch is not also in
+    /// flight, is a non-empty single-model batch, and was a hit exactly
+    /// when its model is resident; an offline unit is empty.
     pub fn check_state(&self, now: SimTime) -> Result<(), SnapError> {
         let d = &self.device;
         let corrupt = |what| Err(SnapError::Corrupt(what));
-        d.check_state(now)?;
         let one_model = |rs: &[Request]| rs.iter().all(|r| r.model == rs[0].model);
         if !self.local_queue.iter().all(|r| d.has_model(r.model)) {
             return corrupt("local-queue request without its model resident");
         }
-        let in_flight_ok = match (&self.in_flight, d.state()) {
-            (None, DeviceState::Idle) => true,
-            (Some(f), DeviceState::Loading { model, .. } | DeviceState::Running { model, .. }) => {
-                let loading = matches!(d.state(), DeviceState::Loading { .. });
-                !f.requests.is_empty()
-                    && one_model(&f.requests)
-                    && f.model() == model
-                    && (f.phase == Phase::Loading) == loading
-                    && f.started <= now
-            }
-            _ => false,
-        };
+        let in_flight_ok = self.in_flight.as_ref().is_none_or(|f| {
+            !f.requests.is_empty()
+                && one_model(&f.requests)
+                && d.has_model(f.model())
+                && f.started <= now
+        });
         if !in_flight_ok {
             return corrupt("in-flight work disagrees with the device");
+        }
+        let running = self
+            .in_flight
+            .as_ref()
+            .filter(|f| f.phase == Phase::Running);
+        if d.sm_open_since() != running.map(|f| f.started) {
+            return corrupt("SM interval disagrees with the in-flight phase");
         }
         let hold_ok = self.holding.as_ref().is_none_or(|h| {
             self.in_flight.is_none()
@@ -337,10 +352,38 @@ impl GpuUnit {
     }
 
     /// True iff no invocation is in flight and no held batch reserves the
-    /// GPU (the *device* may briefly report idle between load completion
-    /// and inference start; the unit is the authority).
+    /// GPU.
     pub fn is_idle(&self) -> bool {
         self.in_flight.is_none() && self.holding.is_none()
+    }
+
+    /// Puts `f` in flight; a hit ([`Phase::Running`]) opens the SM
+    /// interval at `f.started`. Panics if work is already in flight or
+    /// held — the GPU serves one request at a time — or if `f`'s model
+    /// is not resident.
+    pub fn launch(&mut self, f: InFlight) {
+        assert!(self.is_idle(), "dispatch on busy GPU {}", self.id());
+        let model = f.model();
+        assert!(
+            self.device.has_model(model),
+            "{model} dispatched to GPU {} without residency",
+            self.id()
+        );
+        if f.phase == Phase::Running {
+            self.device.sm_begin(f.started);
+        }
+        self.in_flight = Some(f);
+    }
+
+    /// Evicts a resident model, returning the bytes freed. Panics if the
+    /// model is in flight or not resident.
+    pub fn evict(&mut self, model: ModelId) -> u64 {
+        assert!(
+            self.in_flight.as_ref().is_none_or(|f| f.model() != model),
+            "evicting {model} while it is in flight on GPU {}",
+            self.id()
+        );
+        self.device.evict(model).expect("evicted model is resident")
     }
 
     /// Estimated wait, from `now`, before a request for `model` placed
@@ -431,12 +474,9 @@ impl GpuUnit {
         infer_time: impl Fn(ModelId, usize) -> SimDuration,
         load_time: impl Fn(ModelId) -> SimDuration,
     ) -> ControlFlow<SimDuration, SimDuration> {
-        let mut wait = self
-            .device
-            .busy_until()
-            .map(|t| t.duration_since(now))
-            .unwrap_or(SimDuration::ZERO);
+        let mut wait = SimDuration::ZERO;
         if let Some(f) = &self.in_flight {
+            wait = f.until.duration_since(now);
             if f.phase == Phase::Loading {
                 if coalesced && f.model() == model {
                     return ControlFlow::Break(wait); // joins the forming invocation
@@ -485,6 +525,31 @@ mod tests {
         SimDuration::from_secs(9999)
     }
 
+    /// Makes `model` resident on `u`.
+    fn make_resident(u: &mut GpuUnit, model: u32) {
+        u.device.load(ModelId(model), 100 * MIB).unwrap();
+    }
+
+    /// A unit running resident m0 over `[t(0), t(10))`.
+    fn running() -> GpuUnit {
+        let mut u = unit();
+        make_resident(&mut u, 0);
+        u.launch(InFlight::solo(
+            req(1, 0),
+            Phase::Running,
+            true,
+            (t(0), t(10)),
+            0,
+        ));
+        u
+    }
+
+    /// The message of the panic `f` raises.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("panics");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
     #[test]
     fn idle_unit_has_zero_wait() {
         let u = unit();
@@ -497,15 +562,10 @@ mod tests {
 
     #[test]
     fn wait_includes_current_work_and_local_queue() {
-        let mut u = unit();
-        // Occupy the device until t=10.
-        let (_, ready) = u.device.start_load(t(0), ModelId(0), 100 * MIB).unwrap();
-        u.device.complete_load(ready, ModelId(0)).unwrap();
-        u.device.start_inference(ready, ModelId(0), d(10)).unwrap();
-        u.in_flight = Some(InFlight::solo(req(1, 0), Phase::Running, true, ready, 0));
+        let mut u = running();
         u.local_queue.push_back(req(2, 0));
         u.local_queue.push_back(req(3, 0));
-        let wait = u.estimated_wait_for(ready, ModelId(0), false, |_, _| d(2), no_load);
+        let wait = u.estimated_wait_for(t(0), ModelId(0), false, |_, _| d(2), no_load);
         // Remaining inference (10 s) + 2 resident local hits × 2 s.
         assert_eq!(wait, d(14));
         assert!(!u.is_idle());
@@ -513,31 +573,24 @@ mod tests {
 
     #[test]
     fn wait_shrinks_as_time_passes() {
-        let mut u = unit();
-        let (_, ready) = u.device.start_load(t(0), ModelId(0), 100 * MIB).unwrap();
-        u.device.complete_load(ready, ModelId(0)).unwrap();
-        u.device.start_inference(ready, ModelId(0), d(10)).unwrap();
-        let early = u.estimated_wait_for(ready, ModelId(0), false, |_, _| d(0), no_load);
-        let late = u.estimated_wait_for(ready + d(6), ModelId(0), false, |_, _| d(0), no_load);
+        let u = running();
+        let early = u.estimated_wait_for(t(0), ModelId(0), false, |_, _| d(0), no_load);
+        let late = u.estimated_wait_for(t(6), ModelId(0), false, |_, _| d(0), no_load);
         assert_eq!(early, d(10));
         assert_eq!(late, d(4));
     }
 
     #[test]
     fn wait_charges_one_load_per_distinct_missing_model() {
-        let mut u = unit();
-        // Device busy running model 0 until t=10; the local queue holds
-        // two requests for missing model 7, one for missing model 8, and
-        // one resident hit for model 0.
-        let (_, ready) = u.device.start_load(t(0), ModelId(0), 100 * MIB).unwrap();
-        u.device.complete_load(ready, ModelId(0)).unwrap();
-        u.device.start_inference(ready, ModelId(0), d(10)).unwrap();
-        u.in_flight = Some(InFlight::solo(req(1, 0), Phase::Running, true, ready, 0));
+        // Busy running model 0 until t=10; the local queue holds two
+        // requests for missing model 7, one for missing model 8, and one
+        // resident hit for model 0.
+        let mut u = running();
         u.local_queue.push_back(req(2, 7));
         u.local_queue.push_back(req(3, 7));
         u.local_queue.push_back(req(4, 8));
         u.local_queue.push_back(req(5, 0));
-        let wait = u.estimated_wait_for(ready, ModelId(0), false, |_, _| d(2), |_| d(3));
+        let wait = u.estimated_wait_for(t(0), ModelId(0), false, |_, _| d(2), |_| d(3));
         // 10 (in flight) + 4 × 2 (inferences) + 2 × 3 (loads of 7 and 8,
         // each charged once).
         assert_eq!(wait, d(24));
@@ -546,20 +599,15 @@ mod tests {
     /// A unit uploading m0 until t=5.
     fn uploading() -> GpuUnit {
         let mut u = unit();
-        u.device
-            .start_load_timed(t(0), ModelId(0), 100 * MIB, d(5))
-            .unwrap();
-        u.in_flight = Some(InFlight::solo(req(1, 0), Phase::Loading, false, t(0), 0));
+        make_resident(&mut u, 0);
+        u.launch(InFlight::solo(
+            req(1, 0),
+            Phase::Loading,
+            false,
+            (t(0), t(5)),
+            0,
+        ));
         u
-    }
-
-    /// Makes `model` resident on an idle `u` at t=0.
-    fn make_resident(u: &mut GpuUnit, model: u32) {
-        let m = ModelId(model);
-        u.device
-            .start_load_timed(t(0), m, 100 * MIB, SimDuration::ZERO)
-            .unwrap();
-        u.device.complete_load(t(0), m).unwrap();
     }
 
     /// An otherwise idle unit holding a batch of resident m0 until t=4.
@@ -579,13 +627,10 @@ mod tests {
     /// A unit running resident m0 until t=10 with local queue
     /// `[m1, m2, m1]`; m2 is never resident, m1 only when `m1_resident`.
     fn queued(m1_resident: bool) -> GpuUnit {
-        let mut u = unit();
-        make_resident(&mut u, 0);
+        let mut u = running();
         if m1_resident {
             make_resident(&mut u, 1);
         }
-        u.device.start_inference(t(0), ModelId(0), d(10)).unwrap();
-        u.in_flight = Some(InFlight::solo(req(1, 0), Phase::Running, true, t(0), 0));
         for (id, m) in [(2, 1), (3, 2), (4, 1)] {
             u.local_queue.push_back(req(id, m));
         }
@@ -631,42 +676,158 @@ mod tests {
 
     #[test]
     fn estimate_matches_actual_drain_replayed_on_the_device() {
-        // Accuracy check against real device transitions: the unit runs
-        // m0 until t=10 with a local queue of [m0 hit, m7 (not resident)].
-        // The estimator must predict exactly the drain time the device
-        // realises when the schedule is replayed: 10 (in flight) + 2 (m0
-        // hit) + 3 (m7 load) + 2 (m7 infer) = 17.
+        // Accuracy check against the unit's own transitions: the unit
+        // runs m0 until t=10 with a local queue of [m0 hit, m7 (not
+        // resident)]. The estimator must predict exactly the drain time
+        // the replayed schedule realises: 10 (in flight) + 2 (m0 hit) +
+        // 3 (m7 load) + 2 (m7 infer) = 17.
         let infer = |_: ModelId, _: usize| d(2);
         let load = |_: ModelId| d(3);
-        let mut u = unit();
-        let (_, ready) = u.device.start_load(t(0), ModelId(0), 100 * MIB).unwrap();
-        u.device.complete_load(ready, ModelId(0)).unwrap();
-        u.device.start_inference(ready, ModelId(0), d(10)).unwrap();
-        u.in_flight = Some(InFlight::solo(req(1, 0), Phase::Running, true, ready, 0));
+        let mut u = running();
         u.local_queue.push_back(req(2, 0));
         u.local_queue.push_back(req(3, 7));
-        let estimate = u.estimated_wait_for(ready, ModelId(0), false, infer, load);
+        let estimate = u.estimated_wait_for(t(0), ModelId(0), false, infer, load);
 
-        // Replay the actual schedule.
-        let end_inflight = ready + d(10);
-        u.device
-            .complete_inference(end_inflight, ModelId(0))
-            .unwrap();
-        let hit_done = u
-            .device
-            .start_inference(end_inflight, ModelId(0), infer(ModelId(0), 32))
-            .unwrap();
-        u.device.complete_inference(hit_done, ModelId(0)).unwrap();
-        let (_, m7_ready) = u
-            .device
-            .start_load_timed(hit_done, ModelId(7), 100 * MIB, load(ModelId(7)))
-            .unwrap();
-        u.device.complete_load(m7_ready, ModelId(7)).unwrap();
-        let drained = u
-            .device
-            .start_inference(m7_ready, ModelId(7), infer(ModelId(7), 32))
-            .unwrap();
-        assert_eq!(drained.duration_since(ready), estimate);
+        // Replay: each phase ends at its `until`, and the next starts
+        // there.
+        let finish = |u: &mut GpuUnit| {
+            let f = u.in_flight.take().expect("work in flight");
+            if f.phase == Phase::Running {
+                u.device.sm_end(f.until);
+            }
+            f.until
+        };
+        let mut now = finish(&mut u);
+        for r in u.local_queue.drain(..).collect::<Vec<_>>() {
+            let (phase, was_hit) = if u.device.has_model(r.model) {
+                (Phase::Running, true)
+            } else {
+                u.device.load(r.model, 100 * MIB).unwrap();
+                (Phase::Loading, false)
+            };
+            let until = now
+                + match phase {
+                    Phase::Running => infer(r.model, r.batch),
+                    Phase::Loading => load(r.model),
+                };
+            u.launch(InFlight::solo(r, phase, was_hit, (now, until), 0));
+            now = finish(&mut u);
+            if phase == Phase::Loading {
+                u.launch(InFlight::solo(
+                    r,
+                    Phase::Running,
+                    false,
+                    (now, now + infer(r.model, r.batch)),
+                    0,
+                ));
+                now = finish(&mut u);
+            }
+        }
+        assert_eq!(now.duration_since(t(0)), estimate);
         assert_eq!(estimate, d(17));
+        assert_eq!(u.device.sm_utilization(t(0), now), 14.0 / 17.0);
+    }
+
+    #[test]
+    fn launch_refuses_busy_units() {
+        let m0 = InFlight::solo(req(9, 0), Phase::Running, true, (t(0), t(1)), 1);
+        for mut u in [uploading(), running(), holding()] {
+            let f = m0.clone();
+            assert_eq!(
+                panic_message(move || u.launch(f)),
+                "dispatch on busy GPU gpu3"
+            );
+        }
+    }
+
+    #[test]
+    fn launch_refuses_missing_models() {
+        let m0 = InFlight::solo(req(9, 0), Phase::Running, true, (t(0), t(1)), 1);
+        let mut u = unit();
+        let f = m0.clone();
+        assert_eq!(
+            panic_message(move || u.launch(f)),
+            "model0 dispatched to GPU gpu3 without residency"
+        );
+        // An idle unit with the model resident takes the work and opens
+        // the SM interval for a hit.
+        let mut u = unit();
+        make_resident(&mut u, 0);
+        u.launch(m0);
+        assert_eq!(u.device.sm_open_since(), Some(t(0)));
+    }
+
+    #[test]
+    fn evict_refuses_the_in_flight_model() {
+        for mut u in [uploading(), running()] {
+            make_resident(&mut u, 1);
+            assert_eq!(
+                panic_message(|| {
+                    u.evict(ModelId(0));
+                }),
+                "evicting model0 while it is in flight on GPU gpu3"
+            );
+            assert_eq!(u.evict(ModelId(1)), 100 * MIB, "other residents go");
+            assert!(u.device.has_model(ModelId(0)));
+        }
+    }
+
+    #[test]
+    fn check_state_holds_through_a_miss_cycle_and_catches_corruption() {
+        let mut u = unit();
+        u.check_state(t(0)).unwrap();
+        make_resident(&mut u, 0);
+        u.launch(InFlight::solo(
+            req(1, 0),
+            Phase::Loading,
+            false,
+            (t(0), t(3)),
+            0,
+        ));
+        u.check_state(t(0)).unwrap();
+        // The upload ends and the inference starts.
+        u.device.sm_begin(t(3));
+        let f = u.in_flight.as_mut().expect("work in flight");
+        (f.phase, f.started, f.until) = (Phase::Running, t(3), t(4));
+        u.check_state(t(3)).unwrap();
+        type Corrupt = fn(&mut GpuUnit);
+        let cases: [(&str, Corrupt); 7] = [
+            ("SM interval disagrees with the in-flight phase", |u| {
+                u.in_flight.as_mut().unwrap().phase = Phase::Loading;
+            }),
+            ("SM interval disagrees with the in-flight phase", |u| {
+                u.device.sm_end(t(3));
+            }),
+            ("in-flight work disagrees with the device", |u| {
+                u.device.evict(ModelId(0)).unwrap();
+            }),
+            ("in-flight work disagrees with the device", |u| {
+                u.in_flight.as_mut().unwrap().requests.push(req(2, 1));
+            }),
+            ("local-queue request without its model resident", |u| {
+                u.local_queue.push_back(req(2, 1));
+            }),
+            ("held batch disagrees with the device", |u| {
+                u.holding = holding().holding;
+            }),
+            ("offline GPU holds work or models", |u| {
+                u.state = UnitState::Offline;
+            }),
+        ];
+        for (why, corrupt) in cases {
+            let mut bad = u.clone();
+            corrupt(&mut bad);
+            assert_eq!(bad.check_state(t(3)), Err(SnapError::Corrupt(why)));
+        }
+        assert_eq!(
+            u.check_state(t(2)),
+            Err(SnapError::Corrupt(
+                "in-flight work disagrees with the device"
+            )),
+            "started after now"
+        );
+        u.device.sm_end(t(4));
+        u.in_flight = None;
+        u.check_state(t(4)).unwrap();
     }
 }

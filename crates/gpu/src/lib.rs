@@ -5,36 +5,33 @@
 //! reproduces exactly the properties the paper's scheduler and cache manager
 //! depend on:
 //!
-//! 1. **Bounded device memory with OOM semantics** — [`memory::MemoryPool`]
-//!    tracks per-process allocations against the 8 GiB capacity; exceeding it
-//!    is an explicit error, mirroring CUDA's `cudaErrorMemoryAllocation`.
+//! 1. **Bounded residency with OOM semantics** — [`device::GpuDevice`]
+//!    holds the sorted list of resident models and their bytes against
+//!    the 8 GiB capacity; a load that does not fit is an explicit error,
+//!    mirroring CUDA's `cudaErrorMemoryAllocation`.
 //! 2. **PCIe model-upload cost** — [`pcie::PcieModel`] converts a model's
 //!    byte size into a transfer latency. Calibrated against Table I of the
 //!    paper: an effective ~1.6 GB/s link plus a fixed process-init overhead
 //!    reproduces the paper's measured 2.3–4.4 s load times.
-//! 3. **Exclusive execution** — [`device::GpuDevice`] is a state machine
-//!    (idle → loading → running → idle) enforcing the paper's
-//!    one-request-at-a-time rule.
-//! 4. **SM utilisation accounting** — [`sm::SmTracker`] integrates the time
+//! 3. **SM utilisation accounting** — [`sm::SmTracker`] integrates the time
 //!    the streaming multiprocessors spend in inference compute (upload time
 //!    counts as zero SM), which is what Fig 4c plots.
 //!
-//! The device is *passive*: all timestamps are supplied by the discrete-event
-//! driver in `gfaas-core`, so the same device code runs under virtual time in
-//! experiments and under wall-clock time in the live examples.
+//! The split is one record per fact: the device holds *what is resident*;
+//! what runs, and until when, is held by the cluster's per-GPU unit
+//! (`gfaas-core`'s `GpuUnit`), which also enforces the paper's
+//! one-request-at-a-time rule. The device is *passive*: all timestamps are
+//! supplied by the caller, so the same device code runs under virtual time
+//! in experiments and in the live server.
 
 #![warn(missing_docs)]
 
 pub mod device;
-pub mod memory;
 pub mod pcie;
-pub mod process;
 pub mod sm;
 
-pub use device::{DeviceState, GpuDevice, GpuError, GpuSpec};
-pub use memory::{AllocId, MemoryPool, OomError};
+pub use device::{GpuDevice, GpuError, GpuSpec};
 pub use pcie::PcieModel;
-pub use process::{GpuProcess, ProcId, ProcState};
 pub use sm::SmTracker;
 
 /// Identifies one physical GPU in the cluster (unique across nodes).

@@ -1,45 +1,62 @@
-//! Property tests for the GPU memory pool and device state machine.
+//! Property tests for the GPU device's residency accounting and SM
+//! utilisation.
 
-use gfaas_gpu::{GpuDevice, GpuId, GpuSpec, MemoryPool, ModelId, MIB};
+use gfaas_gpu::{GpuDevice, GpuError, GpuId, GpuSpec, ModelId, MIB};
 use gfaas_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 proptest! {
-    /// Invariant: used + free == capacity, used never exceeds capacity, and
-    /// every successful alloc/free keeps the books balanced under arbitrary
-    /// interleavings.
+    /// Invariant: under arbitrary interleavings of loads and evictions,
+    /// the used bytes equal the sum of the residents' bytes and never
+    /// exceed capacity, and a refused load leaves the device unchanged.
     #[test]
-    fn pool_accounting_balances(ops in proptest::collection::vec((0u64..4096, any::<bool>()), 1..200)) {
+    fn pool_accounting_balances(
+        ops in proptest::collection::vec((0u32..12, 0u64..24 * 1024, any::<bool>()), 1..200),
+    ) {
         let capacity = 64 * 1024;
-        let mut pool = MemoryPool::new(capacity);
-        let mut live = Vec::new();
-        let mut expected_used = 0u64;
-        for (size, do_free) in ops {
-            if do_free && !live.is_empty() {
-                let (id, sz) = live.swap_remove(live.len() / 2);
-                prop_assert_eq!(pool.free_alloc(id), Some(sz));
-                expected_used -= sz;
+        let spec = GpuSpec { memory_bytes: capacity, ..GpuSpec::test(0) };
+        let mut d = GpuDevice::new(GpuId(0), spec);
+        let mut live: Vec<(ModelId, u64)> = Vec::new();
+        for (m, bytes, do_evict) in ops {
+            let model = ModelId(m);
+            let pos = live.iter().position(|&(lm, _)| lm == model);
+            if do_evict {
+                match pos {
+                    Some(i) => prop_assert_eq!(d.evict(model), Ok(live.swap_remove(i).1)),
+                    None => prop_assert_eq!(d.evict(model), Err(GpuError::NotResident(model))),
+                }
             } else {
-                match pool.try_alloc(size) {
-                    Ok(id) => {
-                        live.push((id, size));
-                        expected_used += size;
+                let before = format!("{d:?}");
+                match d.load(model, bytes) {
+                    Ok(()) => {
+                        prop_assert!(pos.is_none());
+                        live.push((model, bytes));
                     }
-                    Err(e) => {
-                        prop_assert_eq!(e.requested, size);
-                        prop_assert!(size > pool.free());
+                    Err(GpuError::AlreadyResident(r)) => {
+                        prop_assert_eq!(r, model);
+                        prop_assert!(pos.is_some());
+                        prop_assert_eq!(format!("{d:?}"), before);
                     }
+                    Err(GpuError::Oom { requested, free, capacity: cap }) => {
+                        prop_assert_eq!((requested, cap), (bytes, capacity));
+                        prop_assert!(bytes > free && pos.is_none());
+                        prop_assert_eq!(format!("{d:?}"), before);
+                    }
+                    Err(e) => prop_assert!(false, "unexpected {e}"),
                 }
             }
-            prop_assert_eq!(pool.used(), expected_used);
-            prop_assert_eq!(pool.used() + pool.free(), capacity);
-            prop_assert!(pool.used() <= capacity);
-            prop_assert_eq!(pool.alloc_count(), live.len());
+            let sum: u64 = live.iter().map(|&(_, b)| b).sum();
+            prop_assert_eq!(d.used_bytes(), sum);
+            prop_assert!(d.used_bytes() <= capacity);
+            prop_assert_eq!(d.used_bytes() + d.free_bytes(), capacity);
+            prop_assert_eq!(d.resident_count(), live.len());
+            prop_assert!(live.iter().all(|&(lm, _)| d.has_model(lm)));
         }
     }
 
-    /// Invariant: a device that only receives legal load→infer cycles never
-    /// reports memory above capacity and always returns to idle.
+    /// Invariant: a device that only receives legal cycles — evict until
+    /// the model fits, load, run one inference — never reports memory
+    /// above capacity and always returns to SM-idle.
     #[test]
     fn device_cycles_return_to_idle(
         sizes in proptest::collection::vec(1u64..2000, 1..30),
@@ -54,29 +71,26 @@ proptest! {
                 let victim = d.resident_models().next().unwrap();
                 d.evict(victim).unwrap();
             }
-            let (_, ready) = d.start_load(now, model, bytes).unwrap();
-            d.complete_load(ready, model).unwrap();
-            let done = d.start_inference(ready, model, SimDuration::from_millis(100)).unwrap();
-            d.complete_inference(done, model).unwrap();
-            now = done;
-            prop_assert!(d.is_idle());
+            d.load(model, bytes).unwrap();
+            d.sm_begin(now);
+            now += SimDuration::from_millis(100);
+            d.sm_end(now);
+            prop_assert_eq!(d.sm_open_since(), None);
+            prop_assert!(d.has_model(model));
             prop_assert!(d.used_bytes() <= d.spec().memory_bytes);
         }
-        prop_assert_eq!(d.inferences_completed(), sizes.len() as u64);
     }
 
-    /// Invariant: SM utilisation is always within [0, 1] regardless of the
-    /// mix of loads and inferences.
+    /// Invariant: SM utilisation is always within [0, 1] regardless of
+    /// the mix of inference intervals and idle gaps.
     #[test]
     fn sm_utilization_bounded(durs in proptest::collection::vec(1u64..5000, 1..40)) {
         let mut d = GpuDevice::new(GpuId(1), GpuSpec::test(4096));
-        let model = ModelId(0);
-        let (_, ready) = d.start_load(SimTime::ZERO, model, 10 * MIB).unwrap();
-        d.complete_load(ready, model).unwrap();
-        let mut now = ready;
+        let mut now = SimTime::from_secs(2);
         for ms in durs {
-            let done = d.start_inference(now, model, SimDuration::from_millis(ms)).unwrap();
-            d.complete_inference(done, model).unwrap();
+            d.sm_begin(now);
+            let done = now + SimDuration::from_millis(ms);
+            d.sm_end(done);
             // idle gap equal to half the inference
             now = done + SimDuration::from_millis(ms / 2);
         }

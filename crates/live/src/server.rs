@@ -3,9 +3,9 @@
 //! The experiments run on virtual time against the Table I latency
 //! profiles. [`LiveServer`] is the other execution mode: a synchronous
 //! model server that executes each request as an actual forward pass over
-//! the model's miniature network ([`crate::model`]). Virtual time still
-//! drives the device state machine (advanced by the profiled
-//! load/inference durations), so live results report both the wall-clock
+//! the model's miniature network ([`crate::model`]). The simulated
+//! devices still hold residency, and each response adds up the profiled
+//! load/inference durations, so live results report both the wall-clock
 //! compute time and the virtual latency the full-size model would have
 //! had. Placement is the server's own simple rule, not Algorithm 2 (see
 //! [`LiveServer`]).
@@ -19,7 +19,7 @@ use gfaas_core::{CacheManager, PolicyRegistry, PolicySpec};
 use gfaas_faas::{Dispatcher, Invocation, InvocationResult};
 use gfaas_gpu::{GpuDevice, GpuId, GpuSpec, ModelId};
 use gfaas_models::ModelRegistry;
-use gfaas_sim::time::{SimDuration, SimTime};
+use gfaas_sim::time::SimDuration;
 
 use crate::model::{live_model, synthetic_batch, LiveModel};
 
@@ -74,7 +74,6 @@ pub struct LiveServer {
     registry: ModelRegistry,
     cache: CacheManager,
     gpus: Vec<LiveGpu>,
-    clock: SimTime,
     served: u64,
     results: Vec<InvocationResult>,
 }
@@ -96,7 +95,6 @@ impl LiveServer {
             registry,
             cache,
             gpus,
-            clock: SimTime::ZERO,
             served: 0,
             results: Vec::new(),
         }
@@ -147,24 +145,18 @@ impl LiveServer {
                 .select_victims(gpu, occupancy, free, |m| registry.occupancy_bytes(m), &[])
                 .ok_or(LiveError::TooLarge(model))?;
             for v in victims {
-                self.gpus[gi].device.evict(v).expect("victims are ready");
+                self.gpus[gi].device.evict(v).expect("victims are resident");
                 self.gpus[gi].resident.remove(&v);
             }
-            let load_time = self.registry.load_time(model);
-            let (_, ready) = self.gpus[gi]
-                .device
-                .start_load_timed(self.clock, model, occupancy, load_time)
-                .expect("load fits after eviction");
-            self.clock = ready;
             self.gpus[gi]
                 .device
-                .complete_load(ready, model)
-                .expect("load completes");
+                .load(model, occupancy)
+                .expect("load fits after eviction");
             self.cache.insert(gpu, model);
             self.gpus[gi]
                 .resident
                 .insert(model, live_model(&self.registry, model));
-            virtual_latency += load_time;
+            virtual_latency += self.registry.load_time(model);
         } else {
             self.cache.touch(gpu, model);
         }
@@ -178,15 +170,6 @@ impl LiveServer {
             (labels, start.elapsed())
         };
         let infer_time = self.registry.infer_time(model, batch);
-        let done = self.gpus[gi]
-            .device
-            .start_inference(self.clock, model, infer_time)
-            .expect("serving GPU is idle in synchronous mode");
-        self.clock = done;
-        self.gpus[gi]
-            .device
-            .complete_inference(done, model)
-            .expect("inference completes");
         virtual_latency += infer_time;
         self.served += 1;
 

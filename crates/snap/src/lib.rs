@@ -59,7 +59,7 @@ pub const MAGIC: [u8; 8] = *b"GFSNAP01";
 
 /// Checkpoint image format version. Bump on any layout change; restore
 /// rejects mismatches rather than misinterpreting bytes.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// Why a checkpoint or blob failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]

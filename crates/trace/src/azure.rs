@@ -33,6 +33,11 @@ pub const PAPER_REQUESTS_PER_MIN: usize = 325;
 pub const PAPER_MINUTES: usize = 6;
 /// Default per-minute burstiness (see [`AzureTraceConfig::burstiness`]).
 pub const PAPER_BURSTINESS: f64 = 1.0;
+/// Largest burstiness [`AzureTraceConfig::generate`] accepts. Its
+/// `Exp(1)` draws are 0 or lie in about `[1.1e-16, 36.7]`; raised to any
+/// power up to 16 every nonzero draw stays a normal, finite `f64`, so no
+/// minute's modulated total overflows or underflows.
+pub const MAX_BURSTINESS: f64 = 16.0;
 
 /// Configuration for one synthetic trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,6 +61,7 @@ pub struct AzureTraceConfig {
     /// model it by multiplying each function's weight, per minute, by an
     /// `Exp(1)` sample raised to this power before renormalising:
     /// 0.0 = perfectly steady composition, 1.0 = CV≈1 per-minute demand.
+    /// At most [`MAX_BURSTINESS`].
     pub burstiness: f64,
     /// RNG seed; same seed → identical trace.
     pub seed: u64,
@@ -103,8 +109,14 @@ impl AzureTraceConfig {
         interleaved_model_of(function, self.num_models as u32)
     }
 
-    /// Generates the trace.
+    /// Generates the trace. Panics if `burstiness` exceeds
+    /// [`MAX_BURSTINESS`] or is NaN.
     pub fn generate(&self) -> Trace {
+        assert!(
+            self.burstiness <= MAX_BURSTINESS,
+            "burstiness {} must be at most {MAX_BURSTINESS}",
+            self.burstiness
+        );
         let weights = self.working_set_weights();
         let mut rng = DetRng::new(self.seed);
         let mut requests = Vec::with_capacity(self.requests_per_min * self.minutes);
@@ -184,12 +196,7 @@ fn apportion(weights: &[f64], total: usize) -> Vec<usize> {
     }
     // Hand out the leftover requests to the largest remainders
     // (deterministic tie-break by rank).
-    remainders.sort_by(|a, b| {
-        // gfaas-lint: allow(float-ord, remainders are fractional parts in [0 - 1) of finite rates; expect() panics on NaN)
-        b.1.partial_cmp(&a.1)
-            .expect("finite remainders")
-            .then(a.0.cmp(&b.0))
-    });
+    remainders.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     let mut leftover = total - assigned;
     for &(i, _) in &remainders {
         if leftover == 0 {
@@ -250,6 +257,18 @@ mod tests {
         }
         // The head dominates: rank 0 well above the tail.
         assert!(by_rank[0] > 10 * by_rank[34]);
+    }
+
+    #[test]
+    fn burstiness_up_to_the_bound_keeps_every_minute_whole() {
+        let mut cfg = AzureTraceConfig::paper(35, 7);
+        cfg.burstiness = MAX_BURSTINESS;
+        assert_eq!(cfg.generate().len(), cfg.requests_per_min * cfg.minutes);
+        for bad in [MAX_BURSTINESS + 1.0, 1e300, f64::NAN] {
+            cfg.burstiness = bad;
+            let refused = std::panic::catch_unwind(|| cfg.generate());
+            assert!(refused.is_err(), "burstiness {bad} was accepted");
+        }
     }
 
     #[test]

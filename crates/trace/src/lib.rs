@@ -25,6 +25,6 @@ pub mod azure;
 pub mod azure_real;
 pub mod trace;
 
-pub use azure::{interleaved_model_of, AzureTraceConfig};
+pub use azure::{interleaved_model_of, AzureTraceConfig, MAX_BURSTINESS};
 pub use azure_real::AzureFunctionsDataset;
 pub use trace::{Trace, TraceRequest, TraceStats};
