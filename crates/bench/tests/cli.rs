@@ -20,6 +20,7 @@ fn malformed_command_lines_exit_2_with_usage() {
                 &["--seeds", "1,x"],
                 &["--scale", "huge"],
                 &["--policy", "lalbo3,belady"],
+                &["--smoke", "--policy", "lookahead:k=4,horizon=0"],
                 &["--threads", "0"],
                 &["--store", "s3"],
             ],

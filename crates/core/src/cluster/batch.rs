@@ -124,7 +124,7 @@ impl Cluster {
             items_per_request: self.config.batch_size,
             infer_base_secs: profile.infer_base_secs * spec.compute_scale,
             infer_item_secs: profile.infer_per_item_secs * spec.compute_scale,
-            load_secs: profile.load_time.mul_f64(spec.load_scale).as_secs_f64(),
+            load_secs: self.unit_times(gi, model).load.as_secs_f64(),
         }
     }
 

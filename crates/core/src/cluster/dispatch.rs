@@ -404,10 +404,7 @@ impl Cluster {
         // echoes the per-device profile time; a tiered backend settles
         // background transfers, serves from host if resident, joins an
         // in-flight prefetch, or queues an origin fetch.
-        let flat_load = self
-            .registry
-            .load_time(model)
-            .mul_f64(self.units[gi].device.spec().load_scale);
+        let flat_load = self.unit_times(gi, model).load;
         let (tier, load_time) =
             self.store
                 .begin_load(self.scalars.now, model, occupancy, flat_load);
@@ -454,7 +451,8 @@ impl Cluster {
 /// scheduling pass: read access to the global queue, GPU/cache/finish-time
 /// state, and four commands — [`SchedCtx::take_queued`],
 /// [`SchedCtx::note_skips`], [`SchedCtx::perform`] (Algorithm 2's arms on
-/// *other* GPUs) and [`SchedCtx::speculate`] (a what-if fork).
+/// *other* GPUs) and [`SchedCtx::speculate`] (a decision's what-if
+/// forks).
 pub struct SchedCtx<'a> {
     pub(super) cluster: &'a mut Cluster,
     pub(super) events: &'a mut EventQueue<Event>,
@@ -549,18 +547,25 @@ impl SchedCtx<'_> {
         self.cluster.cache.is_cached(gpu, model)
     }
 
+    /// The models resident on `gpu` (an upload in progress counts), in
+    /// id order — the same set [`SchedCtx::is_cached`] answers from the
+    /// cache's replica lists.
+    pub fn resident_models(&self, gpu: GpuId) -> impl Iterator<Item = ModelId> + '_ {
+        self.cluster.units[gpu.0 as usize].device.resident_models()
+    }
+
     /// GPUs currently holding `model`, in id order (the §VI replica
-    /// list). Only online GPUs count: a draining GPU still holds its
-    /// models but must not attract new work, and its residents are about
-    /// to be evicted anyway.
-    pub fn holders(&self, model: ModelId) -> Vec<GpuId> {
+    /// list), walked in place over the cache's list. Only online GPUs
+    /// count: a draining GPU still holds its models but must not attract
+    /// new work, and its residents are about to be evicted anyway.
+    pub fn holders(&self, model: ModelId) -> impl Iterator<Item = GpuId> + '_ {
+        let units = &self.cluster.units;
         self.cluster
             .cache
             .holders(model)
             .iter()
             .copied()
-            .filter(|&g| self.cluster.units[g.0 as usize].state == UnitState::Online)
-            .collect()
+            .filter(move |&g| units[g.0 as usize].state == UnitState::Online)
     }
 
     // --- config / time ------------------------------------------------
@@ -591,18 +596,22 @@ impl SchedCtx<'_> {
         self.perform_as(r, placement, arm);
     }
 
-    /// What-if fork: tries placing the queued request at `queue_index`
-    /// per `placement`, replays up to `horizon` pending runtime events
-    /// under greedy LALBO3, and reports the outcome — then restores the
-    /// world byte-identically, as if the fork never ran.
+    /// What-if forks for one decision: for each of `candidates` in
+    /// order, tries placing the queued request at `queue_index` that
+    /// way, replays up to `horizon` pending runtime events under greedy
+    /// LALBO3, and pushes the outcome onto `scores` (cleared first, so
+    /// `scores[c]` is `candidates[c]`'s) — restoring the world
+    /// byte-identically after each, as if no fork ran. Every candidate
+    /// gets its own pin and retiring rollback.
     pub fn speculate(
         &mut self,
         queue_index: usize,
-        placement: Placement,
+        candidates: &[Placement],
         horizon: usize,
-    ) -> SpecScore {
+        scores: &mut Vec<SpecScore>,
+    ) {
         self.cluster
-            .speculate_placement(self.events, queue_index, placement, horizon)
+            .speculate_placements(self.events, queue_index, candidates, horizon, scores);
     }
 
     /// Executes a policy's dispatch for `gpu` (driver-internal).

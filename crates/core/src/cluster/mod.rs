@@ -146,6 +146,10 @@ pub struct Cluster {
     /// estimates need not walk the queue. See [`LocalAgg`]. Pinned like
     /// `units`.
     local_aggs: PinnedVec<LocalAgg>,
+    /// Per-(unit, model) durations, built once: row `gi` holds every
+    /// model's [`UnitTimes`] on unit `gi`'s profile. Indexed through
+    /// [`Cluster::unit_times`].
+    durations: Vec<UnitTimes>,
     /// Recycled buffer for the per-pass idle-GPU candidate list.
     idle_scratch: Vec<GpuId>,
     /// Attached event recorder (see [`gfaas_obs`]). `None` — the default —
@@ -218,6 +222,20 @@ struct LocalAgg {
     /// ordered by each model's first entry in the queue. Entries leave
     /// when their count hits zero.
     groups: Vec<(ModelId, usize, usize)>,
+}
+
+/// One model's durations on one unit's profile, at the configured batch
+/// size: the products every dispatch and estimate would otherwise redo
+/// in `f64`. Computed by the same operations as the direct formula, so
+/// each entry is tick-identical to it.
+#[derive(Debug, Clone, Copy)]
+struct UnitTimes {
+    /// `registry.infer_time(m, config.batch_size)` × the unit's compute
+    /// scale.
+    infer: SimDuration,
+    /// The flat load, `registry.load_time(m)` × the unit's PCIe scale —
+    /// what the store prices every upload from.
+    load: SimDuration,
 }
 
 impl PreImage for LocalAgg {
@@ -328,6 +346,18 @@ impl Cluster {
             })
             .collect();
         let cache = CacheManager::with_evictor(units.iter().map(|u| u.id()), evictor);
+        let durations = units
+            .iter()
+            .flat_map(|u| {
+                let spec = u.device.spec();
+                registry.ids().map(|m| UnitTimes {
+                    infer: registry
+                        .infer_time(m, config.batch_size)
+                        .mul_f64(spec.compute_scale),
+                    load: registry.load_time(m).mul_f64(spec.load_scale),
+                })
+            })
+            .collect();
         let rng = DetRng::new(config.seed ^ 0xc4a5);
         // Build the recorder stack from the config's record spec. Off by
         // default: `recorder` stays `None` and every hook is a dead branch.
@@ -373,6 +403,7 @@ impl Cluster {
             autoscaler,
             batch_pool: Vec::new(),
             local_aggs: PinnedVec::new(vec![LocalAgg::default(); total_units]),
+            durations,
             idle_scratch: Vec::new(),
             recorder,
             #[cfg(feature = "simcheck")]
@@ -541,9 +572,20 @@ impl Cluster {
         self.scalars.scale_downs
     }
 
+    /// `model`'s row entry for unit `gi` in the duration table.
+    fn unit_times(&self, gi: usize, model: ModelId) -> UnitTimes {
+        let n = self.registry.len();
+        self.durations[gi * n..(gi + 1) * n][model.0 as usize]
+    }
+
     /// Per-GPU inference time: the registry profile scaled by this GPU
-    /// type's compute factor (§VI heterogeneity).
+    /// type's compute factor (§VI heterogeneity). The configured batch
+    /// size reads the duration table; a coalesced item count is priced
+    /// by the formula.
     fn infer_time_on(&self, gi: usize, model: ModelId, batch: usize) -> SimDuration {
+        if batch == self.config.batch_size {
+            return self.unit_times(gi, model).infer;
+        }
         self.registry
             .infer_time(model, batch)
             .mul_f64(self.units[gi].device.spec().compute_scale)
@@ -552,16 +594,15 @@ impl Cluster {
     /// Per-GPU model load time, scaled likewise — the estimator view of
     /// the load cost, priced through the store backend. Under the flat
     /// default this is exactly the registry profile × the device's PCIe
-    /// scale; a tiered store reprices it by where the bytes live now
-    /// (host cache, an in-flight fetch, or origin).
+    /// scale (the duration table's flat entry); a tiered store reprices
+    /// it by where the bytes live now (host cache, an in-flight fetch,
+    /// or origin).
     fn load_time_on(&self, gi: usize, model: ModelId) -> SimDuration {
-        let load_scale = self.units[gi].device.spec().load_scale;
-        let flat = self.registry.load_time(model).mul_f64(load_scale);
         self.store.load_cost(
             self.scalars.now,
             model,
             self.registry.occupancy_bytes(model),
-            flat,
+            self.unit_times(gi, model).load,
         )
     }
 

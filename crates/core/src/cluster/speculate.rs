@@ -1,5 +1,12 @@
 //! Speculative what-if scheduling: the fork engine behind the
 //! lookahead policy, and the [`SpecScore`] it ranks forks by.
+//!
+//! A decision's forks come in through one call
+//! ([`SchedCtx::speculate`]): the recorder is stashed, the debug oracle
+//! encoded and the greedy replay scheduler built once for all of them,
+//! while each candidate still runs under its own pin and closes it with
+//! its own retiring rollback, so the journal counts one snapshot and
+//! one rollback per fork.
 
 use gfaas_sim::event::EventQueue;
 #[cfg(debug_assertions)]
@@ -8,7 +15,7 @@ use gfaas_snap::Enc;
 use super::{Cluster, Event, SchedCtx};
 use crate::gpu_manager::UnitState;
 use crate::request::Request;
-use crate::scheduler::{LalbScheduler, Placement, DEFAULT_O3_LIMIT};
+use crate::scheduler::{LalbScheduler, Placement, SchedulerPolicy, DEFAULT_O3_LIMIT};
 
 impl Cluster {
     /// The debug fork oracle's view of the whole state: the checkpoint
@@ -21,25 +28,54 @@ impl Cluster {
         (enc.into_bytes(), self.self_profile())
     }
 
-    /// Forks the world, performs one candidate placement for the queued
-    /// request at `queue_index`, replays up to `horizon` pending runtime
-    /// events under a plain greedy LALBO3 scheduler, scores the outcome,
-    /// and rolls everything back. The fork is invisible: the recorder
-    /// (a datastore mirror included) is stashed for its duration, and
-    /// every other mutable bit — metrics, RNG, residency, queues, the
-    /// event heap — is pinned and restored byte-identically. Debug builds
-    /// check that on every fork by encoding the whole state before the
-    /// pin and after the restore.
-    pub(crate) fn speculate_placement(
+    /// Forks the world once per candidate placement for the queued
+    /// request at `queue_index` and pushes each fork's [`SpecScore`] onto
+    /// `scores`, in candidate order. The forks are invisible: the
+    /// recorder (a datastore mirror included) is stashed for their
+    /// duration, and every other mutable bit — metrics, RNG, residency,
+    /// queues, the event heap — is pinned and restored byte-identically.
+    /// Debug builds check that after every fork against one encoding of
+    /// the whole state taken before the first.
+    pub(crate) fn speculate_placements(
+        &mut self,
+        events: &mut EventQueue<Event>,
+        queue_index: usize,
+        candidates: &[Placement],
+        horizon: usize,
+        scores: &mut Vec<SpecScore>,
+    ) {
+        let recorder = self.recorder.take();
+        #[cfg(debug_assertions)]
+        let before = self.fork_oracle(events);
+        // Inside a fork the world advances under greedy LALBO3 — the
+        // lookahead recursing into its own forks would never terminate.
+        // Its buffers are scratch, so one box serves every candidate.
+        let mut greedy: Option<Box<dyn SchedulerPolicy>> =
+            Some(Box::new(LalbScheduler::new(DEFAULT_O3_LIMIT)));
+        scores.clear();
+        for &placement in candidates {
+            scores.push(self.fork(events, queue_index, placement, horizon, &mut greedy));
+            #[cfg(debug_assertions)]
+            assert!(
+                self.fork_oracle(events) == before,
+                "fork restore diverged from the pinned state"
+            );
+        }
+        self.recorder = recorder;
+    }
+
+    /// One fork: pins, performs `placement` for the queued request at
+    /// `queue_index`, replays up to `horizon` pending runtime events
+    /// with `greedy` in the scheduler slot, scores the outcome, and
+    /// rolls everything back.
+    fn fork(
         &mut self,
         events: &mut EventQueue<Event>,
         queue_index: usize,
         placement: Placement,
         horizon: usize,
+        greedy: &mut Option<Box<dyn SchedulerPolicy>>,
     ) -> SpecScore {
-        let recorder = self.recorder.take();
-        #[cfg(debug_assertions)]
-        let before = self.fork_oracle(events);
         self.pin(events);
         let completed0 = self.metrics.completed();
         let lat0 = self.metrics.latency_sample_count();
@@ -68,20 +104,17 @@ impl Cluster {
             }
         }
 
-        // Inside the fork the world advances under greedy LALBO3 — the
-        // lookahead recursing into its own forks would never terminate.
         // Future *arrivals* are invisible to the fork; only the already
-        // -pending runtime events replay.
-        let outer = self
-            .sched
-            .replace(Box::new(LalbScheduler::new(DEFAULT_O3_LIMIT)));
+        // -pending runtime events replay. The outer policy's slot (empty
+        // mid-pass) is swapped back before the rollback checks it.
+        std::mem::swap(&mut self.sched, greedy);
         for _ in 0..horizon {
             let Some((t, ev)) = events.pop() else {
                 break;
             };
             self.deliver(t, ev, events);
         }
-        self.sched = outer;
+        std::mem::swap(&mut self.sched, greedy);
 
         // The waiting bill: completions pay their latency, everything
         // still outstanding pays its age as of the fork's end time.
@@ -120,12 +153,6 @@ impl Cluster {
         // so pins the caller holds across the pass survive.
         let at = self.pins.depth() - 1;
         self.rollback_to(at, true, events);
-        #[cfg(debug_assertions)]
-        assert!(
-            self.fork_oracle(events) == before,
-            "fork restore diverged from the pinned state"
-        );
-        self.recorder = recorder;
         score
     }
 }

@@ -278,6 +278,70 @@ fn heterogeneous_gpu_uses_its_own_profile() {
 }
 
 #[test]
+fn duration_table_matches_the_direct_formula() {
+    // Every (unit, model) entry is the formula it replaces, tick for
+    // tick: on a heterogeneous fleet, and on an elastic one whose spare
+    // units start offline.
+    let reg = ModelRegistry::table1();
+    let mut hetero = ClusterConfig::test(3, 8192, spec("lalbo3"));
+    hetero.hetero_specs = Some(vec![
+        gfaas_gpu::GpuSpec::test(8192),
+        gfaas_gpu::GpuSpec::test(8192).with_scales(0.5, 2.0),
+        gfaas_gpu::GpuSpec::test(8192).with_scales(1.7, 0.3),
+    ]);
+    let mut elastic = ClusterConfig::test(1, 8192, spec("lalbo3"));
+    elastic.autoscale = Some("queue:min=1,max=4,up=3,down=0,cadence=1".parse().unwrap());
+    let elastic = Cluster::new(elastic, reg.clone());
+    assert_eq!((elastic.online_gpus(), elastic.units.len()), (1, 4));
+    for c in [Cluster::new(hetero, reg.clone()), elastic] {
+        assert_eq!(c.durations.len(), c.units.len() * reg.len());
+        let b = c.config.batch_size;
+        for gi in 0..c.units.len() {
+            let s = c.units[gi].device.spec();
+            for m in reg.ids() {
+                let t = c.unit_times(gi, m);
+                let infer = |items| reg.infer_time(m, items).mul_f64(s.compute_scale);
+                assert_eq!(t.infer, infer(b), "unit {gi} model {m}");
+                assert_eq!(t.load, reg.load_time(m).mul_f64(s.load_scale));
+                assert_eq!(c.infer_time_on(gi, m, b), infer(b));
+                // A coalesced item count is priced by the formula.
+                assert_eq!(c.infer_time_on(gi, m, 3 * b), infer(3 * b));
+                // The flat store echoes the flat load.
+                assert_eq!(c.load_time_on(gi, m), t.load);
+            }
+        }
+    }
+}
+
+#[test]
+fn o3_scan_reads_residency_across_mask_words() {
+    // A 200-model registry puts the scanned models in four different
+    // 64-bit words of the scan's residency mask; every mask answer is
+    // checked against the cache in debug builds. Relabelling the same
+    // models onto a 7-model registry (one word, same id order) must
+    // give the identical run.
+    let wide = [0u32, 63, 64, 127, 128, 191, 199];
+    let reqs = |ids: &[u32]| -> Vec<(f64, u32)> {
+        (0..120)
+            .map(|i| (i as f64 * 0.13, ids[(i * 5 + i / 7) % ids.len()]))
+            .collect()
+    };
+    let narrow: Vec<u32> = (0..wide.len() as u32).collect();
+    let run = |nmodels, ids: &[u32]| {
+        let mut c = cluster(2, 350, "lalbo3", nmodels);
+        let m = c.run(&trace_of(&reqs(ids)));
+        (m, c.evictions())
+    };
+    let (m, evictions) = run(200, &wide);
+    assert_eq!(m.completed, 120);
+    assert!(
+        m.hit_ratio > 0.0 && evictions > 0,
+        "the scan must see hits and churn"
+    );
+    assert_eq!((m, evictions), run(wide.len(), &narrow));
+}
+
+#[test]
 fn heterogeneous_estimation_prefers_fast_busy_holder() {
     // gpu0 (fast, holds m0, busy) vs gpu1 (slow, idle). The fast
     // holder's estimated wait (0.25 s remaining) beats a slow cold
@@ -1152,7 +1216,10 @@ fn lookahead_serves_every_request_and_retires_every_fork() {
     let m = c.run(&t);
     assert_eq!(m.completed, 60);
     let stats = c.journal_stats();
-    assert!(stats.snapshots > 0, "contended placements must speculate");
+    // One pin and one retiring rollback per forked candidate: the count
+    // is the fork count, pinned so that batching a decision's forks
+    // into one call cannot change it.
+    assert_eq!(stats.snapshots, 6, "contended placements must speculate");
     assert_eq!(
         stats.snapshots, stats.rollbacks,
         "every fork is rolled back, none leaks"

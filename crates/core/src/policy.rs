@@ -324,6 +324,12 @@ impl PolicyRegistry {
                     Ok(true)
                 },
             )?;
+            // A fork that replays nothing bills every arm alike, so the
+            // tie-break alone would pick the arm: a hidden "never wait"
+            // policy. Only `k=1`, which forks nothing, may leave it at 0.
+            if k > 1 && horizon == 0 {
+                return Err(spec.bad_arg("a positive replay horizon (events) when k > 1"));
+            }
             Ok(Box::new(LookaheadScheduler::new(k, horizon)))
         });
         reg.register_evictor("lru", |spec, _seed| {
@@ -519,6 +525,8 @@ mod tests {
             ("lalbo3:40", "LALBO3(limit=40)"),
             ("lookahead", "Lookahead(k=4,h=8)"),
             ("lookahead:k=2,horizon=16", "Lookahead(k=2,h=16)"),
+            // Nothing forks at k=1, so the horizon may be zero.
+            ("lookahead:horizon=0,k=1", "Lookahead(k=1,h=0)"),
         ];
         for (spec, name) in cases {
             let got = reg
@@ -611,6 +619,8 @@ mod tests {
             "lookahead:k=0",
             "lookahead:k=x",
             "lookahead:horizon=-1",
+            "lookahead:horizon=0",
+            "lookahead:k=4,horizon=0",
             "lookahead:depth=3",
             "lookahead:4",
             "lookahead:o3=7",
@@ -663,6 +673,11 @@ mod tests {
             ('s', "lookahead:k=0", "a positive candidate count k"),
             ('s', "lookahead:k=x", "a positive candidate count k"),
             ('s', "lookahead:horizon=-1", "a replay horizon (events)"),
+            (
+                's',
+                "lookahead:horizon=0",
+                "a positive replay horizon (events) when k > 1",
+            ),
             ('s', "lookahead:4", "field=value pairs (k=, horizon=)"),
             ('s', "lookahead:depth=3", "fields k=, horizon="),
             ('e', "tinylfu:1.5", "a decay factor in (0, 1)"),

@@ -32,7 +32,7 @@
 //! `"lookahead:k=4,horizon=8"`) that resolve through
 //! [`crate::policy::PolicyRegistry`].
 
-use crate::cluster::SchedCtx;
+use crate::cluster::{SchedCtx, SpecScore};
 use crate::request::Request;
 use gfaas_gpu::{GpuId, ModelId};
 use gfaas_sim::time::SimDuration;
@@ -131,15 +131,23 @@ impl SchedulerPolicy for LbScheduler {
 
 /// Locality-aware load balancing (Algorithms 1 and 2); `o3_limit > 0`
 /// adds out-of-order dispatch with that starvation limit.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct LalbScheduler {
     o3_limit: u32,
+    /// Reused scan bitset and Algorithm-2 wait buffer (scratch, not
+    /// state: every decision overwrites them).
+    mask: ResidentMask,
+    waits: Waits,
 }
 
 impl LalbScheduler {
     /// A LALB scheduler; `o3_limit == 0` is pure LALB, `> 0` is LALB+O3.
     pub fn new(o3_limit: u32) -> Self {
-        LalbScheduler { o3_limit }
+        LalbScheduler {
+            o3_limit,
+            mask: ResidentMask::default(),
+            waits: Waits::new(),
+        }
     }
 
     /// The configured starvation limit.
@@ -160,8 +168,9 @@ impl SchedulerPolicy for LalbScheduler {
     }
 
     fn on_gpu_idle(&mut self, gpu: GpuId, ctx: &mut SchedCtx<'_>) -> Dispatch {
-        algorithm1(gpu, self.o3_limit, ctx, |gpu, i, ctx| {
-            algorithm2(gpu, ctx.queued(i).model, ctx, &mut Waits::new())
+        let waits = &mut self.waits;
+        algorithm1(gpu, self.o3_limit, ctx, &mut self.mask, |gpu, i, ctx| {
+            algorithm2(gpu, ctx.queued(i).model, ctx, waits)
         })
     }
 }
@@ -174,14 +183,49 @@ enum Stop {
     Starved,
 }
 
+/// The scanning GPU's residency as a bitset: one `u64` word per 64
+/// model ids, as many words as the largest resident id needs, so any
+/// registry size works.
+#[derive(Debug, Clone, Default)]
+struct ResidentMask(Vec<u64>);
+
+impl ResidentMask {
+    /// Replaces the set with `models`.
+    fn fill(&mut self, models: impl Iterator<Item = ModelId>) {
+        self.0.clear();
+        for m in models {
+            let word = m.0 as usize / 64;
+            if word >= self.0.len() {
+                self.0.resize(word + 1, 0);
+            }
+            self.0[word] |= 1 << (m.0 % 64);
+        }
+    }
+
+    fn contains(&self, m: ModelId) -> bool {
+        self.0
+            .get(m.0 as usize / 64)
+            .is_some_and(|w| w >> (m.0 % 64) & 1 == 1)
+    }
+}
+
 /// Algorithm 1's out-of-order scan from `*i`: advances `*i` past the
 /// requests the GPU skips and stops at the first one it must act on
 /// (`None` at the end of the queue). §VI isolation passes capped
 /// tenants over without O3 visit accounting (they are blocked, not
 /// skipped). The scan only reads; each run of skipped requests has its
 /// visit counters bumped in one call, before the caller acts — so a scan
-/// over a long queue stays a tight read loop.
-fn o3_run(gpu: GpuId, o3_limit: u32, i: &mut usize, ctx: &mut SchedCtx<'_>) -> Option<Stop> {
+/// over a long queue stays a tight read loop. The hit test reads `gpu`'s
+/// residency from `mask`, built once per run, instead of searching each
+/// queued model's holder list.
+fn o3_run(
+    gpu: GpuId,
+    o3_limit: u32,
+    i: &mut usize,
+    ctx: &mut SchedCtx<'_>,
+    mask: &mut ResidentMask,
+) -> Option<Stop> {
+    mask.fill(ctx.resident_models(gpu));
     let mut start = *i;
     let stop = loop {
         if *i >= ctx.queue_len() {
@@ -195,7 +239,9 @@ fn o3_run(gpu: GpuId, o3_limit: u32, i: &mut usize, ctx: &mut SchedCtx<'_>) -> O
             start = *i;
             continue;
         }
-        if ctx.is_cached(gpu, model) {
+        let hit = mask.contains(model);
+        debug_assert_eq!(hit, ctx.is_cached(gpu, model), "residency mask out of sync");
+        if hit {
             break Some(Stop::Hit);
         }
         if visits >= o3_limit {
@@ -210,11 +256,13 @@ fn o3_run(gpu: GpuId, o3_limit: u32, i: &mut usize, ctx: &mut SchedCtx<'_>) -> O
 /// Algorithm 1 for idle GPU `gpu`, the one scan of every locality-aware
 /// policy. `choose(gpu, i, ctx)` picks the arm for the queued request at
 /// `i` whenever the scan must place it: [`algorithm2`], or lookahead's
-/// measured variant of it.
+/// measured variant of it. `mask` is the calling policy's reused buffer
+/// for [`o3_run`]'s residency bitset.
 fn algorithm1(
     gpu: GpuId,
     o3_limit: u32,
     ctx: &mut SchedCtx<'_>,
+    mask: &mut ResidentMask,
     mut choose: impl FnMut(GpuId, usize, &mut SchedCtx<'_>) -> Placement,
 ) -> Dispatch {
     // Lines 6–16: scan the global queue in arrival order for a request
@@ -222,7 +270,7 @@ fn algorithm1(
     // visits, and a request at the limit is placed immediately.
     let mut i = 0;
     while ctx.is_idle(gpu) {
-        let arm = match o3_run(gpu, o3_limit, &mut i, ctx) {
+        let arm = match o3_run(gpu, o3_limit, &mut i, ctx, mask) {
             None => break,
             Some(Stop::Hit) => Placement::HitOn(gpu),
             Some(Stop::Starved) => choose(gpu, i, ctx),
@@ -267,16 +315,19 @@ type Waits = Vec<(SimDuration, GpuId)>;
 /// nowhere, (2) a hit on another idle GPU, (3) the local queue of the
 /// holder with the smallest estimated wait when that wait beats the
 /// model's load time, (4) otherwise a miss on `gpu`. The waits it
-/// estimates for (3) are left in `waits`, so a caller weighing the other
-/// arms estimates each holder once.
+/// estimates for (3) are left in `waits` (empty when it decided before
+/// (3)), so a caller weighing the other arms estimates each holder once.
+/// It walks the holder list in place and refills the caller's buffer,
+/// so a decision allocates nothing.
 fn algorithm2(gpu: GpuId, model: ModelId, ctx: &SchedCtx<'_>, waits: &mut Waits) -> Placement {
-    let holders = ctx.holders(model);
-    if holders.is_empty() {
+    waits.clear();
+    let mut holders = ctx.holders(model).peekable();
+    if holders.peek().is_none() {
         // Lines 1–3: cached nowhere → allow the miss here.
         return Placement::MissOn(gpu);
     }
     // Lines 4–6: cached on another idle GPU → hit there.
-    if let Some(&j) = holders.iter().find(|&&j| hit_target(gpu, j, ctx)) {
+    if let Some(j) = holders.find(|&j| hit_target(gpu, j, ctx)) {
         return Placement::HitOn(j);
     }
     // Lines 8–15: cached only on busy GPUs. Compare the best holder's
@@ -285,7 +336,7 @@ fn algorithm2(gpu: GpuId, model: ModelId, ctx: &SchedCtx<'_>, waits: &mut Waits)
     // batching policy the wait is join-aware (the request shares its
     // model's coalesced invocation); per-request dispatch keeps the
     // paper's drain estimate byte-identically.
-    *waits = estimate_waits(model, &holders, ctx);
+    estimate_waits(model, ctx, waits);
     match waits.first() {
         Some(&(wait, j)) if ctx.busy_wait().joins(wait, ctx.load_time(gpu, model)) => {
             Placement::WaitOn(j)
@@ -303,14 +354,14 @@ fn hit_target(gpu: GpuId, j: GpuId, ctx: &SchedCtx<'_>) -> bool {
     j != gpu && ctx.is_idle(j) && ctx.local_backlog(j) == 0
 }
 
-/// Every holder's estimated wait for `model`.
-fn estimate_waits(model: ModelId, holders: &[GpuId], ctx: &SchedCtx<'_>) -> Waits {
-    let mut waits: Waits = holders
-        .iter()
-        .map(|&j| (ctx.estimated_wait_for(j, model), j))
-        .collect();
+/// Fills `waits` with every holder's estimated wait for `model`.
+fn estimate_waits(model: ModelId, ctx: &SchedCtx<'_>, waits: &mut Waits) {
+    waits.clear();
+    waits.extend(
+        ctx.holders(model)
+            .map(|j| (ctx.estimated_wait_for(j, model), j)),
+    );
     waits.sort_unstable();
-    waits
 }
 
 /// Takes the queued request at `i` off the global queue and performs
@@ -338,12 +389,24 @@ fn execute(gpu: GpuId, i: usize, arm: Placement, ctx: &mut SchedCtx<'_>) -> Opti
 /// byte-identically; the winning arm is then executed for real.
 /// Everything else is LALBO3's Algorithm 1 scan, so at `k=1` — only
 /// Algorithm 2's own arm, nothing forked — the policy is LALBO3.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct LookaheadScheduler {
+    /// Reused scan bitset (scratch, like every buffer here).
+    mask: ResidentMask,
+    arms: ArmChoice,
+}
+
+/// Lookahead's arm choice: the budget, plus the buffers one decision
+/// fills — Algorithm 2's waits, the candidate arms and their scores.
+#[derive(Debug, Clone)]
+struct ArmChoice {
     /// Maximum candidate placements forked per decision.
     k: usize,
     /// Pending runtime events replayed inside each fork.
     horizon: usize,
+    waits: Waits,
+    cands: Vec<Placement>,
+    scores: Vec<SpecScore>,
 }
 
 /// Default candidate budget for [`LookaheadScheduler`].
@@ -356,37 +419,46 @@ impl LookaheadScheduler {
     /// `horizon` events deep.
     pub fn new(k: usize, horizon: usize) -> Self {
         LookaheadScheduler {
-            k: k.max(1),
-            horizon,
+            mask: ResidentMask::default(),
+            arms: ArmChoice {
+                k: k.max(1),
+                horizon,
+                waits: Waits::new(),
+                cands: Vec::new(),
+                scores: Vec::new(),
+            },
         }
     }
+}
 
+impl ArmChoice {
     /// The arm for the queued request at `i`. Candidate 0 is Algorithm
     /// 2's greedy arm; the alternatives follow in a deterministic order
     /// — the other idle hits (id order), waits at busy holders (cheapest
     /// estimate first), then the miss here — deduplicated, `k` in all.
-    /// The strict comparison keeps the earliest of equal scores, so the
+    /// All candidates are forked in one [`SchedCtx::speculate`] call. The
+    /// strict comparison keeps the earliest of equal scores, so the
     /// choice leaves the estimate's only when a fork *measured* a
     /// strictly better outcome.
-    fn choose(&self, gpu: GpuId, i: usize, ctx: &mut SchedCtx<'_>) -> Placement {
+    fn choose(&mut self, gpu: GpuId, i: usize, ctx: &mut SchedCtx<'_>) -> Placement {
         let model = ctx.queued(i).model;
-        let mut waits = Waits::new();
-        let greedy = algorithm2(gpu, model, ctx, &mut waits);
-        let holders = ctx.holders(model);
+        let greedy = algorithm2(gpu, model, ctx, &mut self.waits);
         // Nothing to fork at `k=1`; cached nowhere, only the miss is open.
-        if self.k == 1 || holders.is_empty() {
+        if self.k == 1 || ctx.holders(model).next().is_none() {
             return greedy;
         }
-        if waits.is_empty() {
+        if self.waits.is_empty() {
             // The greedy arm is an idle hit, taken without estimates.
-            waits = estimate_waits(model, &holders, ctx);
+            estimate_waits(model, ctx, &mut self.waits);
         }
-        let hits = holders.iter().copied().filter(|&j| hit_target(gpu, j, ctx));
-        let busy = waits.iter().map(|w| w.1).filter(|&j| !ctx.is_idle(j));
+        let hits = ctx.holders(model).filter(|&j| hit_target(gpu, j, ctx));
+        let busy = self.waits.iter().map(|w| w.1).filter(|&j| !ctx.is_idle(j));
         let alts = hits
             .map(Placement::HitOn)
             .chain(busy.map(Placement::WaitOn));
-        let mut cands = vec![greedy];
+        let cands = &mut self.cands;
+        cands.clear();
+        cands.push(greedy);
         for p in alts.chain([Placement::MissOn(gpu)]) {
             if cands.len() < self.k && !cands.contains(&p) {
                 cands.push(p);
@@ -395,25 +467,26 @@ impl LookaheadScheduler {
         if cands.len() == 1 {
             return greedy;
         }
-        let mut best = (greedy, ctx.speculate(i, greedy, self.horizon));
-        for &cand in &cands[1..] {
-            let score = ctx.speculate(i, cand, self.horizon);
-            if score.better_than(&best.1) {
-                best = (cand, score);
+        ctx.speculate(i, cands, self.horizon, &mut self.scores);
+        let mut best = 0;
+        for c in 1..cands.len() {
+            if self.scores[c].better_than(&self.scores[best]) {
+                best = c;
             }
         }
-        best.0
+        cands[best]
     }
 }
 
 impl SchedulerPolicy for LookaheadScheduler {
     fn name(&self) -> String {
-        format!("Lookahead(k={},h={})", self.k, self.horizon)
+        format!("Lookahead(k={},h={})", self.arms.k, self.arms.horizon)
     }
 
     fn on_gpu_idle(&mut self, gpu: GpuId, ctx: &mut SchedCtx<'_>) -> Dispatch {
-        algorithm1(gpu, DEFAULT_O3_LIMIT, ctx, |gpu, i, ctx| {
-            self.choose(gpu, i, ctx)
+        let arms = &mut self.arms;
+        algorithm1(gpu, DEFAULT_O3_LIMIT, ctx, &mut self.mask, |gpu, i, ctx| {
+            arms.choose(gpu, i, ctx)
         })
     }
 }
